@@ -21,7 +21,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from .candidates import generate_candidates
+from . import fastnp
+from .candidates import frequent_rows, generate_candidates, itemset_matrix
 from .hashtree import HashTree, HashTreeStats, TreeShape
 from .items import Itemset
 from .kernels import make_counter, validate_kernel
@@ -112,6 +113,10 @@ class Apriori:
             ``"reference"`` (instrumented object tree; required when the
             per-pass ``tree_stats`` feed the Section IV cost model).
             Both kernels produce identical frequent item-sets and counts.
+            ``"fast-np"`` with numpy runs each pass in matrix form, as
+            the native coordinator does: apriori_gen over the sorted
+            int32 F(k-1) matrix, a counter over the C(k) matrix, and a
+            count mask for the threshold (see :mod:`repro.core.candidates`).
     """
 
     def __init__(
@@ -142,20 +147,32 @@ class Apriori:
         )
 
         frequent_prev = self._pass_one(db, min_count, result)
+        if self.kernel == "fast-np" and fastnp.HAVE_NUMPY:
+            matrix = itemset_matrix(frequent_prev)
+            if matrix is not None:
+                frequent_prev = matrix
         k = 2
-        while frequent_prev and (self.max_k is None or k <= self.max_k):
+        while len(frequent_prev) and (self.max_k is None or k <= self.max_k):
             candidates = generate_candidates(frequent_prev)
-            if not candidates:
+            if not len(candidates):
                 break
-            counter = make_counter(
-                k,
-                candidates,
-                kernel=self.kernel,
-                branching=self.branching,
-                leaf_capacity=self.leaf_capacity,
-            )
-            counter.count_database(db)
-            frequent_k = counter.frequent(min_count)
+            if isinstance(candidates, list):
+                counter = make_counter(
+                    k,
+                    candidates,
+                    kernel=self.kernel,
+                    branching=self.branching,
+                    leaf_capacity=self.leaf_capacity,
+                )
+                counter.count_database(db)
+                frequent_k = counter.frequent(min_count)
+                frequent_prev = list(frequent_k)
+            else:
+                counter = fastnp.FastNumpyCounter.from_matrix(k, candidates)
+                counter.count_database(db)
+                frequent_prev, frequent_k = frequent_rows(
+                    candidates, counter.counts_array(), min_count
+                )
             result.frequent.update(frequent_k)
             result.passes.append(
                 PassTrace(
@@ -168,7 +185,6 @@ class Apriori:
                     ),
                 )
             )
-            frequent_prev = list(frequent_k)
             k += 1
         return result
 

@@ -415,6 +415,10 @@ class FastNumpyCounter:
         """All counts in slot (candidate-list) order — no tuples built."""
         return self._ensure_counts().tolist()
 
+    def counts_array(self):
+        """The live int64 count array, in slot order (not a copy)."""
+        return self._ensure_counts()
+
     def counts_for(self, mask) -> List[int]:
         """Counts of the candidates selected by a bool ``mask``, in order.
 

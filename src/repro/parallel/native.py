@@ -97,7 +97,9 @@ import secrets
 import tempfile
 import time
 from array import array
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from multiprocessing import get_context, parent_process, shared_memory
 from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
@@ -110,10 +112,15 @@ from ..checkpoint import (
 )
 from ..core import fastnp
 from ..core.apriori import AprioriResult, PassTrace, min_support_count
-from ..core.candidates import generate_candidates
+from ..core.candidates import (
+    frequent_rows,
+    generate_candidates,
+    itemset_matrix,
+)
 from ..core.items import Itemset
 from ..core.kernels import count_packed_into, make_counter, validate_kernel
 from ..core.packed import (
+    _CAND_HEADER,
     PackedDB,
     candidates_from_bytes,
     candidates_nbytes,
@@ -259,6 +266,46 @@ class PassOverhead:
         if self.prune_checked == 0:
             return 0.0
         return self.prune_skipped / self.prune_checked
+
+
+# ----------------------------------------------------------------------
+# Pass arithmetic over either candidate form
+# ----------------------------------------------------------------------
+#
+# A pass's candidates reach the pools as a tuple list (the numpy-free
+# path) or as the sorted (n, k) int32 matrix the pass loop picks when
+# numpy is importable; the helpers below keep the pools' fan-out,
+# reduce and recovery code one body for both.
+
+
+def _zero_totals(candidates):
+    """A zeroed per-candidate count vector in the pass's form."""
+    if isinstance(candidates, list):
+        return [0] * len(candidates)
+    return fastnp.np.zeros(len(candidates), dtype=fastnp.np.int64)
+
+
+def _accumulate(totals, vector, rows=None) -> None:
+    """Add ``vector`` into ``totals`` — at indices ``rows`` when given
+    (an IDD shard's candidates), else element-wise."""
+    if isinstance(totals, list):
+        if rows is None:
+            rows = range(len(vector))
+        for j, index in enumerate(rows):
+            totals[index] += vector[j]
+        return
+    vector = fastnp.np.asarray(vector, dtype=fastnp.np.int64)
+    if rows is None:
+        totals += vector
+    else:
+        totals[rows] += vector
+
+
+def _candidate_tuples(candidates) -> List[Itemset]:
+    """The pass's candidates as tuples (pickle payloads, in-process rungs)."""
+    if isinstance(candidates, list):
+        return candidates
+    return list(map(tuple, candidates.tolist()))
 
 
 def _even_bounds(num_transactions: int, parts: int) -> List[Tuple[int, int]]:
@@ -434,27 +481,35 @@ class _SharedSegments:
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
 
-    def publish_candidates(self, k: int, candidates: Sequence[Itemset]) -> str:
+    def publish_candidates(self, k: int, candidates) -> str:
         """Write one pass's candidates as a binary frame; return the name.
 
-        Pass ``k``'s segment is retained for the pool's lifetime and
-        *reused* when the frame being published is byte-identical to
-        what it already holds (the warm-pool re-mine case) — same name
-        back means workers keep their cached plane counters.  A
-        different frame for the same ``k`` retires the old segment and
-        publishes under a fresh name, so a segment name is permanently
-        bound to one candidate set.
+        ``candidates`` is a tuple list or the pass's ``(n, k)`` int32
+        matrix, whose bytes already are the frame body — both forms
+        give the same frame.  Pass ``k``'s segment is retained for the
+        pool's lifetime and *reused* when the frame being published is
+        byte-identical to what it already holds (the warm-pool re-mine
+        case) — same name back means workers keep their cached plane
+        counters.  A different frame for the same ``k`` retires the old
+        segment and publishes under a fresh name, so a segment name is
+        permanently bound to one candidate set.
         """
         nbytes = candidates_nbytes(len(candidates), k)
-        frame = bytearray(nbytes)
-        write_candidates_into(candidates, k, frame)
+        if isinstance(candidates, list):
+            frame = bytearray(nbytes)
+            write_candidates_into(candidates, k, frame)
+        else:
+            body = candidates.astype("<i4", copy=False).tobytes()
+            frame = _CAND_HEADER.pack(len(candidates), k) + body
         name = self._cand_names.get(k)
         if name is not None:
             segment = self._live.get(name)
             # The header (num, k) makes frames of different candidate
             # counts differ in their first bytes, so the prefix compare
-            # is exact even though segment sizes are page-rounded.
-            if segment is not None and segment.buf[:nbytes] == frame:
+            # is exact even though segment sizes are page-rounded.  A
+            # bytes copy compares in one memcmp; comparing the
+            # memoryview directly walks it byte by byte.
+            if segment is not None and bytes(segment.buf[:nbytes]) == frame:
                 return name
             self._unlink(name)
             del self._cand_names[k]
@@ -476,13 +531,13 @@ class _SharedSegments:
             self.counts_capacity = capacity
         return self._counts_name, self.counts_capacity
 
-    def read_counts(self, slot: int, expected: int) -> List[int]:
-        """Decode worker ``slot``'s count vector from the shared region."""
+    def read_counts(self, slot: int, expected: int) -> "array[int]":
+        """Copy worker ``slot``'s count vector out of the shared region."""
         segment = self._live[self._counts_name]
         base = 8 * slot * self.counts_capacity
         vector = array("q")
         vector.frombytes(bytes(segment.buf[base:base + 8 * expected]))
-        return vector.tolist()
+        return vector
 
     def close(self) -> None:
         """Unlink every live segment; idempotent (exactly-once unlink)."""
@@ -978,14 +1033,16 @@ class _WorkerPool:
     # The pass fan-out
     # ------------------------------------------------------------------
 
-    def count_pass(self, k: int, candidates: Sequence[Itemset]) -> List[int]:
+    def count_pass(self, k: int, candidates):
         """Fan one pass out to every worker; return the summed count vector.
 
-        Detects failed workers within ``recv_timeout`` (poll-based) and
-        recovers their blocks before returning, so the totals always
-        cover every transaction exactly once.
+        ``candidates`` is a tuple list or the pass's int32 matrix; the
+        totals come back as a list or an int64 array to match.  Detects
+        failed workers within ``recv_timeout`` (poll-based) and recovers
+        their blocks before returning, so the totals always cover every
+        transaction exactly once.
         """
-        totals = [0] * len(candidates)
+        totals = _zero_totals(candidates)
         # Snapshot: blocks that fall back *during* this pass are counted
         # by their recovery rung, not double-counted here.
         fallback_snapshot = list(self._fallback_holdings)
@@ -1036,8 +1093,7 @@ class _WorkerPool:
                     overhead.peak_rss_bytes = max(
                         overhead.peak_rss_bytes, timings[3]
                     )
-                    for index, count in enumerate(vector):
-                        totals[index] += count
+                    _accumulate(totals, vector)
             overhead.reduce_s += time.perf_counter() - tick
         for wid, _seq in pending.values():
             failures.append((wid, "timeout"))
@@ -1052,12 +1108,12 @@ class _WorkerPool:
                 wid, k, candidates, payload, failure,
                 exclude=frozenset(unrecovered),
             )
-            for index, count in enumerate(vector):
-                totals[index] += count
+            _accumulate(totals, vector)
         if fallback_snapshot:
-            vector = self._count_inprocess(fallback_snapshot, k, candidates)
-            for index, count in enumerate(vector):
-                totals[index] += count
+            _accumulate(
+                totals,
+                self._count_inprocess(fallback_snapshot, k, candidates),
+            )
         # Fold in the coordinator's own high-water mark, so the column
         # covers every process the pass touched.
         overhead.peak_rss_bytes = max(
@@ -1069,12 +1125,12 @@ class _WorkerPool:
     def _pass_payload(
         self,
         k: int,
-        candidates: Sequence[Itemset],
+        candidates,
         overhead: Optional[PassOverhead] = None,
     ):
         """The per-pass candidate payload, shaped by the data plane.
 
-        Pickle plane: the candidate list itself (pickled per worker by
+        Pickle plane: the candidate tuple list (pickled per worker by
         the pipe).  Zero-copy planes (shared/mmap): one binary candidate
         segment written (or recognized as already published — the
         warm-pool case) once, plus the counts-region descriptor — the
@@ -1082,7 +1138,7 @@ class _WorkerPool:
         in ``overhead.cand_build_s`` when a pass overhead is given.
         """
         if self._plane == "pickle":
-            return candidates
+            return _candidate_tuples(candidates)
         tick = time.perf_counter()
         cand_name = self._segments.publish_candidates(k, candidates)
         counts_name, capacity = self._segments.ensure_counts(len(candidates))
@@ -1096,7 +1152,7 @@ class _WorkerPool:
 
     def _read_reply(
         self, conn, wid: int, k: int, expected: int, seq: int
-    ) -> Tuple[Optional[List[int]], str, Tuple[float, float, float, int]]:
+    ) -> Tuple[Optional[Sequence[int]], str, Tuple[float, float, float, int]]:
         """Read one reply frame; return (vector, "", timings) or
         (None, failure, (0, 0, 0, 0)).
 
@@ -1343,11 +1399,11 @@ class _WorkerPool:
         self,
         wid: int,
         k: int,
-        candidates: Sequence[Itemset],
+        candidates,
         payload,
         failure: str,
         exclude: frozenset = frozenset(),
-    ) -> List[int]:
+    ) -> Sequence[int]:
         """Recount a failed worker's holdings; reassign them for future passes.
 
         Ladder: respawn (with retries + exponential backoff) → adoption
@@ -1425,7 +1481,7 @@ class _WorkerPool:
 
     def _ask(
         self, slot: _Slot, request, wid: int, k: int, expected: int
-    ) -> Optional[List[int]]:
+    ) -> Optional[Sequence[int]]:
         """Send one request to one slot; poll-bounded reply or ``None``.
 
         The request (sans sequence number) gains a fresh ``seq`` before
@@ -1490,12 +1546,12 @@ class _WorkerPool:
         return _Slot(process, parent_conn, holdings, events)
 
     def _count_inprocess(
-        self, holdings: Sequence, k: int, candidates: Sequence[Itemset]
+        self, holdings: Sequence, k: int, candidates
     ) -> List[int]:
         vector, _build_s, _intersect_s = _count_holdings_vector(
             self._packed if self._plane != "pickle" else None,
-            holdings, k, candidates, self._kernel, self._branching,
-            self._leaf_capacity, self._inprocess_cache,
+            holdings, k, _candidate_tuples(candidates), self._kernel,
+            self._branching, self._leaf_capacity, self._inprocess_cache,
         )
         return vector
 
@@ -1547,7 +1603,215 @@ class _WorkerPool:
         self.shutdown()
 
 
-class NativeCountDistribution:
+class _NativeMiner:
+    """The coordinator's pass loop, shared by the native CD and IDD/HD miners.
+
+    Subclasses supply the pool: ``_acquire_pool(db)`` returns one whose
+    ``count_pass(k, candidates)`` sums a pass's counts,
+    ``_release_pool(pool, clean, db)`` keeps or reaps it, and
+    ``_checkpoint_algorithm`` names the mine in the journal.  They also
+    define ``_generate`` as a call of their own module's
+    ``generate_candidates``, so a wrapper installed on that module
+    attribute sees every pass.
+
+    **Candidate form.**  When numpy is importable (and every item id
+    fits int32) each pass's candidates stay one lexicographically
+    sorted ``(n, k)`` int32 matrix from apriori_gen to the reduce: it is
+    the shared candidate frame's body, the IDD planner reads bins off
+    its first column, the pools sum int64 count arrays, and
+    ``candidates[counts >= min_count]`` is already the next pass's
+    F(k).  Only frequent rows become tuples, for the result and the
+    checkpoint journal.  Without numpy the same loop runs on tuple
+    lists; both forms give identical results.
+    """
+
+    @property
+    def num_processors(self) -> int:
+        """Alias for ``num_workers`` (runner-facade compatibility)."""
+        return self.num_workers
+
+    def __enter__(self):
+        self._keep_pool = True
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut down a kept warm pool (no-op when none is live)."""
+        self._keep_pool = False
+        pool, self._pool, self._pool_db = self._pool, None, None
+        if pool is not None:
+            pool.shutdown()
+
+    def _has_faults(self) -> bool:
+        faults = self._active_faults
+        return faults is not None and (
+            len(faults) > 0 or faults.refusals() > 0
+        )
+
+    def _generate(self, frequent_prev):
+        return generate_candidates(frequent_prev)
+
+    def _superset(self, pool, session) -> Optional[Dict[int, List[Itemset]]]:
+        """The SON phase-1 candidate superset, or ``None`` (apriori_gen)."""
+        return None
+
+    def mine(self, db) -> AprioriResult:
+        """Mine ``db`` with counting fanned out over worker processes.
+
+        ``db`` is a :class:`~repro.core.transaction.TransactionDB` or —
+        on the zero-copy planes — an already-packed
+        :class:`~repro.core.packed.PackedDB`, including an attached
+        :class:`~repro.core.mmapdb.MmapPackedDB` store file (the
+        generate-to-disk product); on the mmap plane workers map an
+        attached file directly, so the database is never copied.
+        """
+        min_count = min_support_count(self.min_support, max(1, len(db)))
+        result = AprioriResult(
+            frequent={},
+            min_support=self.min_support,
+            min_count=min_count,
+            num_transactions=len(db),
+        )
+        self.fault_log = []
+        self.last_pool_size = 0
+        self.last_pass_overheads = []
+        self.last_resume_k = 0
+        vectorized = fastnp.HAVE_NUMPY
+
+        session, frequent_prev, next_k = self._open_checkpoint(
+            db, min_count, result
+        )
+        try:
+            if next_k == 1:
+                # Pass 1 is a trivial scan; not worth process overhead.
+                frequent_prev = serial_pass_one(
+                    db, min_count, result, vectorized
+                )
+                if session is not None:
+                    session.record(
+                        1,
+                        result.passes[-1].num_candidates,
+                        {s: result.frequent[s] for s in frequent_prev},
+                    )
+                fire_coordinator_kill(self._active_faults, 1)
+            if not frequent_prev:
+                return result
+
+            k = max(2, next_k)
+            if self.max_k is not None and k > self.max_k:
+                return result
+            # Every later pass runs in the form F(k-1) takes here.
+            matrix = itemset_matrix(frequent_prev) if vectorized else None
+            if matrix is not None:
+                frequent_prev = matrix
+            pool = self._acquire_pool(db)
+            clean = False
+            try:
+                self.last_pool_size = pool.num_workers
+                self._count_passes(
+                    pool, session, frequent_prev, k, min_count, result
+                )
+                self.fault_log = list(pool.fault_log)
+                self.last_pass_overheads = list(pool.pass_overheads)
+                clean = True
+            finally:
+                self._release_pool(pool, clean, db)
+            return result
+        finally:
+            if session is not None:
+                session.close()
+
+    def _count_passes(
+        self, pool, session, prev, k: int, min_count: int, result
+    ) -> None:
+        """Passes ``k, k+1, ...`` until F(k-1) or C(k) is empty.
+
+        ``prev`` is F(k-1) in the form the whole loop runs in: a sorted
+        int32 matrix or a sorted tuple list (see the class docstring).
+        """
+        matrix = not isinstance(prev, list)
+        superset = self._superset(pool, session)
+        while len(prev) and (self.max_k is None or k <= self.max_k):
+            if superset is None:
+                candidates = self._generate(prev)
+            elif matrix:
+                # Superset items come from a packed store: int32.
+                candidates = itemset_matrix(superset.get(k, []))
+            else:
+                candidates = superset.get(k, [])
+            if not len(candidates):
+                break
+            totals = pool.count_pass(k, candidates)
+            if matrix:
+                prev, frequent_k = frequent_rows(candidates, totals, min_count)
+            else:
+                frequent_k = {
+                    candidates[i]: totals[i]
+                    for i in range(len(candidates))
+                    if totals[i] >= min_count
+                }
+                prev = sorted(frequent_k)
+            result.frequent.update(frequent_k)
+            result.passes.append(
+                PassTrace(
+                    k=k,
+                    num_candidates=len(candidates),
+                    num_frequent=len(frequent_k),
+                )
+            )
+            if session is not None:
+                session.record(
+                    k, len(candidates), frequent_k, pool.refusals_consumed
+                )
+            fire_coordinator_kill(self._active_faults, k)
+            if superset is not None and self.progress is not None:
+                self.progress(
+                    f"two-phase: pass {k} counted "
+                    f"{len(candidates)} superset candidates -> "
+                    f"{len(frequent_k)} frequent"
+                )
+            k += 1
+
+    def _open_checkpoint(self, db, min_count: int, result):
+        """Set up the checkpoint session (if any) and the fault schedule.
+
+        Returns ``(session, frequent_prev, next_k)``: with no
+        ``checkpoint_dir`` the mine starts from scratch faults-as-
+        declared; on resume the journaled passes are already folded into
+        ``result`` and :attr:`_active_faults` is the declared spec
+        advanced past them (fired coordinator kills and worker events of
+        completed passes don't replay; consumed refuse-spawn budget
+        stays consumed), so rerunning under the *same* ``--fault-spec``
+        continues the schedule.
+        """
+        self._active_faults = self.faults
+        if self.checkpoint_dir is None:
+            return None, [], 1
+        meta = checkpoint_meta(
+            algorithm=self._checkpoint_algorithm,
+            db=db,
+            min_support=self.min_support,
+            min_count=min_count,
+            kernel=self.kernel,
+            max_k=self.max_k,
+        )
+        session = CheckpointSession(self.checkpoint_dir, self.resume, meta)
+        try:
+            frequent_prev, next_k = session.start(result)
+        except Exception:
+            session.close()
+            raise
+        self.last_resume_k = next_k - 1
+        if self.faults is not None and next_k > 1:
+            self._active_faults = self.faults.advance(
+                next_k - 1, session.prior_refusals
+            )
+        return session, frequent_prev, next_k
+
+
+class NativeCountDistribution(_NativeMiner):
     """Multi-process CD miner producing serial-identical results.
 
     Args:
@@ -1641,6 +1905,8 @@ class NativeCountDistribution:
     unchanged; :meth:`close` releases a kept pool early.
     """
 
+    _checkpoint_algorithm = "native-cd"
+
     def __init__(
         self,
         min_support: float,
@@ -1721,31 +1987,6 @@ class NativeCountDistribution:
         # The fault schedule the *current* mine() runs under: the
         # declared spec, advanced past journaled passes on resume.
         self._active_faults = self.faults
-
-    @property
-    def num_processors(self) -> int:
-        """Alias for ``num_workers`` (runner-facade compatibility)."""
-        return self.num_workers
-
-    def __enter__(self) -> "NativeCountDistribution":
-        self._keep_pool = True
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Shut down a kept warm pool (no-op when none is live)."""
-        self._keep_pool = False
-        pool, self._pool, self._pool_db = self._pool, None, None
-        if pool is not None:
-            pool.shutdown()
-
-    def _has_faults(self) -> bool:
-        faults = self._active_faults
-        return faults is not None and (
-            len(faults) > 0 or faults.refusals() > 0
-        )
 
     def _acquire_pool(self, db) -> _WorkerPool:
         """Reuse the kept warm pool for ``db``, or build a fresh one.
@@ -1857,170 +2098,43 @@ class NativeCountDistribution:
             self._pool, self._pool_db = None, None
         pool.shutdown()
 
-    def mine(self, db) -> AprioriResult:
-        """Mine ``db`` with counting fanned out over worker processes.
+    def _superset(self, pool, session) -> Optional[Dict[int, List[Itemset]]]:
+        """SON phase 1 under ``two_phase``: the candidate superset.
 
-        ``db`` is a :class:`~repro.core.transaction.TransactionDB` or —
-        on the zero-copy planes — an already-packed
-        :class:`~repro.core.packed.PackedDB`, including an attached
-        :class:`~repro.core.mmapdb.MmapPackedDB` store file (the
-        generate-to-disk product); on the mmap plane workers map an
-        attached file directly, so the database is never copied.
+        A journaled superset is restored instead of re-mined, so a
+        killed phase 2 resumes over the exact candidates it was
+        counting; a freshly mined one is journaled before phase 2.
         """
-        min_count = min_support_count(self.min_support, max(1, len(db)))
-        result = AprioriResult(
-            frequent={},
-            min_support=self.min_support,
-            min_count=min_count,
-            num_transactions=len(db),
-        )
-        self.fault_log = []
-        self.last_pool_size = 0
-        self.last_pass_overheads = []
-        self.last_resume_k = 0
-
-        session, frequent_prev, next_k = self._open_checkpoint(
-            "native-cd", db, min_count, result
-        )
-        try:
-            if next_k == 1:
-                # Pass 1 is a trivial scan; not worth process overhead.
-                frequent_prev = self._pass_one(db, min_count, result)
-                if session is not None:
-                    session.record(
-                        1,
-                        result.passes[-1].num_candidates,
-                        {s: result.frequent[s] for s in frequent_prev},
-                    )
-                fire_coordinator_kill(self._active_faults, 1)
-            if not frequent_prev:
-                return result
-
-            k = max(2, next_k)
-            if self.max_k is not None and k > self.max_k:
-                return result
-            pool = self._acquire_pool(db)
-            clean = False
-            try:
-                self.last_pool_size = pool.num_workers
-                candidates_by_k: Optional[Dict[int, List[Itemset]]] = None
-                if self.two_phase:
-                    restored = (
-                        session.phase1 if session is not None else None
-                    )
-                    if restored is not None:
-                        # The journaled superset: a killed phase 2
-                        # resumes over the exact candidates it was
-                        # counting, no partitions re-mined.
-                        candidates_by_k = merge_candidates([restored])
-                    else:
-                        candidates_by_k = pool.mine_local_candidates(
-                            self.min_support, self.max_k
-                        )
-                        if session is not None:
-                            session.record_phase1(candidates_by_k)
-                    if self.progress is not None:
-                        self.progress(
-                            "two-phase: phase 1 complete — "
-                            f"{superset_size(candidates_by_k)} superset "
-                            f"candidates across {len(candidates_by_k)} "
-                            "pass sizes"
-                        )
-                while frequent_prev and (
-                    self.max_k is None or k <= self.max_k
-                ):
-                    if candidates_by_k is not None:
-                        candidates = candidates_by_k.get(k, [])
-                    else:
-                        candidates = generate_candidates(frequent_prev)
-                    if not candidates:
-                        break
-                    totals = pool.count_pass(k, candidates)
-                    frequent_k = {
-                        candidates[i]: totals[i]
-                        for i in range(len(candidates))
-                        if totals[i] >= min_count
-                    }
-                    result.frequent.update(frequent_k)
-                    result.passes.append(
-                        PassTrace(
-                            k=k,
-                            num_candidates=len(candidates),
-                            num_frequent=len(frequent_k),
-                        )
-                    )
-                    if session is not None:
-                        session.record(
-                            k,
-                            len(candidates),
-                            frequent_k,
-                            pool.refusals_consumed,
-                        )
-                    fire_coordinator_kill(self._active_faults, k)
-                    if self.progress is not None and self.two_phase:
-                        self.progress(
-                            f"two-phase: pass {k} counted "
-                            f"{len(candidates)} superset candidates -> "
-                            f"{len(frequent_k)} frequent"
-                        )
-                    frequent_prev = sorted(frequent_k)
-                    k += 1
-                self.fault_log = list(pool.fault_log)
-                self.last_pass_overheads = list(pool.pass_overheads)
-                clean = True
-            finally:
-                self._release_pool(pool, clean, db)
-            return result
-        finally:
-            if session is not None:
-                session.close()
-
-    def _open_checkpoint(
-        self, algorithm: str, db: TransactionDB, min_count: int, result
-    ):
-        """Set up the checkpoint session (if any) and the fault schedule.
-
-        Returns ``(session, frequent_prev, next_k)``: with no
-        ``checkpoint_dir`` the mine starts from scratch faults-as-
-        declared; on resume the journaled passes are already folded into
-        ``result`` and :attr:`_active_faults` is the declared spec
-        advanced past them (fired coordinator kills and worker events of
-        completed passes don't replay; consumed refuse-spawn budget
-        stays consumed), so rerunning under the *same* ``--fault-spec``
-        continues the schedule.
-        """
-        self._active_faults = self.faults
-        if self.checkpoint_dir is None:
-            return None, [], 1
-        meta = checkpoint_meta(
-            algorithm=algorithm,
-            db=db,
-            min_support=self.min_support,
-            min_count=min_count,
-            kernel=self.kernel,
-            max_k=self.max_k,
-        )
-        session = CheckpointSession(self.checkpoint_dir, self.resume, meta)
-        try:
-            frequent_prev, next_k = session.start(result)
-        except Exception:
-            session.close()
-            raise
-        self.last_resume_k = next_k - 1
-        if self.faults is not None and next_k > 1:
-            self._active_faults = self.faults.advance(
-                next_k - 1, session.prior_refusals
+        if not self.two_phase:
+            return None
+        restored = session.phase1 if session is not None else None
+        if restored is not None:
+            candidates_by_k = merge_candidates([restored])
+        else:
+            candidates_by_k = pool.mine_local_candidates(
+                self.min_support, self.max_k
             )
-        return session, frequent_prev, next_k
+            if session is not None:
+                session.record_phase1(candidates_by_k)
+        if self.progress is not None:
+            self.progress(
+                "two-phase: phase 1 complete — "
+                f"{superset_size(candidates_by_k)} superset "
+                f"candidates across {len(candidates_by_k)} "
+                "pass sizes"
+            )
+        return candidates_by_k
 
-    def _pass_one(
-        self, db, min_count: int, result: AprioriResult
-    ) -> List[Itemset]:
-        return serial_pass_one(db, min_count, result)
+
+# Items of a packed store's column one vectorized pass-1 chunk copies
+# and sorts: the coordinator's scratch stays under 1 MB however large an
+# attached store is, so file-backed store pages never become anonymous
+# memory (and forked workers inherit no freed-but-retained heap).
+_PASS_ONE_CHUNK = 1 << 16
 
 
 def serial_pass_one(
-    db, min_count: int, result: AprioriResult
+    db, min_count: int, result: AprioriResult, vectorized: bool = False
 ) -> List[Itemset]:
     """Serial pass 1 shared by every native miner.
 
@@ -2029,25 +2143,50 @@ def serial_pass_one(
     pass 2.  ``db`` is a :class:`~repro.core.transaction.TransactionDB`
     or an already-packed :class:`~repro.core.packed.PackedDB` (e.g. an
     attached store file), scanned through zero-copy slices in the
-    latter case.  Appends the pass trace to ``result`` and returns the
-    sorted frequent 1-item-sets.
+    latter case — or, with ``vectorized`` (numpy present), counted by
+    ``np.unique`` over bounded chunks of its int32 item column, which
+    inserts the frequent items in item order rather than first-seen
+    order.  Appends the pass trace to ``result`` and returns the sorted
+    frequent 1-item-sets.
     """
-    from collections import Counter
-
-    item_counts: Counter = Counter()
-    transactions = db.slices() if isinstance(db, PackedDB) else db
-    for transaction in transactions:
-        item_counts.update(transaction)
-    frequent_1 = {
-        (item,): count
-        for item, count in item_counts.items()
-        if count >= min_count
-    }
+    if vectorized and isinstance(db, PackedDB):
+        np = fastnp.np
+        column = np.asarray(db.items)
+        # Running per-item totals, merged chunk by chunk: memory stays
+        # proportional to the distinct items, as the Counter's does.
+        items = column[:0]
+        counts = np.zeros(0, dtype=np.int64)
+        for lo in range(0, len(column), _PASS_ONE_CHUNK):
+            chunk_items, chunk_counts = np.unique(
+                column[lo:lo + _PASS_ONE_CHUNK], return_counts=True
+            )
+            merged = np.union1d(items, chunk_items)
+            totals = np.zeros(len(merged), dtype=np.int64)
+            totals[np.searchsorted(merged, items)] = counts
+            totals[np.searchsorted(merged, chunk_items)] += chunk_counts
+            items, counts = merged, totals
+        keep = counts >= min_count
+        frequent_1 = dict(
+            zip(
+                ((item,) for item in items[keep].tolist()),
+                counts[keep].tolist(),
+            )
+        )
+        num_items = len(items)
+    else:
+        transactions = db.slices() if isinstance(db, PackedDB) else db
+        item_counts = Counter(chain.from_iterable(transactions))
+        frequent_1 = {
+            (item,): count
+            for item, count in item_counts.items()
+            if count >= min_count
+        }
+        num_items = len(item_counts)
     result.frequent.update(frequent_1)
     result.passes.append(
         PassTrace(
             k=1,
-            num_candidates=len(item_counts),
+            num_candidates=num_items,
             num_frequent=len(frequent_1),
         )
     )

@@ -73,20 +73,14 @@ from multiprocessing import get_context
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import fastnp
-from ..core.apriori import AprioriResult, PassTrace, min_support_count
 from ..core.bitmap import ItemBitmap
 from ..core.candidates import generate_candidates
 from ..core.items import Itemset
 from ..core.kernels import count_packed_into, make_counter, validate_kernel
 from ..core.packed import PackedDB, candidates_from_bytes
-from ..core.partition import partition_by_first_item
+from ..core.partition import bin_pack, partition_by_first_item
 from ..core.transaction import TransactionDB
 from ..core.vertical import TidBitmapCache
-from ..checkpoint import (
-    CheckpointSession,
-    checkpoint_meta,
-    fire_coordinator_kill,
-)
 from ..faults import FaultEvent, FaultRecord, FaultSpec
 from ..memprof import peak_rss_bytes
 from .hybrid import choose_grid
@@ -94,13 +88,16 @@ from .native import (
     _KILLED_EXIT,
     PassOverhead,
     WorkerError,
+    _accumulate,
     _attach_segment,
     _attach_store,
+    _candidate_tuples,
     _connection_wait,
     _even_bounds,
+    _NativeMiner,
     _recv_command,
     _SharedSegments,
-    serial_pass_one,
+    _zero_totals,
     validate_data_plane,
 )
 
@@ -503,7 +500,6 @@ class _PartitionedPool:
         kernel: str,
         mode: str = "idd",
         switch_threshold: int = 50_000,
-        refine_threshold: Optional[int] = None,
         data_plane: str = "shared",
         store_dir: Optional[str] = None,
         external_store=None,
@@ -521,7 +517,6 @@ class _PartitionedPool:
         self._kernel = kernel
         self._mode = mode
         self._switch_threshold = switch_threshold
-        self._refine_threshold = refine_threshold
         self._plane = validate_data_plane(data_plane)
         self._block_budget = block_budget
         self.recv_timeout = recv_timeout
@@ -594,17 +589,16 @@ class _PartitionedPool:
     # Pass planning
     # ------------------------------------------------------------------
 
-    def _plan(
-        self, candidates: Sequence[Itemset]
-    ) -> Tuple[Dict[int, _Unit], List[List[int]], int]:
+    def _plan(self, candidates) -> Tuple[Dict[int, _Unit], List, int]:
         """Derive this pass's grid, bins and rings from the live workers.
 
         Returns ``(units, owned_idx, rows)`` where ``units`` maps worker
-        id to its :class:`_Unit`, ``owned_idx[row]`` lists the indices
-        into ``candidates`` of row ``row``'s shard (the coordinator's
-        scatter map for the reduce), and ``rows`` is G.  Recomputed
-        every pass, so candidate bins automatically re-pack over
-        whatever workers survived earlier passes.
+        id to its :class:`_Unit`, ``owned_idx[row]`` holds the indices
+        into ``candidates`` of row ``row``'s shard in ascending order
+        (the coordinator's scatter map for the reduce; an int array for
+        a candidate matrix, a list for tuples), and ``rows`` is G.
+        Recomputed every pass, so candidate bins automatically re-pack
+        over whatever workers survived earlier passes.
         """
         wids = sorted(self._slots)
         p_live = len(wids)
@@ -615,14 +609,16 @@ class _PartitionedPool:
                 len(candidates), self._switch_threshold, p_live
             )
         cols = p_live // rows
-        partition = partition_by_first_item(
-            candidates, rows, refine_threshold=self._refine_threshold
-        )
-        index = {candidate: i for i, candidate in enumerate(candidates)}
-        owned_idx = [
-            [index[candidate] for candidate in assignment]
-            for assignment in partition.assignments
-        ]
+        if isinstance(candidates, list):
+            partition = partition_by_first_item(candidates, rows)
+            index = {candidate: i for i, candidate in enumerate(candidates)}
+            owned_idx = [
+                [index[candidate] for candidate in assignment]
+                for assignment in partition.assignments
+            ]
+            bits = [bitmap.bits for bitmap in partition.filters]
+        else:
+            owned_idx, bits = owned_rows(candidates, rows)
         bounds = _even_bounds(self._num_transactions, p_live)
         # Under a block budget every position's block becomes a chain of
         # bounded sub-ranges; the ring walks the same transactions in
@@ -644,25 +640,25 @@ class _PartitionedPool:
                 for step in range(rows)
                 for chunk in blocks[((row - step) % rows) * cols + col]
             )
-            units[wid] = _Unit(
-                row=row, bits=partition.filters[row].bits, ring=ring
-            )
+            units[wid] = _Unit(row=row, bits=bits[row], ring=ring)
         return units, owned_idx, rows
 
     def _pass_common(
         self,
         k: int,
-        candidates: Sequence[Itemset],
+        candidates,
         overhead: Optional[PassOverhead] = None,
     ):
         """The plane-shaped part of the payload every worker shares.
 
-        Publishing the candidate plane (or proving the existing segment
-        is byte-identical and reusable) is the coordinator's once-per-
-        pass serialization cost, recorded as ``cand_build_s``.
+        Pickle plane: the candidate tuple list, converted once per pass.
+        Zero-copy planes: publishing the candidate plane (or proving the
+        existing segment is byte-identical and reusable) is the
+        coordinator's once-per-pass serialization cost, recorded as
+        ``cand_build_s``.
         """
         if self._plane == "pickle":
-            return None
+            return _candidate_tuples(candidates)
         tick = time.perf_counter()
         cand_name = self._segments.publish_candidates(k, candidates)
         counts_name, capacity = self._segments.ensure_counts(len(candidates))
@@ -670,31 +666,32 @@ class _PartitionedPool:
             overhead.cand_build_s = time.perf_counter() - tick
         return (cand_name, len(candidates), counts_name, capacity)
 
-    def _payload(self, common, candidates: Sequence[Itemset], unit: _Unit):
+    def _payload(self, common, unit: _Unit):
         if self._plane != "pickle":
             return common + (unit.bits, unit.ring)
-        return (list(candidates), unit.bits, unit.ring)
+        return (common, unit.bits, unit.ring)
 
     # ------------------------------------------------------------------
     # The pass fan-out
     # ------------------------------------------------------------------
 
-    def count_pass(self, k: int, candidates: Sequence[Itemset]) -> List[int]:
+    def count_pass(self, k: int, candidates):
         """Fan one partitioned pass out; return the reduced count vector.
 
-        Summing each row's replicas implements HD's along-the-row count
-        reduction; rows are disjoint, so the totals cover every
-        candidate exactly once.  Failed workers are recovered before
-        returning, so they also cover every transaction exactly once.
+        ``candidates`` is a tuple list or the pass's sorted int32
+        matrix; the totals come back as a list or an int64 array to
+        match.  Summing each row's replicas implements HD's
+        along-the-row count reduction; rows are disjoint, so the totals
+        cover every candidate exactly once.  Failed workers are
+        recovered before returning, so they also cover every
+        transaction exactly once.
         """
-        totals = [0] * len(candidates)
+        totals = _zero_totals(candidates)
         overhead = PassOverhead(k=k, num_candidates=len(candidates))
         if not self._slots:
             # The whole pool is gone: degrade to in-process mining.
             tick = time.perf_counter()
-            vector = self._count_all(k, candidates)
-            for index, count in enumerate(vector):
-                totals[index] += count
+            _accumulate(totals, self._count_all(k, candidates))
             overhead.reduce_s = time.perf_counter() - tick
             overhead.max_bin_candidates = len(candidates)
             overhead.peak_rss_bytes = peak_rss_bytes()
@@ -712,8 +709,7 @@ class _PartitionedPool:
             seq = self._next_seq()
             try:
                 slot.conn.send(
-                    ("pass", seq, k, self._payload(common, candidates,
-                                                   units[wid]))
+                    ("pass", seq, k, self._payload(common, units[wid]))
                 )
                 pending[slot.conn] = (wid, seq)
             except (BrokenPipeError, OSError, ValueError):
@@ -745,7 +741,7 @@ class _PartitionedPool:
                     vector, shift_s, checked, skipped,
                     build_s, intersect_s, attach_s, peak_rss,
                 ) = reply
-                _scatter(totals, owned_idx[units[wid].row], vector)
+                _accumulate(totals, vector, owned_idx[units[wid].row])
                 overhead.shift_s = max(overhead.shift_s, shift_s)
                 overhead.prune_checked += checked
                 overhead.prune_skipped += skipped
@@ -773,7 +769,7 @@ class _PartitionedPool:
                 len(owned_idx[unit.row]), failure,
                 exclude=frozenset(unrecovered),
             )
-            _scatter(totals, owned_idx[unit.row], vector)
+            _accumulate(totals, vector, owned_idx[unit.row])
         overhead.peak_rss_bytes = max(
             overhead.peak_rss_bytes, peak_rss_bytes()
         )
@@ -841,7 +837,7 @@ class _PartitionedPool:
         self,
         wid: int,
         k: int,
-        candidates: Sequence[Itemset],
+        candidates,
         common,
         unit: _Unit,
         expected: int,
@@ -867,7 +863,7 @@ class _PartitionedPool:
         # predecessor; it inherits only events for *future* passes.
         future_events = [e for e in slot.events if e.k > k]
         self._discard(slot)
-        payload = self._payload(common, candidates, unit)
+        payload = self._payload(common, unit)
 
         attempts = 0
         for attempt in range(self.max_retries + 1):
@@ -978,16 +974,14 @@ class _PartitionedPool:
     # In-process counting (degradation floor)
     # ------------------------------------------------------------------
 
-    def _count_unit(
-        self, k: int, candidates: Sequence[Itemset], unit: _Unit
-    ) -> List[int]:
+    def _count_unit(self, k: int, candidates, unit: _Unit) -> List[int]:
         """Count one unit in the parent — the ladder's bottom rung.
 
         The root filter is a pruning optimization, not a correctness
         requirement, so the floor skips it; counts are bit-identical.
         """
         bitmap = ItemBitmap.from_bits(unit.bits)
-        owned = [c for c in candidates if c[0] in bitmap]
+        owned = [c for c in _candidate_tuples(candidates) if c[0] in bitmap]
         if not owned:
             return []
         counter = make_counter(
@@ -1004,8 +998,9 @@ class _PartitionedPool:
         counts = counter.counts()
         return [counts[c] for c in owned]
 
-    def _count_all(self, k: int, candidates: Sequence[Itemset]) -> List[int]:
+    def _count_all(self, k: int, candidates) -> List[int]:
         """Count a whole pass in the parent (the pool fully collapsed)."""
+        candidates = _candidate_tuples(candidates)
         counter = make_counter(
             k, candidates, kernel=self._kernel, branching=self._branching,
             leaf_capacity=self._leaf_capacity,
@@ -1060,14 +1055,34 @@ class _PartitionedPool:
         self.shutdown()
 
 
-def _scatter(totals: List[int], indices: Sequence[int],
-             vector: Sequence[int]) -> None:
-    """Add a shard-order vector into the candidate-order totals."""
-    for j, index in enumerate(indices):
-        totals[index] += vector[j]
+def owned_rows(candidates, rows: int) -> Tuple[List, List[int]]:
+    """Bin a sorted candidate matrix's rows over ``rows`` grid rows.
+
+    The matrix twin of :func:`~repro.core.partition.partition_by_first_item`
+    feeding :meth:`_PartitionedPool._plan`: the same per-first-item
+    weights go through the same :func:`~repro.core.partition.bin_pack`,
+    so the bins match it exactly.  Sorted rows keep each first item's
+    candidates in one contiguous run, read off the first column.
+    Returns ``(owned_idx, bits)``: per grid row, the ascending int64
+    indices of the candidates it owns and its owned-first-items bitmap
+    as a raw integer.
+    """
+    np = fastnp.np
+    items, counts = np.unique(candidates[:, 0], return_counts=True)
+    bins = bin_pack(
+        {(item,): count for item, count in zip(items.tolist(), counts.tolist())},
+        rows,
+    )
+    row_of_item = np.empty(len(items), dtype=np.int64)
+    for row, keys in enumerate(bins):
+        row_of_item[np.searchsorted(items, [key[0] for key in keys])] = row
+    row_of_candidate = np.repeat(row_of_item, counts)
+    owned_idx = [np.flatnonzero(row_of_candidate == row) for row in range(rows)]
+    bits = [ItemBitmap(key[0] for key in keys).bits for keys in bins]
+    return owned_idx, bits
 
 
-class NativePartitionedMiner:
+class NativePartitionedMiner(_NativeMiner):
     """Multi-process candidate-partitioned miner (IDD/HD common driver).
 
     Use the :class:`NativeIntelligentDistribution` (G = P) or
@@ -1102,8 +1117,6 @@ class NativePartitionedMiner:
             style) instead of touching a whole block at once.
         switch_threshold: HD's ``m`` — minimum candidates worth one more
             grid row (ignored in IDD mode, where G is always P).
-        refine_threshold: second-item refinement threshold for the bin
-            packer (``None`` packs on first items only).
         recv_timeout / max_retries / backoff_base: recovery-ladder knobs,
             as in :class:`~repro.parallel.native.NativeCountDistribution`.
         faults: optional :class:`~repro.faults.FaultSpec` (or spec
@@ -1143,7 +1156,6 @@ class NativePartitionedMiner:
         store_dir: Optional[str] = None,
         block_budget: Optional[int] = None,
         switch_threshold: int = 50_000,
-        refine_threshold: Optional[int] = None,
         recv_timeout: float = 30.0,
         max_retries: int = 2,
         backoff_base: float = 0.05,
@@ -1195,7 +1207,6 @@ class NativePartitionedMiner:
         self.store_dir = store_dir
         self.block_budget = block_budget
         self.switch_threshold = switch_threshold
-        self.refine_threshold = refine_threshold
         self.recv_timeout = recv_timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
@@ -1215,29 +1226,13 @@ class NativePartitionedMiner:
         self._active_faults = self.faults
 
     @property
-    def num_processors(self) -> int:
-        """Alias for ``num_workers`` (runner-facade compatibility)."""
-        return self.num_workers
+    def _checkpoint_algorithm(self) -> str:
+        return f"native-{self.mode}"
 
-    def __enter__(self) -> "NativePartitionedMiner":
-        self._keep_pool = True
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Shut down a kept warm pool (no-op when none is live)."""
-        self._keep_pool = False
-        pool, self._pool, self._pool_db = self._pool, None, None
-        if pool is not None:
-            pool.shutdown()
-
-    def _has_faults(self) -> bool:
-        faults = self._active_faults
-        return faults is not None and (
-            len(faults) > 0 or faults.refusals() > 0
-        )
+    def _generate(self, frequent_prev):
+        # This module's name, looked up per call: a wrapper installed on
+        # ``native_idd.generate_candidates`` sees every IDD/HD pass.
+        return generate_candidates(frequent_prev)
 
     def _acquire_pool(self, db) -> _PartitionedPool:
         """Reuse the kept warm pool for ``db``, or build a fresh one.
@@ -1303,7 +1298,6 @@ class NativePartitionedMiner:
             self.kernel,
             mode=self.mode,
             switch_threshold=self.switch_threshold,
-            refine_threshold=self.refine_threshold,
             data_plane=self.data_plane,
             store_dir=self.store_dir,
             external_store=external_store,
@@ -1330,123 +1324,6 @@ class NativePartitionedMiner:
         if pool is self._pool:
             self._pool, self._pool_db = None, None
         pool.shutdown()
-
-    def mine(self, db) -> AprioriResult:
-        """Mine ``db`` with candidate-partitioned worker processes.
-
-        ``db`` is a :class:`~repro.core.transaction.TransactionDB` or —
-        on the zero-copy planes — an already-packed
-        :class:`~repro.core.packed.PackedDB` / attached
-        :class:`~repro.core.mmapdb.MmapPackedDB` store file.
-        """
-        min_count = min_support_count(self.min_support, max(1, len(db)))
-        result = AprioriResult(
-            frequent={},
-            min_support=self.min_support,
-            min_count=min_count,
-            num_transactions=len(db),
-        )
-        self.fault_log = []
-        self.last_pool_size = 0
-        self.last_pass_overheads = []
-        self.last_resume_k = 0
-
-        session, frequent_prev, next_k = self._open_checkpoint(
-            f"native-{self.mode}", db, min_count, result
-        )
-        try:
-            if next_k == 1:
-                frequent_prev = serial_pass_one(db, min_count, result)
-                if session is not None:
-                    session.record(
-                        1,
-                        result.passes[-1].num_candidates,
-                        {s: result.frequent[s] for s in frequent_prev},
-                    )
-                fire_coordinator_kill(self._active_faults, 1)
-            if not frequent_prev:
-                return result
-
-            k = max(2, next_k)
-            if self.max_k is not None and k > self.max_k:
-                return result
-            pool = self._acquire_pool(db)
-            clean = False
-            try:
-                self.last_pool_size = pool.num_workers
-                while frequent_prev and (
-                    self.max_k is None or k <= self.max_k
-                ):
-                    candidates = generate_candidates(frequent_prev)
-                    if not candidates:
-                        break
-                    totals = pool.count_pass(k, candidates)
-                    frequent_k = {
-                        candidates[i]: totals[i]
-                        for i in range(len(candidates))
-                        if totals[i] >= min_count
-                    }
-                    result.frequent.update(frequent_k)
-                    result.passes.append(
-                        PassTrace(
-                            k=k,
-                            num_candidates=len(candidates),
-                            num_frequent=len(frequent_k),
-                        )
-                    )
-                    if session is not None:
-                        session.record(
-                            k,
-                            len(candidates),
-                            frequent_k,
-                            pool.refusals_consumed,
-                        )
-                    fire_coordinator_kill(self._active_faults, k)
-                    frequent_prev = sorted(frequent_k)
-                    k += 1
-                self.fault_log = list(pool.fault_log)
-                self.last_pass_overheads = list(pool.pass_overheads)
-                clean = True
-            finally:
-                self._release_pool(pool, clean, db)
-            return result
-        finally:
-            if session is not None:
-                session.close()
-
-    def _open_checkpoint(
-        self, algorithm: str, db: TransactionDB, min_count: int, result
-    ):
-        """Set up the checkpoint session (if any) and the fault schedule.
-
-        Same contract as the CD miner's ``_open_checkpoint``: returns
-        ``(session, frequent_prev, next_k)``, with journaled passes
-        already folded into ``result`` on resume and
-        :attr:`_active_faults` advanced past them.
-        """
-        self._active_faults = self.faults
-        if self.checkpoint_dir is None:
-            return None, [], 1
-        meta = checkpoint_meta(
-            algorithm=algorithm,
-            db=db,
-            min_support=self.min_support,
-            min_count=min_count,
-            kernel=self.kernel,
-            max_k=self.max_k,
-        )
-        session = CheckpointSession(self.checkpoint_dir, self.resume, meta)
-        try:
-            frequent_prev, next_k = session.start(result)
-        except Exception:
-            session.close()
-            raise
-        self.last_resume_k = next_k - 1
-        if self.faults is not None and next_k > 1:
-            self._active_faults = self.faults.advance(
-                next_k - 1, session.prior_refusals
-            )
-        return session, frequent_prev, next_k
 
 
 class NativeIntelligentDistribution(NativePartitionedMiner):
