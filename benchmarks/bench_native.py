@@ -243,7 +243,7 @@ def test_cd_vs_idd_partitioning(db, serial_baseline):
     for num_workers in WORKER_COUNTS:
         # Warm-pool pattern, exactly like the CD sections: spawn once,
         # measure warm re-mines on the fast-np shared candidate plane
-        # (the worker-side `_count_shard_plane` path — one decoded
+        # (the worker-side `_count_unit` plane path — one decoded
         # plane counter + a first-item row mask per shard instead of a
         # per-pass shard rebuild).  The old cold-miner-per-round
         # measurement repaid spawn + packing every round, which is why

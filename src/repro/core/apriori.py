@@ -25,7 +25,7 @@ from . import fastnp
 from .candidates import frequent_rows, generate_candidates, itemset_matrix
 from .hashtree import HashTree, HashTreeStats, TreeShape
 from .items import Itemset
-from .kernels import make_counter, validate_kernel
+from .kernels import make_counter, validate_kernel, warn_kernel_fallback
 from .transaction import TransactionDB
 
 __all__ = ["Apriori", "AprioriResult", "PassTrace", "min_support_count"]
@@ -134,6 +134,7 @@ class Apriori:
         self.leaf_capacity = leaf_capacity
         self.max_k = max_k
         self.kernel = validate_kernel(kernel)
+        warn_kernel_fallback(self.kernel)
 
     def mine(self, db: TransactionDB) -> AprioriResult:
         """Mine all frequent item-sets of ``db``."""

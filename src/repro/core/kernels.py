@@ -19,9 +19,10 @@ kernel:
   via :class:`~repro.core.fastnp.PackedBitmapCache`) — no
   per-transaction or per-candidate interpreter loop.  Counts are
   bit-identical to the reference kernel.  When numpy is absent
-  (:data:`repro.core.fastnp.HAVE_NUMPY` is false) the selector quietly
-  falls back to the pure-python vertical machinery, which keeps the
-  same surface and the same counts.
+  (:data:`repro.core.fastnp.HAVE_NUMPY` is false) the selector falls
+  back to the pure-python vertical machinery, which keeps the same
+  surface and the same counts; the miners that accept the kernel
+  report the fallback once, through :func:`warn_kernel_fallback`.
 * **vertical** — :class:`repro.core.vertical.VerticalCounter`:
   Eclat-style per-item TID bitmaps intersected per candidate and
   popcounted with CPython big integers.  No per-transaction traversal
@@ -42,6 +43,7 @@ plane feeds shared-memory stores straight into either kernel through
 
 from __future__ import annotations
 
+import warnings
 from typing import Optional, Sequence, Union
 
 from . import fastnp
@@ -55,6 +57,7 @@ from .vertical import VerticalCounter
 __all__ = [
     "KERNELS",
     "validate_kernel",
+    "warn_kernel_fallback",
     "make_counter",
     "count_packed_into",
     "Counter",
@@ -83,6 +86,23 @@ def validate_kernel(kernel: str) -> str:
         known = ", ".join(repr(k) for k in KERNELS)
         raise ValueError(f"unknown kernel {kernel!r}; expected one of: {known}")
     return kernel
+
+
+def warn_kernel_fallback(kernel: str) -> None:
+    """Warn when ``kernel`` will not count with the kernel it names.
+
+    Only ``"fast-np"`` has a fallback: without numpy it counts with the
+    vertical kernel (same counts, slower).  Coordinators call this once
+    per miner they construct; :func:`make_counter`, which every worker
+    and every pass calls, stays silent.
+    """
+    if kernel == "fast-np" and not fastnp.HAVE_NUMPY:
+        warnings.warn(
+            "kernel 'fast-np' needs numpy, which is not importable; "
+            "counting with the 'vertical' kernel instead",
+            RuntimeWarning,
+            stacklevel=3,
+        )
 
 
 def make_counter(

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, List, Optional, Sequence
 from .apriori import AprioriResult, PassTrace, min_support_count
 from .candidates import generate_candidates
 from .items import Itemset
-from .kernels import make_counter, validate_kernel
+from .kernels import make_counter, validate_kernel, warn_kernel_fallback
 
 __all__ = ["StreamingApriori", "TransactionSource"]
 
@@ -59,6 +59,7 @@ class StreamingApriori:
         self.leaf_capacity = leaf_capacity
         self.max_k = max_k
         self.kernel = validate_kernel(kernel)
+        warn_kernel_fallback(self.kernel)
 
     def mine(self, source: TransactionSource) -> AprioriResult:
         """Mine all frequent item-sets of the streamed database.

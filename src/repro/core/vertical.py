@@ -17,7 +17,7 @@ kernel cheap in the parallel formulations:
   range, not on ``k`` or the candidates, so a worker builds them once
   (first pass over its block) and reuses them for every later pass via
   :class:`TidBitmapCache`.  After a respawn or adoption the cache is
-  simply cold for the new holdings and rebuilt on the next count — no
+  simply cold for the new ranges and rebuilt on the next count — no
   bitmap state needs to survive a crash.
 * **Sorted candidates share prefixes.**  Counting in sorted order with
   a prefix-intersection stack amortizes the ANDs: adjacent candidates

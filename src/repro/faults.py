@@ -137,11 +137,10 @@ class FaultRecord:
         action: how the block was recovered — ``"respawned"`` (fresh
             replacement process), ``"adopted"`` (a surviving worker took
             over the block), ``"inprocess"`` (counted in the parent;
-            the degradation floor) or ``"repacked"`` (candidate-
-            partitioned pool only: a worker died while adopting; its own
-            pass counts were already collected, so nothing is recounted
-            — the next pass simply bin-packs the candidate set over the
-            remaining workers).
+            the degradation floor) or ``"repacked"`` (a worker died
+            while adopting; its own pass counts were already collected,
+            so nothing is recounted — the next pass simply re-plans the
+            grid over the remaining workers).
         attempts: spawn attempts consumed before the action succeeded.
     """
 

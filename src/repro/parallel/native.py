@@ -1,93 +1,73 @@
-"""Native multi-process Count Distribution (real parallelism extension).
+"""Native multi-process CD, IDD and HD on one worker pool (real parallelism).
 
 Everything else in :mod:`repro.parallel` runs on the *simulated* machine
 so that 128-processor behaviour is measurable on a laptop.  This module
-is the complement: an actual multi-core implementation of the CD
-formulation using ``multiprocessing`` — CD is the one formulation whose
-processes share nothing but a count reduction, so it maps cleanly onto
-OS processes despite Python's GIL.
+is the complement: the paper's formulations on actual OS processes.
 
-The workers form a **persistent pool**: one process per non-empty
-transaction block, created once per
-:meth:`NativeCountDistribution.mine` call.  Two data planes move the
-bits (``data_plane=``):
+**One pool, one grid.**  Every native formulation runs on the same
+persistent pool, and reaches it only as the number of grid rows G each
+pass plans (Section III-D's G x P/G grid):
 
-* ``"shared"`` (default) — the zero-copy plane.  The coordinator packs
-  the whole database once into a columnar
-  :class:`~repro.core.packed.PackedDB` laid out in a
-  ``multiprocessing.shared_memory`` segment; workers attach by name at
-  spawn and count ``(offsets, items)`` slices in place, so no
-  transaction is ever pickled (and a respawned or adopting worker
-  re-attaches instead of being re-shipped its blocks).  Each pass's
-  candidates are written once as a single binary frame into a shared
-  candidate segment that every worker reads, and each worker writes its
-  count vector into its own slot of a preallocated shared int64 region
-  — the pipes carry only small control/ack frames, so per-pass
-  communication is O(|C_k|) shared-memory traffic plus O(P) tiny
-  messages, which is the paper's CD communication argument realized
-  natively.
-* ``"mmap"`` — the out-of-core plane.  Identical to ``"shared"`` except
-  the packed store is written once to a *disk file* (under
-  ``store_dir``) that every worker maps read-only via
-  :class:`~repro.core.mmapdb.MmapPackedDB` — the OS page cache holds
-  only the hot blocks, so the minable database is bounded by disk, not
-  RAM.  Candidates and count slots stay in small shared-memory
-  segments.  With ``block_budget`` set, each worker's holdings are
-  split into sub-ranges of at most that many packed items
-  (:meth:`~repro.core.packed.PackedDB.block_bounds`), so a pass streams
-  the store block by block instead of touching a whole partition at
-  once.
-* ``"pickle"`` — the escape hatch: blocks are shipped into each worker
-  once (fork inheritance or a one-shot pickle) and every pass exchanges
-  pickled candidate lists and count vectors over the pipes, as in the
-  original pool.
+* **CD** is G = 1 — one bin holding every candidate, counted with no
+  root filter, and each worker's ring is just its own transaction block
+  ("G equal to 1 ... means that the CD algorithm is run on all the
+  processors");
+* **IDD** (:mod:`repro.parallel.native_idd`) is G = the live workers —
+  candidates bin-packed by first item, every worker walking the whole
+  database as a ring of blocks under its owned-first-items filter;
+* **HD** picks G per pass with :func:`repro.parallel.hybrid.choose_grid`.
 
-The pool is **fault tolerant** on either plane.  Receives are
-poll-based with a per-pass deadline (no call ever blocks indefinitely);
-a worker that times out, dies, or replies with a malformed vector is
-declared failed, and its transaction blocks are recovered down a fixed
-degradation ladder:
+Workers hold no per-worker transaction state: each pass hands every
+worker a :class:`_Unit` (grid row, ownership bitmap, ring of ``(lo,
+hi)`` ranges), so any worker, a replacement or the parent can count any
+unit, and the next pass re-plans the grid over whatever workers live.
+SON phase 1 (``two_phase=True``) is a ``mine`` request on the same
+fan-out: each worker mines its one-row ring locally.
 
-1. **respawn** — a fresh replacement process takes over the blocks, with
-   bounded retries under exponential backoff;
-2. **adopt** — if respawning fails (e.g. the OS refuses to fork), a
-   surviving worker permanently adopts the blocks;
-3. **in-process** — with no survivors the parent counts the blocks
-   itself; when the whole pool collapses, mining continues fully
-   in-process.
+Three data planes move the bits (``data_plane=``):
 
-Every rung recounts the failed blocks from scratch (on the shared plane
-straight from the shared store), so the mined result is bit-identical
-to serial :class:`~repro.core.apriori.Apriori` no matter which failures
-occur.  Two safeguards keep concurrent failures from
-cross-contaminating: request/reply frames carry an echoed sequence
-number (a slow worker's late reply to an old request is discarded, not
-mistaken for the answer to a new one), and workers that failed in the
-same pass are never asked to adopt each other's blocks — each gets its
-own trip down the ladder.  Worker-side exceptions do *not* kill the
-worker silently: they come back as a structured error frame and raise
-:class:`WorkerError` in the parent — a deterministic application error
-is surfaced, while process deaths (crash, OOM-kill, injected kill) are
-recovered.
+* ``"shared"`` (default) — the coordinator packs the database once into
+  a ``multiprocessing.shared_memory`` segment that workers attach by
+  name, so no transaction is ever pickled.  Each pass's candidates are
+  one binary frame in a shared candidate segment, and each worker
+  writes its count vector into its own slot of a shared int64 region;
+  the pipes carry only small control frames.
+* ``"mmap"`` — the same, but the packed store is a disk file (under
+  ``store_dir``, or an attached store's own file) that workers map
+  read-only: the minable database is bounded by disk, not RAM.  With
+  ``block_budget`` a ring walks each block in bounded sub-ranges.
+* ``"pickle"`` — every worker receives the transactions by value once
+  (fork inheritance or a one-shot pickle), and candidates and counts
+  cross the pipes pickled.  Nothing is packed, so item ids past int32
+  still mine.
 
-Shared segments are owned by the coordinator: workers only ever attach
-(and deregister themselves from the resource tracker, since cleanup is
-not theirs), and :class:`_SharedSegments` unlinks every segment exactly
-once — on pool shutdown, on a failed pool start, and on the exception
-path out of a pass — so no run leaks a segment whatever failures were
-injected.
+The pool is **fault tolerant** on every plane.  Receives are poll-based
+with a per-pass deadline; a worker that times out, dies or replies with
+a malformed record is declared failed and its unit walks a fixed ladder:
 
-Failure handling is driven by — and tested through — the deterministic
-fault-injection layer in :mod:`repro.faults`.
+1. **respawn** — a replacement (bounded retries, exponential backoff)
+   recounts the unit;
+2. **adopt** — a surviving worker counts it as an extra request (count
+   passes only; SON phase 1 goes straight to the next rung);
+3. **in-process** — the parent counts it; a survivor that dies while
+   adopting is dropped as ``"repacked"``, and once no worker is left
+   mining continues fully in-process.
 
-Worker failures are one half of the fault story; the other half —
-coordinator death — is handled by the checkpoint layer
-(:mod:`repro.checkpoint`): with ``checkpoint_dir`` set, every completed
-pass is journaled durably, and ``resume=True`` picks a killed mine up
-at the first unjournaled pass, bit-identical to an uninterrupted run.
-Workers watch the parent-death sentinel alongside their command pipe,
-so a SIGKILLed coordinator's pool shuts itself down (and the resource
-tracker reclaims the shared store) instead of orphaning forever.
+Every rung recounts from scratch, so results are bit-identical to
+serial :class:`~repro.core.apriori.Apriori` whatever fails.  Frames
+carry an echoed sequence number (a slow worker's late reply is
+discarded, never mistaken for the current one), same-pass failures
+never adopt each other's units, and a worker-side exception comes back
+as an error frame that raises :class:`WorkerError` — deterministic
+application errors are surfaced, process deaths are recovered.
+Failures are injected through :mod:`repro.faults`.
+
+Shared segments are owned by the coordinator: workers only attach, and
+:class:`_SharedSegments` unlinks every segment exactly once on every
+exit path.  Coordinator death is the checkpoint layer's half of the
+story (:mod:`repro.checkpoint`): with ``checkpoint_dir`` every pass is
+journaled and ``resume=True`` continues a killed mine bit-identically,
+while workers watch the parent-death sentinel and shut down with it.
 """
 
 from __future__ import annotations
@@ -103,7 +83,7 @@ from itertools import chain
 from multiprocessing import get_context, parent_process, shared_memory
 from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..checkpoint import (
     CheckpointSession,
@@ -112,13 +92,19 @@ from ..checkpoint import (
 )
 from ..core import fastnp
 from ..core.apriori import AprioriResult, PassTrace, min_support_count
+from ..core.bitmap import ItemBitmap
 from ..core.candidates import (
     frequent_rows,
     generate_candidates,
     itemset_matrix,
 )
 from ..core.items import Itemset
-from ..core.kernels import count_packed_into, make_counter, validate_kernel
+from ..core.kernels import (
+    count_packed_into,
+    make_counter,
+    validate_kernel,
+    warn_kernel_fallback,
+)
 from ..core.packed import (
     _CAND_HEADER,
     PackedDB,
@@ -129,7 +115,7 @@ from ..core.packed import (
     write_candidates_into,
     write_packed_into,
 )
-from ..core.transaction import TransactionDB
+from ..core.partition import bin_pack, partition_by_first_item
 from ..core.vertical import TidBitmapCache
 from ..faults import FaultEvent, FaultRecord, FaultSpec
 from ..memprof import peak_rss_bytes
@@ -177,7 +163,7 @@ class WorkerError(RuntimeError):
 
     Raised by the parent instead of attempting recovery: unlike a
     process death, an in-worker exception is deterministic — respawning
-    and recounting the same blocks with the same candidates would fail
+    and recounting the same unit with the same candidates would fail
     the same way.
     """
 
@@ -187,7 +173,7 @@ class PassOverhead:
     """Coordinator-side timing decomposition of one pool pass.
 
     ``broadcast_s`` is the time the coordinator spends making candidates
-    available to the workers (shared plane: one binary segment write
+    available to the workers (zero-copy planes: one binary segment write
     plus P tiny frames; pickle plane: P pickled candidate lists);
     ``reduce_s`` is the time spent decoding replies and summing count
     vectors; ``wait_s`` is the time blocked waiting on worker replies —
@@ -195,22 +181,22 @@ class PassOverhead:
     benchmark (``benchmarks/bench_native.py``) records
     ``broadcast_s + reduce_s`` per plane.
 
-    The candidate-partitioned pool (:mod:`repro.parallel.native_idd`)
-    additionally fills the ring-shift and bitmap-prune categories, which
-    stay zero under plain CD:
+    The grid categories:
 
-    * ``shift_s`` — the slowest worker's total ring-shift counting time
-      for the pass (the critical path through the P shift steps);
-    * ``max_bin_candidates`` — the largest candidate shard any single
-      worker built (CD replicates the whole set, so CD's value would be
-      ``num_candidates``; IDD's shrinks with P — the paper's
-      single-candidate-set-per-node memory argument);
+    * ``shift_s`` — the slowest worker's total ring-walk counting time
+      for the pass (the critical path through the G shift steps); zero
+      on one-row (CD) passes, whose ring is a worker's own block;
+    * ``max_bin_candidates`` — the largest candidate bin any single
+      worker counted: |C_k| on one-row passes, where every worker holds
+      the whole set; with G rows it shrinks about G-fold — the paper's
+      single-candidate-set-per-node memory argument;
     * ``prune_checked`` / ``prune_skipped`` — root-level bitmap filter
       tests and the subset of them that pruned the traversal
-      (:attr:`prune_rate` is the bitmap-prune hit rate).
+      (:attr:`prune_rate` is the bitmap-prune hit rate); zero on
+      one-row passes, which count with no root filter.
 
-    The vertical kernel (``kernel="vertical"``) fills two more, both
-    the *max* across workers (critical-path semantics, like
+    The bitmap kernels (``"vertical"``, ``"fast-np"``) fill two more,
+    both the *max* across workers (critical-path semantics, like
     ``shift_s``); they stay zero under the tree kernels:
 
     * ``bitmap_build_s`` — seconds building (or fetching from the
@@ -227,14 +213,14 @@ class PassOverhead:
       candidates into (or recognizing them already present in) the
       shared candidate segment — once per pass, not per worker;
     * ``cand_attach_s`` — the slowest worker's seconds attaching and
-      decoding the candidate segment (max across workers, like
-      ``shift_s``); near-zero when the worker's cached plane counter
-      for that segment is reused, e.g. every warm-pool re-mine.
+      decoding the candidate segment; near-zero when the worker's
+      cached plane counter for that segment is reused, e.g. every
+      warm-pool re-mine.
 
     ``peak_rss_bytes`` is the memory-observability column: the largest
     peak resident set size any process touched while the pass ran — the
-    max over every worker's reply-frame sample and the coordinator's
-    own :func:`~repro.memprof.peak_rss_bytes`.  ``ru_maxrss`` is a
+    max over every worker's reply sample and the coordinator's own
+    :func:`~repro.memprof.peak_rss_bytes`.  ``ru_maxrss`` is a
     process-lifetime high-water mark, so the column is monotone across
     a run's passes; the scale bench reads the last pass's value as the
     run's footprint.
@@ -272,10 +258,10 @@ class PassOverhead:
 # Pass arithmetic over either candidate form
 # ----------------------------------------------------------------------
 #
-# A pass's candidates reach the pools as a tuple list (the numpy-free
+# A pass's candidates reach the pool as a tuple list (the numpy-free
 # path) or as the sorted (n, k) int32 matrix the pass loop picks when
-# numpy is importable; the helpers below keep the pools' fan-out,
-# reduce and recovery code one body for both.
+# numpy is importable; the helpers below keep the fan-out, reduce and
+# recovery code one body for both.
 
 
 def _zero_totals(candidates):
@@ -287,7 +273,7 @@ def _zero_totals(candidates):
 
 def _accumulate(totals, vector, rows=None) -> None:
     """Add ``vector`` into ``totals`` — at indices ``rows`` when given
-    (an IDD shard's candidates), else element-wise."""
+    (one grid row's bin), else element-wise."""
     if isinstance(totals, list):
         if rows is None:
             rows = range(len(vector))
@@ -311,11 +297,10 @@ def _candidate_tuples(candidates) -> List[Itemset]:
 def _even_bounds(num_transactions: int, parts: int) -> List[Tuple[int, int]]:
     """Split ``[0, num_transactions)`` into ``parts`` contiguous ranges.
 
-    The packed-store analogue of
-    :meth:`~repro.core.transaction.TransactionDB.partition_bounds`:
-    identical arithmetic (base size plus one extra for the first
-    ``remainder`` parts), so a mine over ``db.to_packed()`` and one over
-    ``db`` hand workers the same ranges.
+    The same arithmetic as
+    :meth:`~repro.core.transaction.TransactionDB.partition_bounds` (base
+    size plus one extra for the first ``remainder`` parts), so a packed
+    store and the database it came from split identically.
     """
     base, extra = divmod(num_transactions, parts)
     bounds: List[Tuple[int, int]] = []
@@ -325,6 +310,42 @@ def _even_bounds(num_transactions: int, parts: int) -> List[Tuple[int, int]]:
         bounds.append((lo, hi))
         lo = hi
     return bounds
+
+
+def _bitmap_cache(kernel: str):
+    """A holder's cross-pass bitmap cache (bitmap kernels only)."""
+    if kernel == "vertical":
+        return TidBitmapCache()
+    if kernel == "fast-np":
+        return fastnp.make_cache()
+    return None
+
+
+def owned_rows(candidates, rows: int) -> Tuple[List, List[int]]:
+    """Bin a sorted candidate matrix's rows over ``rows`` grid rows.
+
+    The matrix twin of :func:`~repro.core.partition.partition_by_first_item`
+    feeding :meth:`_Pool._plan`: the same per-first-item weights go
+    through the same :func:`~repro.core.partition.bin_pack`, so the bins
+    match it exactly.  Sorted rows keep each first item's candidates in
+    one contiguous run, read off the first column.  Returns
+    ``(owned_idx, bits)``: per grid row, the ascending int64 indices of
+    the candidates it owns and its owned-first-items bitmap as a raw
+    integer.
+    """
+    np = fastnp.np
+    items, counts = np.unique(candidates[:, 0], return_counts=True)
+    bins = bin_pack(
+        {(item,): count for item, count in zip(items.tolist(), counts.tolist())},
+        rows,
+    )
+    row_of_item = np.empty(len(items), dtype=np.int64)
+    for row, keys in enumerate(bins):
+        row_of_item[np.searchsorted(items, [key[0] for key in keys])] = row
+    row_of_candidate = np.repeat(row_of_item, counts)
+    owned_idx = [np.flatnonzero(row_of_candidate == row) for row in range(rows)]
+    bits = [ItemBitmap(key[0] for key in keys).bits for keys in bins]
+    return owned_idx, bits
 
 
 # ----------------------------------------------------------------------
@@ -557,8 +578,176 @@ class _SharedSegments:
 
 
 # ----------------------------------------------------------------------
-# Counting shared by workers and the parent's in-process fallback
+# Counting shared by workers and the parent's in-process rung
 # ----------------------------------------------------------------------
+
+
+class _Unit(NamedTuple):
+    """One worker's assignment for one pass: a grid row, a bin, a ring.
+
+    ``bits`` is the row's owned-first-items bitmap as a raw integer (the
+    wire form), or ``None`` on a one-row grid, whose single bin holds
+    every candidate and is counted with no root filter.  ``ring`` is
+    the ordered ``(lo, hi)`` schedule of transaction ranges the worker
+    walks — its own block first, then each ring predecessor's.
+    """
+
+    row: int
+    bits: Optional[int]
+    ring: Tuple[Tuple[int, int], ...]
+
+
+@dataclass
+class _Reply:
+    """One worker reply: the result of a request and what it cost.
+
+    ``body`` is the count vector (inline replies), the number of counts
+    written to the worker's shared slot (``pass`` requests on the
+    zero-copy planes), or the local frequent sets of a ``mine`` request.
+    The rest are the worker's measurements, folded into the pass's
+    :class:`PassOverhead` by :func:`_charge`.
+    """
+
+    body: object
+    shift_s: float = 0.0
+    checked: int = 0
+    skipped: int = 0
+    build_s: float = 0.0
+    intersect_s: float = 0.0
+    attach_s: float = 0.0
+    peak_rss: int = 0
+
+
+def _charge(overhead: PassOverhead, reply: _Reply) -> None:
+    """Fold one reply's measurements into the pass overhead.
+
+    Times are critical-path maxima (the pass is as slow as its slowest
+    worker); the prune tallies sum over workers.
+    """
+    overhead.shift_s = max(overhead.shift_s, reply.shift_s)
+    overhead.prune_checked += reply.checked
+    overhead.prune_skipped += reply.skipped
+    overhead.bitmap_build_s = max(overhead.bitmap_build_s, reply.build_s)
+    overhead.intersect_s = max(overhead.intersect_s, reply.intersect_s)
+    overhead.cand_attach_s = max(overhead.cand_attach_s, reply.attach_s)
+    overhead.peak_rss_bytes = max(overhead.peak_rss_bytes, reply.peak_rss)
+
+
+class _TallyFilter:
+    """A root filter that counts its own membership tests.
+
+    Wraps the owned-first-items :class:`~repro.core.bitmap.ItemBitmap`
+    so the worker can report how many root-level tests the kernels made
+    (``checked``) and how many pruned the traversal (``skipped``) — the
+    numbers behind :attr:`PassOverhead.prune_rate`.
+    """
+
+    __slots__ = ("_bitmap", "checked", "skipped")
+
+    def __init__(self, bitmap: ItemBitmap):
+        self._bitmap = bitmap
+        self.checked = 0
+        self.skipped = 0
+
+    def __contains__(self, item: int) -> bool:
+        self.checked += 1
+        if item in self._bitmap:
+            return True
+        self.skipped += 1
+        return False
+
+
+def _count_unit(
+    store,
+    blocks: Dict[Tuple[int, int], list],
+    unit: _Unit,
+    k: int,
+    candidates: Optional[List[Itemset]],
+    kernel: str,
+    branching: int,
+    leaf_capacity: int,
+    cache=None,
+    plane_counter=None,
+    kill_after: Optional[int] = None,
+) -> _Reply:
+    """Count one unit; the reply's body is its bin's vector in order.
+
+    ``store`` is a packed store (zero-copy planes) or the transaction
+    list itself (pickle plane), whose ``(lo, hi)`` ranges are sliced
+    once into ``blocks`` so the identity-keyed bitmap caches stay warm
+    across passes.  The bin is rebuilt from the full candidate list and
+    the unit's bitmap (worker and coordinator select ``c[0] in bitmap``
+    over the same sorted list, so they agree on bin order without ever
+    shipping it).  ``plane_counter`` is the zero-copy fast-np path: a
+    :class:`~repro.core.fastnp.FastNumpyCounter` over *every* candidate,
+    decoded once from the shared candidate segment, whose bin is a row
+    mask instead of a rebuilt counter (the tally then sees each
+    distinct first item once).  Shared by the worker loop and the
+    parent's in-process rung, so both produce identical counts.
+
+    ``kill_after`` is the fault-injection hook: die (``os._exit``) after
+    that many completed ring steps — a genuine mid-ring death, with the
+    count vector never published anywhere.
+    """
+    if unit.bits is None:
+        bitmap = tally = None
+    else:
+        bitmap = ItemBitmap.from_bits(unit.bits)
+        tally = _TallyFilter(bitmap)
+    counter, root_filter = plane_counter, tally
+    if plane_counter is not None:
+        if tally is not None:
+            root_filter = plane_counter.first_item_mask(tally)
+        size = len(plane_counter) if tally is None else int(root_filter.sum())
+        plane_counter.reset_counts()
+    else:
+        owned = (
+            candidates if tally is None
+            else [c for c in candidates if c[0] in bitmap]
+        )
+        size = len(owned)
+        if owned:
+            counter = make_counter(
+                k, owned, kernel=kernel, branching=branching,
+                leaf_capacity=leaf_capacity,
+                needs_root_filter=tally is not None,
+            )
+            if cache is not None and kernel in ("vertical", "fast-np"):
+                counter.use_cache(cache)
+    reply = _Reply([])
+    if size == 0 and kill_after is not None:
+        # An empty bin still honours an injected mid-ring kill so fault
+        # schedules stay deterministic regardless of bin packing.
+        os._exit(_KILLED_EXIT)
+    if size:
+        build_0 = getattr(counter, "build_s", 0.0)
+        intersect_0 = getattr(counter, "intersect_s", 0.0)
+        for step, (lo, hi) in enumerate(unit.ring, 1):
+            tick = time.perf_counter()
+            if isinstance(store, list):
+                block = blocks.get((lo, hi))
+                if block is None:
+                    block = blocks[lo, hi] = store[lo:hi]
+                counter.count_database(block, root_filter)
+            else:
+                count_packed_into(counter, store, lo, hi, root_filter)
+            reply.shift_s += time.perf_counter() - tick
+            if kill_after is not None and step >= kill_after:
+                os._exit(_KILLED_EXIT)
+        if plane_counter is None:
+            counts = counter.counts()
+            reply.body = [counts[c] for c in owned]
+        elif tally is None:
+            reply.body = plane_counter.counts_vector()
+        else:
+            reply.body = plane_counter.counts_for(root_filter)
+        reply.build_s = getattr(counter, "build_s", 0.0) - build_0
+        reply.intersect_s = getattr(counter, "intersect_s", 0.0) - intersect_0
+    if tally is None:  # one-row units record no shift and no prune
+        reply.shift_s = 0.0
+    else:
+        reply.checked, reply.skipped = tally.checked, tally.skipped
+    return reply
 
 
 def _recv_command(conn):
@@ -579,120 +768,55 @@ def _recv_command(conn):
     return conn.recv()
 
 
-def _count_holdings_vector(
-    packed: Optional[PackedDB],
-    holdings: Sequence,
-    k: int,
-    candidates: Sequence[Itemset],
-    kernel: str,
-    branching: int,
-    leaf_capacity: int,
-    cache: Optional[TidBitmapCache] = None,
-) -> Tuple[List[int], float, float]:
-    """Count one pass over a worker's holdings; vector in candidate order.
-
-    Holdings are plane-shaped: ``(lo, hi)`` ranges into ``packed`` on
-    the shared plane, materialized transaction blocks on the pickle
-    plane.  Shared by the worker loop and the parent's in-process
-    degradation path, so both produce identical counts by construction.
-
-    ``cache`` is the holder's cross-pass bitmap cache
-    (:class:`TidBitmapCache`, or the fast-np kernel's
-    :class:`~repro.core.fastnp.PackedBitmapCache`); only the bitmap
-    kernels consult it (bitmaps depend on the data range, not on ``k``,
-    so a persistent worker builds them once).  Returns ``(vector,
-    build_s, intersect_s)`` — the bitmap timings are zero for the tree
-    kernels.
-    """
-    counter = make_counter(
-        k,
-        candidates,
-        kernel=kernel,
-        branching=branching,
-        leaf_capacity=leaf_capacity,
-    )
-    if cache is not None and kernel in ("vertical", "fast-np"):
-        counter.use_cache(cache)
-    if packed is None:
-        for block in holdings:
-            counter.count_database(block)
-    else:
-        for lo, hi in holdings:
-            count_packed_into(counter, packed, lo, hi)
-    counts = counter.counts()
-    vector = [counts[c] for c in candidates]
-    return (
-        vector,
-        getattr(counter, "build_s", 0.0),
-        getattr(counter, "intersect_s", 0.0),
-    )
-
-
 def _worker_main(
     conn,
     plane: Tuple,
-    holdings: List,
     branching: int,
     leaf_capacity: int,
     kernel: str,
-    fault_events: Sequence[FaultEvent] = (),
+    fault_events: List[FaultEvent] = (),
 ) -> None:
-    """Worker loop: hold transaction blocks, count pass after pass.
+    """The worker loop: count (or mine) one unit per request.
 
-    ``plane`` is ``("pickle",)`` or ``("shared", store_ref, slot)``
-    where ``store_ref`` is ``("shm", name)`` (shared plane) or
-    ``("mmap", path)`` (out-of-core plane); on either zero-copy plane
-    the worker attaches the packed store by reference once (zero
-    transaction bytes cross the pipe, ever) and ``holdings`` are
-    ``(lo, hi)`` ranges into it instead of transaction lists.
+    ``plane`` is ``("shared", store_ref, slot)`` — attach the packed
+    store by reference (``("shm", name)`` segment or ``("mmap", path)``
+    file mapping) and write pass vectors into counts slot ``slot`` — or
+    ``("pickle", transactions, slot)`` — the transactions arrived by
+    value in the spawn arguments and vectors go back inline.
 
-    Request frames (parent → worker):
+    Request frames (parent -> worker), all ``(tag, seq, k, payload)``:
 
-    * ``("pass", seq, k, payload)`` — count all held blocks;
-    * ``("adopt", seq, new_holdings, k, payload)`` — permanently add a
-      dead peer's holdings and count *only those* for the current pass
-      (the worker already returned its own counts);
-    * ``("mine", seq, (min_support, max_k))`` — SON phase 1 (zero-copy
-      planes only): locally mine the held ranges as one partition at
-      partition-scaled support (:func:`repro.parallel.son.mine_blocks`)
-      and reply ``("mined", seq, (candidates_by_k, peak_rss))``;
-      injected worker faults fire here under the ``_SON_FAULT_K`` key;
+    * ``"pass"`` — count this worker's own unit;
+    * ``"adopt"`` — count a dead peer's unit on its behalf (recovery);
+      the reply always carries the vector inline, so it cannot collide
+      with this worker's own count slot;
+    * ``"mine"`` — SON phase 1: mine the payload's ``ring`` locally as
+      one partition at partition-scaled support
+      (:func:`repro.parallel.son.mine_blocks`); ``k`` is
+      ``_SON_FAULT_K``, the key its injected faults fire under;
     * ``None`` — shut down.
 
-    ``payload`` carries the candidates: the pickled list on the pickle
-    plane, or ``(cand_name, num_candidates, counts_name,
-    counts_capacity)`` on the shared plane — the worker attaches the
-    candidate segment by name and writes its vector into its slot of
-    the counts segment.  Shared candidate segments are decoded **at
-    most once per name**: the result (a zero-copy
-    :class:`~repro.core.fastnp.FastNumpyCounter` over the segment's
-    candidate matrix under ``kernel="fast-np"`` with numpy, the decoded
-    tuple list otherwise) is cached keyed on the segment name, which
-    the coordinator permanently binds to one candidate set — so
-    re-counting the same pass (warm-pool re-mines) costs no attach, no
-    decode and no counter rebuild.
+    A count payload is ``(candidates, counts, bits, ring)``:
+    ``candidates`` is the pass's shared candidate segment name and
+    ``counts`` the ``(name, capacity)`` of the shared count region on
+    the zero-copy planes, or the tuple list and ``None`` on the pickle
+    plane.  A mine payload is ``(min_support, max_k, ring)``.
 
-    Reply frames (worker → parent): ``("ok", seq, (body, build_s,
-    intersect_s, attach_s, peak_rss))`` — ``body`` is the count vector
-    on the pickle plane and the number of counts written on the shared
-    plane; ``build_s``/``intersect_s`` are the worker's bitmap-kernel
-    build and intersection seconds (zero under the pure tree kernels),
-    ``attach_s`` its candidate-plane attach+decode seconds (zero on the
-    pickle plane and on cache hits), and ``peak_rss`` the worker's
-    :func:`~repro.memprof.peak_rss_bytes` sample — or ``("error", seq,
-    message)`` when counting raised — the parent surfaces the message instead of
-    seeing a silent death.  Every reply echoes the request's ``seq``, so
-    the parent can tell a reply to the frame it just sent from a late
-    reply to an earlier frame (a slow worker's stale pass reply must
-    never be read as an adopt result).
+    Every reply echoes the request's ``seq`` — ``("ok", seq,``
+    :class:`_Reply` ``)`` or ``("error", seq, message)`` when the work
+    raised — so the parent can tell the answer to the frame it just
+    sent from a late answer to an earlier one.
 
-    Workers persist across passes, so the loop owns one cross-pass
-    bitmap cache (:class:`TidBitmapCache` for the vertical kernel,
-    :func:`repro.core.fastnp.make_cache` for fast-np): the bitmap
-    kernels build each held range's bitmaps on its first pass and every
-    later pass intersects cached ones.  A respawned replacement simply
-    starts cold, and an adopter builds the adopted ranges' bitmaps on
-    first use — no bitmap state needs recovering.
+    The loop owns one cross-pass bitmap cache (vertical or fast-np);
+    since the rings tile the whole store, one bitmap-kernel pass warms
+    every range's bitmaps for all later passes.  On the zero-copy
+    planes it also decodes each candidate segment at most once
+    (``plane_counters``, keyed on the segment name, which the
+    coordinator binds to one candidate set for the pool's lifetime): a
+    zero-copy :class:`~repro.core.fastnp.FastNumpyCounter` under
+    fast-np, the decoded tuple list otherwise — so a warm-pool re-mine
+    re-attaches and re-decodes nothing.  Replacements start cold; no
+    cache state needs recovering.
 
     ``fault_events`` are this worker's injected failures from a
     :class:`~repro.faults.FaultSpec`; each fires once.
@@ -705,110 +829,55 @@ def _worker_main(
                 return pending.pop(index)
         return None
 
-    shared = plane[0] == "shared"
-    packed: Optional[PackedDB] = None
-    slot = 0
     store_holder = None
-    counts_segment: Optional[shared_memory.SharedMemory] = None
-    counts_name: Optional[str] = None
-    if shared:
-        _, store_ref, slot = plane
-        # Attach once; a respawned replacement re-attaches by reference
-        # (shm name or store-file path) instead of being re-shipped its
-        # blocks.  The holder must outlive the views cast from its
-        # buffer, so it is pinned here for the worker's lifetime (the
-        # coordinator owns the unlink of segment and file alike).
-        store_holder, packed = _attach_store(store_ref)
-    if kernel == "vertical":
-        cache = TidBitmapCache()
-    elif kernel == "fast-np":
-        cache = fastnp.make_cache()
+    if plane[0] == "shared":
+        store_holder, store = _attach_store(plane[1])
     else:
-        cache = None
-    # Candidate-plane cache: segment name → (pinned segment or None,
-    # plane counter or None, decoded tuples or None).  The coordinator
-    # never rebinds a name to different candidates, so entries are valid
-    # for the worker's lifetime; one entry per published plane (bounded
-    # by passes per pool lifetime).
+        store = plane[1]
+    slot = plane[2]
+    cache = _bitmap_cache(kernel)
+    blocks: Dict[Tuple[int, int], list] = {}
+    counts_segment = None
+    counts_name: Optional[str] = None
+    # Candidate segment name -> (pinned segment or None, plane counter
+    # or None, decoded tuples or None).
     plane_counters: Dict[str, Tuple] = {}
-
     try:
         while True:
             message = _recv_command(conn)
             if message is None:
                 break
-            if message[0] == "mine":
-                _, seq, (son_support, son_max_k) = message
-                kill = take("kill", _SON_FAULT_K)
-                if kill is not None and kill.when == "before":
-                    os._exit(_KILLED_EXIT)
-                delay = take("delay", _SON_FAULT_K)
-                corrupt = take("corrupt", _SON_FAULT_K)
-                try:
-                    if take("error", _SON_FAULT_K) is not None:
-                        raise RuntimeError(
-                            "injected worker error at SON phase 1"
-                        )
-                    mined = mine_blocks(
-                        packed,
-                        holdings,
-                        son_support,
-                        kernel=kernel,
-                        branching=branching,
-                        leaf_capacity=leaf_capacity,
-                        max_k=son_max_k,
-                        cache=cache,
-                    )
-                except Exception as exc:  # surfaced, never swallowed
-                    conn.send(("error", seq, f"{type(exc).__name__}: {exc}"))
-                    continue
-                if kill is not None:  # when == "mid": die after the work
-                    os._exit(_KILLED_EXIT)
-                if delay is not None:
-                    time.sleep(delay.delay)
-                if corrupt is not None:
-                    mined = None  # type: ignore[assignment]
-                conn.send(("mined", seq, (mined, peak_rss_bytes())))
-                continue
-            if message[0] == "adopt":
-                _, seq, new_holdings, k, payload = message
-                holdings.extend(new_holdings)
-                count_holdings: Sequence = new_holdings
-            else:
-                _, seq, k, payload = message
-                count_holdings = holdings
-            plane_counter = None
+            tag, seq, k, payload = message
+            counts_ref = plane_counter = None
             attach_s = 0.0
-            if shared:
-                cand_name, _num, cnt_name, cnt_capacity = payload
-                tick = time.perf_counter()
-                entry = plane_counters.get(cand_name)
-                if entry is None:
-                    cand_segment = _attach_segment(cand_name)
-                    if kernel == "fast-np" and fastnp.HAVE_NUMPY:
-                        # Zero-copy: the counter's candidate matrix is a
-                        # view into the segment, which stays pinned in
-                        # the entry for the counter's lifetime.
-                        counter = fastnp.FastNumpyCounter.from_flat(
-                            cand_segment.buf
-                        )
-                        counter.use_cache(cache)
-                        entry = (cand_segment, counter, None)
-                    else:
-                        frame = bytes(cand_segment.buf)
-                        cand_segment.close()
-                        _, decoded = candidates_from_bytes(frame)
-                        entry = (None, None, decoded)
-                    plane_counters[cand_name] = entry
-                attach_s = time.perf_counter() - tick
-                plane_counter, candidates = entry[1], entry[2]
-                if cnt_name != counts_name:
-                    if counts_segment is not None:
-                        counts_segment.close()
-                    counts_segment = _attach_segment(cnt_name)
-                    counts_name = cnt_name
-            else:
-                candidates = payload
+            if tag != "mine":
+                candidates, counts_ref, bits, ring = payload
+                if counts_ref is not None:
+                    tick = time.perf_counter()
+                    entry = plane_counters.get(candidates)
+                    if entry is None:
+                        segment = _attach_segment(candidates)
+                        if kernel == "fast-np" and fastnp.HAVE_NUMPY:
+                            # Zero-copy: the counter's candidate matrix
+                            # is a view into the segment, which stays
+                            # pinned in the entry for its lifetime.
+                            counter = fastnp.FastNumpyCounter.from_flat(
+                                segment.buf
+                            )
+                            counter.use_cache(cache)
+                            entry = (segment, counter, None)
+                        else:
+                            frame = bytes(segment.buf)
+                            segment.close()
+                            entry = (None, None, candidates_from_bytes(frame)[1])
+                        plane_counters[candidates] = entry
+                    attach_s = time.perf_counter() - tick
+                    _segment, plane_counter, candidates = entry
+                    if counts_ref[0] != counts_name:
+                        if counts_segment is not None:
+                            counts_segment.close()
+                        counts_name = counts_ref[0]
+                        counts_segment = _attach_segment(counts_name)
             kill = take("kill", k)
             if kill is not None and kill.when == "before":
                 os._exit(_KILLED_EXIT)
@@ -816,111 +885,111 @@ def _worker_main(
             corrupt = take("corrupt", k)
             try:
                 if take("error", k) is not None:
-                    raise RuntimeError(f"injected worker error at pass {k}")
-                if plane_counter is not None:
-                    # Counts accumulate in the cached counter; an adopt
-                    # request must add only the new holdings' counts, so
-                    # every request starts from a zeroed vector.
-                    plane_counter.reset_counts()
-                    b0, i0 = plane_counter.build_s, plane_counter.intersect_s
-                    for lo, hi in count_holdings:
-                        plane_counter.count_packed(packed, lo, hi)
-                    vector = plane_counter.counts_vector()
-                    build_s = plane_counter.build_s - b0
-                    intersect_s = plane_counter.intersect_s - i0
+                    where = "SON phase 1" if tag == "mine" else f"pass {k}"
+                    raise RuntimeError(f"injected worker error at {where}")
+                if tag == "mine":
+                    min_support, max_k, ring = payload
+                    reply = _Reply(mine_blocks(
+                        store, ring, min_support, kernel=kernel,
+                        branching=branching, leaf_capacity=leaf_capacity,
+                        max_k=max_k, cache=cache,
+                    ))
+                    if kill is not None:  # "mid": die after the work
+                        os._exit(_KILLED_EXIT)
                 else:
-                    vector, build_s, intersect_s = _count_holdings_vector(
-                        packed, count_holdings, k, candidates, kernel,
-                        branching, leaf_capacity, cache,
+                    # A "mid" kill dies mid-ring: after roughly half the
+                    # ring steps, before any count is published.
+                    reply = _count_unit(
+                        store, blocks, _Unit(0, bits, ring), k, candidates,
+                        kernel, branching, leaf_capacity, cache,
+                        plane_counter,
+                        max(1, len(ring) // 2) if kill is not None else None,
                     )
+                    reply.attach_s = attach_s
             except Exception as exc:  # surfaced, never swallowed
                 conn.send(("error", seq, f"{type(exc).__name__}: {exc}"))
                 continue
-            if kill is not None:  # when == "mid": die after the work
-                os._exit(_KILLED_EXIT)
             if delay is not None:
                 time.sleep(delay.delay)
             if corrupt is not None:
-                vector = vector[:-1]
-            if shared:
-                base = 8 * slot * cnt_capacity
+                reply.body = None if tag == "mine" else reply.body[:-1]
+            if tag == "pass" and counts_ref is not None:
+                vector = reply.body
+                base = 8 * slot * counts_ref[1]
                 counts_segment.buf[base:base + 8 * len(vector)] = (
                     array("q", vector).tobytes()
                 )
-                body: object = len(vector)
-            else:
-                body = vector
-            conn.send(
-                ("ok", seq,
-                 (body, build_s, intersect_s, attach_s, peak_rss_bytes()))
-            )
+                reply.body = len(vector)
+            reply.peak_rss = peak_rss_bytes()
+            conn.send(("ok", seq, reply))
     except EOFError:
         pass
     finally:
-        # The caches pin shm-backed views; drop them before the segment
-        # objects can be torn down, or their mmap close trips over the
-        # exported memoryviews at interpreter shutdown.  Plane counters
-        # hold views into their pinned candidate segments, so each
-        # counter is dropped before its segment is closed.
+        conn.close()
+        # Release the store views before the segment objects are
+        # finalized: SharedMemory.close() raises BufferError while
+        # exported memoryviews (the PackedDB's buffers) are alive, and
+        # interpreter-shutdown finalization order is not guaranteed to
+        # free them first.  The bitmap cache pins the store too, so it
+        # goes first; plane counters pin their candidate segments the
+        # same way, so each counter is dropped before its segment.
         if cache is not None:
             cache.clear()
+        entry = plane_counter = counter = None
         while plane_counters:
-            _name, (cand_segment, counter, _decoded) = plane_counters.popitem()
-            del counter
-            if cand_segment is not None:
+            # The popped entry (and its counter) is freed right here.
+            segment = plane_counters.popitem()[1][0]
+            if segment is not None:
                 try:
-                    cand_segment.close()
-                except BufferError:  # pragma: no cover - view still exported
+                    segment.close()
+                except BufferError:  # pragma: no cover - view outlived
                     pass
-        packed = None
+        store = None
+        if counts_segment is not None:
+            counts_segment.close()
         if store_holder is not None:
             try:
                 store_holder.close()
             except BufferError:  # pragma: no cover - view still exported
                 pass
-        conn.close()
 
 
-class _Slot:
-    """One pool slot: a worker process, its pipe, and its holdings."""
-
-    def __init__(self, process, conn, holdings, events):
-        self.process = process
-        self.conn = conn
-        # Blocks on the pickle plane, (lo, hi) store ranges on the
-        # shared plane; adoption appends a dead peer's holdings either way.
-        self.holdings: List = holdings
-        self.events: List[FaultEvent] = events
+# ----------------------------------------------------------------------
+# The pool
+# ----------------------------------------------------------------------
 
 
-class _WorkerPool:
-    """Persistent, fault-tolerant per-``mine()`` pool of counting processes.
+class _Slot(NamedTuple):
+    """One pool slot: a worker process, its pipe, its fault events."""
 
-    One process per non-empty transaction block.  On the shared plane
-    every worker attaches the packed store segment by name — no
-    transaction ever crosses a pipe; on the pickle plane the block is
-    inherited through the fork image or pickled exactly once into the
-    child's argument tuple.  Either way, passes after the first ship
-    only candidates (one shared binary frame, or P pickled lists).
+    process: object
+    conn: object
+    events: List[FaultEvent]
+
+
+class _Pool:
+    """The persistent, fault-tolerant worker pool every formulation shares.
+
+    Workers hold no per-worker transaction state: every worker can reach
+    the whole database (zero-copy planes: by segment name or store-file
+    path; pickle plane: its spawn-time copy of the transactions), and
+    each pass hands it a fresh :class:`_Unit`.  That statelessness makes
+    the recovery ladder simple — any worker, replacement or the parent
+    can recount any unit — and lets the next pass re-plan the grid over
+    however many workers remain.
 
     Args:
-        holdings: per-worker holdings — ``(lo, hi)`` range lists into
-            ``packed`` (shared/mmap planes) or transaction block lists
-            (pickle plane).
-        packed: the packed store (zero-copy planes only); the pool
-            writes it into the store segment or file and keeps this
-            array-backed copy for the in-process recovery rung.
+        store: the packed store (shared/mmap planes) or the transaction
+            list (pickle plane); the parent keeps it for the in-process
+            rung.
         store_dir: mmap plane only — directory the store file is
             written into (defaults to the platform temp directory).
         external_store: mmap plane only — path of an *existing* store
-            file (an attached :class:`~repro.core.mmapdb.MmapPackedDB`,
-            e.g. a generate-to-disk product); workers map it directly,
-            nothing is copied or written, and the pool never unlinks it.
-        recv_timeout: per-pass reply deadline in seconds; receives are
-            poll-based so no call blocks past it.
-        max_retries: respawn attempts per failed worker (beyond these
-            the blocks are adopted by a survivor or counted in-process).
-        backoff_base: first-retry backoff; doubles per attempt.
+            file (an attached :class:`~repro.core.mmapdb.MmapPackedDB`);
+            workers map it directly and the pool never unlinks it.
+        block_budget: split every ring block into sub-ranges of at most
+            this many packed items.
+        recv_timeout / max_retries / backoff_base: the ladder's knobs.
         faults: optional :class:`~repro.faults.FaultSpec` — worker
             events ship to the workers, ``refuse-spawn`` budgets gate
             the pool's own respawn attempts.
@@ -929,25 +998,26 @@ class _WorkerPool:
     def __init__(
         self,
         context,
-        holdings: Sequence[List],
+        num_workers: int,
+        store,
         branching: int,
         leaf_capacity: int,
         kernel: str,
         data_plane: str = "shared",
-        packed: Optional[PackedDB] = None,
         store_dir: Optional[str] = None,
         external_store: Optional[Path] = None,
+        block_budget: Optional[int] = None,
         recv_timeout: float = 30.0,
         max_retries: int = 2,
         backoff_base: float = 0.05,
         faults: Optional[FaultSpec] = None,
     ):
         self._context = context
+        self._store = store
         self._branching = branching
         self._leaf_capacity = leaf_capacity
         self._kernel = kernel
-        self._plane = validate_data_plane(data_plane)
-        self._packed = packed
+        self._block_budget = block_budget
         self.recv_timeout = recv_timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
@@ -956,47 +1026,30 @@ class _WorkerPool:
         self._refusals_left = self._faults.refusals()
         self._initial_refusals = self._refusals_left
         # Monotonic request counter: every frame carries it and every
-        # reply echoes it, so stale replies are recognizable (see
-        # _read_reply).
+        # reply echoes it, so stale replies are recognizable.
         self._seq = 0
         self._slots: Dict[int, _Slot] = {}
-        self._fallback_holdings: List = []
-        # The parent's own cross-pass bitmap cache for the in-process
-        # recovery rung (bitmap kernels only).
-        if kernel == "vertical":
-            self._inprocess_cache = TidBitmapCache()
-        elif kernel == "fast-np":
-            self._inprocess_cache = fastnp.make_cache()
-        else:
-            self._inprocess_cache = None
         self._segments: Optional[_SharedSegments] = None
+        # The parent's own caches for the in-process rung.
+        self._inprocess_cache = _bitmap_cache(kernel)
+        self._inprocess_blocks: Dict[Tuple[int, int], list] = {}
         self.fault_log: List[FaultRecord] = []
         self.pass_overheads: List[PassOverhead] = []
         try:
-            if self._plane != "pickle":
-                if packed is None:
-                    raise ValueError(
-                        "the shared and mmap data planes require a "
-                        "packed store"
-                    )
-                mmap_dir: Optional[str] = None
-                if self._plane == "mmap" and external_store is None:
+            if validate_data_plane(data_plane) != "pickle":
+                mmap_dir = None
+                if data_plane == "mmap" and external_store is None:
                     mmap_dir = (
                         store_dir
                         if store_dir is not None
                         else tempfile.gettempdir()
                     )
                 self._segments = _SharedSegments(
-                    packed,
-                    len(holdings),
-                    store_dir=mmap_dir,
-                    external_path=(
-                        external_store if self._plane == "mmap" else None
-                    ),
+                    store, num_workers, mmap_dir, external_store
                 )
-            for wid, holding in enumerate(holdings):
+            for wid in range(num_workers):
                 events = self._faults.worker_events(wid)
-                slot = self._spawn(wid, list(holding), events, gated=False)
+                slot = self._spawn(wid, events, gated=False)
                 if slot is None:  # pragma: no cover - spawn failed at startup
                     raise OSError(f"could not start worker {wid}")
                 self._slots[wid] = slot
@@ -1004,19 +1057,10 @@ class _WorkerPool:
             self.shutdown()
             raise
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
     @property
     def num_workers(self) -> int:
-        """Live worker processes (excludes in-process fallback blocks)."""
+        """Live worker processes."""
         return len(self._slots)
-
-    @property
-    def degraded(self) -> bool:
-        """True once any block is being counted in-process."""
-        return bool(self._fallback_holdings)
 
     @property
     def refusals_consumed(self) -> int:
@@ -1030,211 +1074,222 @@ class _WorkerPool:
         return list(self._segments._live)
 
     # ------------------------------------------------------------------
-    # The pass fan-out
+    # Planning
     # ------------------------------------------------------------------
 
-    def count_pass(self, k: int, candidates):
-        """Fan one pass out to every worker; return the summed count vector.
+    def _rings(self, rows: int) -> Dict[int, Tuple[int, Tuple]]:
+        """Each live worker's ``(row, ring)`` on a ``rows``-row grid.
 
-        ``candidates`` is a tuple list or the pass's int32 matrix; the
-        totals come back as a list or an int64 array to match.  Detects
-        failed workers within ``recv_timeout`` (poll-based) and recovers
-        their blocks before returning, so the totals always cover every
-        transaction exactly once.
+        Transactions split evenly over the live workers (the grid's
+        positions, in worker order); shift step s of a ring reads the
+        block of the worker s places up the same grid column, so after
+        G steps the column's blocks have each been walked once.  On one
+        row a ring is the worker's own block.  Under a block budget
+        every block becomes a chain of bounded sub-ranges: the ring
+        walks the same transactions in budget-sized bites.
+        """
+        wids = sorted(self._slots)
+        cols = len(wids) // rows
+        blocks = [
+            self._store.block_bounds(self._block_budget, lo, hi)
+            if self._block_budget is not None and hi > lo
+            else [(lo, hi)]
+            for lo, hi in _even_bounds(len(self._store), len(wids))
+        ]
+        rings = {}
+        for position, wid in enumerate(wids):
+            row, col = divmod(position, cols)
+            rings[wid] = (row, tuple(
+                chunk
+                for step in range(rows)
+                for chunk in blocks[((row - step) % rows) * cols + col]
+            ))
+        return rings
+
+    def _plan(self, candidates, rows_rule) -> Tuple[Dict[int, _Unit], List]:
+        """Derive this pass's grid, bins and rings from the live workers.
+
+        ``rows_rule(num_candidates, live_workers)`` is the formulation:
+        it returns G.  Returns ``(units, owned)`` where ``units`` maps
+        worker id to its :class:`_Unit` and ``owned[row]`` holds the
+        ascending indices into ``candidates`` of row ``row``'s bin (the
+        reduce's scatter map; an int array for a candidate matrix, a
+        list for tuples), or ``None`` on one row, whose bin is every
+        candidate in order.  Recomputed every pass, so the grid
+        re-packs over whatever workers survived earlier passes.
+        """
+        rows = rows_rule(len(candidates), len(self._slots))
+        if rows == 1:
+            owned, bits = [None], [None]
+        elif isinstance(candidates, list):
+            partition = partition_by_first_item(candidates, rows)
+            index = {candidate: i for i, candidate in enumerate(candidates)}
+            owned = [
+                [index[candidate] for candidate in assignment]
+                for assignment in partition.assignments
+            ]
+            bits = [bitmap.bits for bitmap in partition.filters]
+        else:
+            owned, bits = owned_rows(candidates, rows)
+        units = {
+            wid: _Unit(row, bits[row], ring)
+            for wid, (row, ring) in self._rings(rows).items()
+        }
+        return units, owned
+
+    # ------------------------------------------------------------------
+    # The fan-out
+    # ------------------------------------------------------------------
+
+    def count_pass(self, k: int, candidates, rows_rule):
+        """Fan one pass out over a ``rows_rule`` grid; return the totals.
+
+        ``candidates`` is a tuple list or the pass's sorted int32
+        matrix; the totals come back as a list or an int64 array to
+        match.  Summing each row's replicas is HD's along-the-row
+        reduction; rows are disjoint, so the totals cover every
+        candidate exactly once, and failed workers are recovered before
+        returning, so they cover every transaction exactly once.
         """
         totals = _zero_totals(candidates)
-        # Snapshot: blocks that fall back *during* this pass are counted
-        # by their recovery rung, not double-counted here.
-        fallback_snapshot = list(self._fallback_holdings)
-        overhead = PassOverhead(k=k, num_candidates=len(candidates))
-        failures: List[Tuple[int, str]] = []
-        pending: Dict[object, Tuple[int, int]] = {}
-        tick = time.perf_counter()
-        payload = self._pass_payload(k, candidates, overhead)
-        for wid, slot in list(self._slots.items()):
-            seq = self._next_seq()
-            try:
-                slot.conn.send(("pass", seq, k, payload))
-                pending[slot.conn] = (wid, seq)
-            except (BrokenPipeError, OSError, ValueError):
-                failures.append((wid, "died"))
-        overhead.broadcast_s = time.perf_counter() - tick
-        deadline = time.monotonic() + self.recv_timeout
-        while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            tick = time.perf_counter()
-            ready = _connection_wait(list(pending), timeout=remaining)
-            overhead.wait_s += time.perf_counter() - tick
-            tick = time.perf_counter()
-            for conn in ready:
-                wid, seq = pending[conn]
-                vector, failure, timings = self._read_reply(
-                    conn, wid, k, len(candidates), seq
-                )
-                if failure == "stale":
-                    continue  # keep waiting for the current reply
-                del pending[conn]
-                if vector is None:
-                    failures.append((wid, failure))
-                else:
-                    # Critical-path semantics, like shift_s: the pass
-                    # is as slow as its slowest worker's kernel work.
-                    overhead.bitmap_build_s = max(
-                        overhead.bitmap_build_s, timings[0]
-                    )
-                    overhead.intersect_s = max(
-                        overhead.intersect_s, timings[1]
-                    )
-                    overhead.cand_attach_s = max(
-                        overhead.cand_attach_s, timings[2]
-                    )
-                    overhead.peak_rss_bytes = max(
-                        overhead.peak_rss_bytes, timings[3]
-                    )
-                    _accumulate(totals, vector)
-            overhead.reduce_s += time.perf_counter() - tick
-        for wid, _seq in pending.values():
-            failures.append((wid, "timeout"))
-        # Workers that failed this pass but have not been recovered yet
-        # must not serve as adoption targets for each other: a dead one
-        # would crash the ask, and a slow-but-alive one would race its
-        # own recovery (its blocks would end up counted twice).
-        unrecovered = [wid for wid, _ in failures]
-        for wid, failure in failures:
-            unrecovered.remove(wid)
-            vector = self._recover(
-                wid, k, candidates, payload, failure,
-                exclude=frozenset(unrecovered),
-            )
-            _accumulate(totals, vector)
-        if fallback_snapshot:
-            _accumulate(
-                totals,
-                self._count_inprocess(fallback_snapshot, k, candidates),
-            )
-        # Fold in the coordinator's own high-water mark, so the column
-        # covers every process the pass touched.
-        overhead.peak_rss_bytes = max(
-            overhead.peak_rss_bytes, peak_rss_bytes()
+        overhead = PassOverhead(
+            k=k,
+            num_candidates=len(candidates),
+            max_bin_candidates=len(candidates),
         )
-        self.pass_overheads.append(overhead)
+        if not self._slots:
+            # The whole pool is gone: count the pass in the parent.
+            tick = time.perf_counter()
+            whole = _Unit(0, None, ((0, len(self._store)),))
+            _accumulate(totals, self._count_inprocess(k, candidates, whole))
+            overhead.reduce_s = time.perf_counter() - tick
+        else:
+            units, owned = self._plan(candidates, rows_rule)
+            if owned[0] is not None:
+                overhead.max_bin_candidates = max(map(len, owned))
+            tick = time.perf_counter()
+            common = self._pass_common(k, candidates, overhead)
+            overhead.broadcast_s = time.perf_counter() - tick
+            jobs = {
+                wid: (
+                    common + (unit.bits, unit.ring),
+                    len(candidates) if owned[unit.row] is None
+                    else len(owned[unit.row]),
+                )
+                for wid, unit in units.items()
+            }
+
+            def absorb(wid: int, reply: _Reply) -> None:
+                _accumulate(totals, reply.body, owned[units[wid].row])
+                _charge(overhead, reply)
+
+            failures = self._fan_out("pass", k, jobs, overhead, absorb)
+            # Same-pass failures must not adopt each other's units (a
+            # dead one would crash the ask; a slow one would race its
+            # own recovery and its unit would be counted twice).
+            unrecovered = {wid for wid, _failure in failures}
+            for wid, failure in failures:
+                unrecovered.discard(wid)
+                unit = units[wid]
+                vector = self._recover(
+                    wid, failure, "pass", k, *jobs[wid],
+                    exclude=frozenset(unrecovered),
+                    inprocess=lambda: self._count_inprocess(
+                        k, candidates, unit
+                    ),
+                )
+                _accumulate(totals, vector, owned[unit.row])
+        self._record(overhead)
         return totals
 
-    def _pass_payload(
-        self,
-        k: int,
-        candidates,
-        overhead: Optional[PassOverhead] = None,
-    ):
-        """The per-pass candidate payload, shaped by the data plane.
-
-        Pickle plane: the candidate tuple list (pickled per worker by
-        the pipe).  Zero-copy planes (shared/mmap): one binary candidate
-        segment written (or recognized as already published — the
-        warm-pool case) once, plus the counts-region descriptor — the
-        frame then carries only names and sizes.  The publish time lands
-        in ``overhead.cand_build_s`` when a pass overhead is given.
-        """
-        if self._plane == "pickle":
-            return _candidate_tuples(candidates)
-        tick = time.perf_counter()
-        cand_name = self._segments.publish_candidates(k, candidates)
-        counts_name, capacity = self._segments.ensure_counts(len(candidates))
-        if overhead is not None:
-            overhead.cand_build_s = time.perf_counter() - tick
-        return (cand_name, len(candidates), counts_name, capacity)
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _read_reply(
-        self, conn, wid: int, k: int, expected: int, seq: int
-    ) -> Tuple[Optional[Sequence[int]], str, Tuple[float, float, float, int]]:
-        """Read one reply frame; return (vector, "", timings) or
-        (None, failure, (0, 0, 0, 0)).
-
-        A reply echoing a sequence number other than ``seq`` answers an
-        *earlier* request (a slow worker draining its queue) and is
-        reported as ``"stale"``: the caller discards it and keeps
-        waiting rather than mistaking it for the current reply — even
-        when the payload happens to have the expected length.
-
-        The ok-payload is ``(body, build_s, intersect_s, attach_s,
-        peak_rss)``; ``body`` on the zero-copy planes is the number of
-        counts the worker wrote to its slot — a mismatch (e.g. an
-        injected truncated vector) is ``"corrupt"``, exactly as a short
-        pickled list is.
-        The timings are the worker's bitmap-kernel build/intersect
-        seconds (zero under pure tree kernels), its candidate-plane
-        attach seconds for the request, and its peak-RSS sample in
-        bytes.
-        """
-        no_timing = (0.0, 0.0, 0.0, 0)
-        try:
-            frame = conn.recv()
-        except (EOFError, OSError):
-            return None, "died", no_timing
-        if not (isinstance(frame, tuple) and len(frame) == 3):
-            return None, "corrupt", no_timing
-        tag, frame_seq, payload = frame
-        if frame_seq != seq:
-            return None, "stale", no_timing
-        if tag == "error":
-            raise WorkerError(
-                f"worker {wid} failed at pass {k}: {payload}"
-            )
-        if tag != "ok":
-            return None, "corrupt", no_timing
-        if not (isinstance(payload, tuple) and len(payload) == 5):
-            return None, "corrupt", no_timing
-        body, build_s, intersect_s, attach_s, peak_rss = payload
-        timings = (build_s, intersect_s, attach_s, int(peak_rss))
-        if self._plane != "pickle":
-            if body != expected:
-                return None, "corrupt", no_timing
-            return self._segments.read_counts(wid, expected), "", timings
-        if not isinstance(body, list) or len(body) != expected:
-            return None, "corrupt", no_timing
-        return body, "", timings
-
-    # ------------------------------------------------------------------
-    # SON phase 1 (two-phase counting)
-    # ------------------------------------------------------------------
-
-    def mine_local_candidates(
+    def mine(
         self, min_support: float, max_k: Optional[int]
     ) -> Dict[int, List[Itemset]]:
-        """Fan SON phase 1 out to every worker; return the merged superset.
+        """SON phase 1: every worker mines its one-row ring locally.
 
-        Each worker mines its own holdings as one partition at
-        partition-scaled support (:func:`repro.parallel.son.mine_blocks`)
-        and ships back its local frequent sets; the union — a superset
-        of every global F_k — is what phase 2's counting passes run
-        over.  Failed workers walk the same ladder as a counting pass
-        minus adoption (a survivor would have to re-mine foreign ranges
-        it will never hold again): respawn with retries, then
-        in-process — so the merged superset always covers every
-        partition exactly once.  The phase is recorded as a ``k=0``
-        :class:`PassOverhead` whose ``num_candidates`` is the superset
-        size.
+        Each worker mines its own block as one partition at
+        partition-scaled support and ships back its local frequent
+        sets; the union — a superset of every global F_k — is what
+        phase 2's counting passes run over.  Failed workers walk the
+        ladder minus adoption (respawn, then in-process), so the
+        superset always covers every partition exactly once.  The phase
+        is recorded as a ``k=0`` :class:`PassOverhead` whose
+        ``num_candidates`` is the superset size.
         """
         overhead = PassOverhead(k=0, num_candidates=0)
         parts: List[Dict[int, List[Itemset]]] = []
-        failures: List[Tuple[int, str]] = []
-        pending: Dict[object, Tuple[int, int]] = {}
-        request = (min_support, max_k)
+        jobs = {
+            wid: ((min_support, max_k, ring), None)
+            for wid, (_row, ring) in self._rings(1).items()
+        }
+
+        def absorb(wid: int, reply: _Reply) -> None:
+            parts.append(reply.body)
+            _charge(overhead, reply)
+
+        for wid, failure in self._fan_out(
+            "mine", _SON_FAULT_K, jobs, overhead, absorb
+        ):
+            ring = jobs[wid][0][2]
+            parts.append(self._recover(
+                wid, failure, "mine", _SON_FAULT_K, *jobs[wid],
+                exclude=frozenset(),
+                inprocess=lambda: mine_blocks(
+                    self._store, ring, min_support, kernel=self._kernel,
+                    branching=self._branching,
+                    leaf_capacity=self._leaf_capacity, max_k=max_k,
+                    cache=self._inprocess_cache,
+                ),
+            ))
+        merged = merge_candidates(parts)
+        overhead.num_candidates = superset_size(merged)
+        self._record(overhead)
+        return merged
+
+    def _record(self, overhead: PassOverhead) -> None:
+        """Log a finished pass, folding in the coordinator's own peak
+        RSS so the column covers every process the pass touched."""
+        overhead.peak_rss_bytes = max(
+            overhead.peak_rss_bytes, peak_rss_bytes()
+        )
+        self.pass_overheads.append(overhead)
+
+    def _pass_common(self, k: int, candidates, overhead: PassOverhead):
+        """The plane-shaped ``(candidates, counts)`` head of every payload.
+
+        Pickle plane: the candidate tuple list, pickled per worker by
+        the pipe.  Zero-copy planes: one binary candidate segment
+        written (or recognized as already published — the warm-pool
+        case) once, plus the count region's ``(name, capacity)``; the
+        publish time is ``overhead.cand_build_s``.
+        """
+        if self._segments is None:
+            return (_candidate_tuples(candidates), None)
         tick = time.perf_counter()
-        for wid, slot in list(self._slots.items()):
-            seq = self._next_seq()
-            try:
-                slot.conn.send(("mine", seq, request))
-                pending[slot.conn] = (wid, seq)
-            except (BrokenPipeError, OSError, ValueError):
+        name = self._segments.publish_candidates(k, candidates)
+        counts = self._segments.ensure_counts(len(candidates))
+        overhead.cand_build_s = time.perf_counter() - tick
+        return (name, counts)
+
+    def _fan_out(self, tag: str, k: int, jobs, overhead, absorb):
+        """Send every worker its job; ``absorb`` replies until the deadline.
+
+        ``jobs`` maps worker id to ``(payload, expected)`` (see
+        :meth:`_read_reply`).  Returns the failed workers as ``(wid,
+        failure)`` pairs in worker order, so recovery and its fault log
+        are deterministic.
+        """
+        failures: List[Tuple[int, str]] = []
+        pending: Dict[object, Tuple[int, int, Optional[int]]] = {}
+        tick = time.perf_counter()
+        for wid, (payload, expected) in jobs.items():
+            slot = self._slots[wid]
+            seq = self._send(slot, tag, k, payload)
+            if seq is None:
                 failures.append((wid, "died"))
-        overhead.broadcast_s = time.perf_counter() - tick
+            else:
+                pending[slot.conn] = (wid, seq, expected)
+        overhead.broadcast_s += time.perf_counter() - tick
         deadline = time.monotonic() + self.recv_timeout
         while pending:
             remaining = deadline - time.monotonic()
@@ -1245,285 +1300,174 @@ class _WorkerPool:
             overhead.wait_s += time.perf_counter() - tick
             tick = time.perf_counter()
             for conn in ready:
-                wid, seq = pending[conn]
-                mined, failure, peak = self._read_mine_reply(conn, wid, seq)
+                wid, seq, expected = pending[conn]
+                reply, failure = self._read_reply(conn, wid, k, seq, expected)
                 if failure == "stale":
-                    continue
+                    continue  # keep waiting for the current reply
                 del pending[conn]
-                if mined is None:
+                if reply is None:
                     failures.append((wid, failure))
                 else:
-                    parts.append(mined)
-                    overhead.peak_rss_bytes = max(
-                        overhead.peak_rss_bytes, peak
-                    )
+                    absorb(wid, reply)
             overhead.reduce_s += time.perf_counter() - tick
-        for wid, _seq in pending.values():
-            failures.append((wid, "timeout"))
-        for wid, failure in failures:
-            parts.append(self._recover_mine(wid, min_support, max_k, failure))
-        if self._fallback_holdings:
-            parts.append(
-                mine_blocks(
-                    self._packed,
-                    self._fallback_holdings,
-                    min_support,
-                    kernel=self._kernel,
-                    branching=self._branching,
-                    leaf_capacity=self._leaf_capacity,
-                    max_k=max_k,
-                    cache=self._inprocess_cache,
-                )
-            )
-        merged = merge_candidates(parts)
-        overhead.num_candidates = superset_size(merged)
-        overhead.peak_rss_bytes = max(
-            overhead.peak_rss_bytes, peak_rss_bytes()
-        )
-        self.pass_overheads.append(overhead)
-        return merged
+        failures.extend((wid, "timeout") for wid, _, _ in pending.values())
+        return sorted(failures)
 
-    def _read_mine_reply(
-        self, conn, wid: int, seq: int
-    ) -> Tuple[Optional[Dict[int, List[Itemset]]], str, int]:
-        """Read one phase-1 reply; return (mined, "", peak) or
-        (None, failure, 0).
+    def _send(self, slot: _Slot, tag: str, k: int, payload) -> Optional[int]:
+        """Send one request with a fresh sequence number (``None``: dead)."""
+        self._seq += 1
+        try:
+            slot.conn.send((tag, self._seq, k, payload))
+        except (BrokenPipeError, OSError, ValueError):
+            return None
+        return self._seq
 
-        Mirrors :meth:`_read_reply`'s frame discipline: stale sequence
-        numbers are reported (and skipped by the caller), a structured
-        error frame raises :class:`WorkerError`, and anything malformed
-        — including the injected-corruption ``None`` body — is
-        ``"corrupt"``.
+    def _read_reply(
+        self, conn, wid: int, k: int, seq: int, expected: Optional[int]
+    ) -> Tuple[Optional[_Reply], str]:
+        """Read one reply frame: ``(reply, "")`` or ``(None, failure)``.
+
+        ``expected`` is the count vector's length, or ``None`` for a
+        ``mine`` reply, whose body must be a dict of local frequent
+        sets.  A count body is the vector itself (inline replies) or,
+        for ``pass`` requests on the zero-copy planes, the number of
+        counts written to the worker's shared slot, which is then read
+        out.  A reply echoing a sequence number other than ``seq``
+        answers an *earlier* request and is ``"stale"``: the caller
+        discards it and keeps waiting, even when its payload happens to
+        fit.  Anything malformed — a wrong length, a missing body — is
+        ``"corrupt"``; an error frame raises :class:`WorkerError`.
         """
         try:
             frame = conn.recv()
         except (EOFError, OSError):
-            return None, "died", 0
+            return None, "died"
         if not (isinstance(frame, tuple) and len(frame) == 3):
-            return None, "corrupt", 0
-        tag, frame_seq, payload = frame
+            return None, "corrupt"
+        tag, frame_seq, reply = frame
         if frame_seq != seq:
-            return None, "stale", 0
+            return None, "stale"
         if tag == "error":
-            raise WorkerError(
-                f"worker {wid} failed at SON phase 1: {payload}"
-            )
-        if tag != "mined":
-            return None, "corrupt", 0
-        if not (isinstance(payload, tuple) and len(payload) == 2):
-            return None, "corrupt", 0
-        mined, peak = payload
-        if not isinstance(mined, dict):
-            return None, "corrupt", 0
-        return mined, "", int(peak)
+            where = "SON phase 1" if expected is None else f"pass {k}"
+            raise WorkerError(f"worker {wid} failed at {where}: {reply}")
+        if tag != "ok" or not isinstance(reply, _Reply):
+            return None, "corrupt"
+        body = reply.body
+        if expected is None:
+            valid = isinstance(body, dict)
+        elif isinstance(body, list):
+            valid = len(body) == expected
+        else:
+            valid = self._segments is not None and body == expected
+            if valid:
+                reply.body = self._segments.read_counts(wid, expected)
+        return (reply, "") if valid else (None, "corrupt")
 
-    def _ask_mine(
-        self, slot: _Slot, wid: int, min_support: float, max_k: Optional[int]
-    ) -> Optional[Dict[int, List[Itemset]]]:
-        """Ask one slot to mine its holdings; poll-bounded, or ``None``."""
-        seq = self._next_seq()
-        try:
-            slot.conn.send(("mine", seq, (min_support, max_k)))
-        except (BrokenPipeError, OSError, ValueError):
+    def _ask(
+        self, slot: _Slot, wid: int, tag: str, k: int, payload,
+        expected: Optional[int],
+    ) -> Optional[_Reply]:
+        """Send one request to one slot; poll-bounded reply or ``None``.
+
+        Stale replies to earlier frames are drained and ignored, so only
+        the answer to *this* request can be returned.
+        """
+        seq = self._send(slot, tag, k, payload)
+        if seq is None:
             return None
         deadline = time.monotonic() + self.recv_timeout
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not slot.conn.poll(remaining):
                 return None
-            mined, failure, _peak = self._read_mine_reply(
-                slot.conn, wid, seq
+            reply, failure = self._read_reply(
+                slot.conn, wid, k, seq, expected
             )
             if failure != "stale":
-                return mined
-
-    def _recover_mine(
-        self, wid: int, min_support: float, max_k: Optional[int], failure: str
-    ) -> Dict[int, List[Itemset]]:
-        """Re-mine a failed worker's partition; reassign it for phase 2.
-
-        Respawn with retries and backoff (a replacement re-attaches the
-        store by reference and re-mines from scratch), else the
-        partition moves in-process — for this phase *and*, via
-        ``_fallback_holdings``, for every phase-2 counting pass.  Fault
-        records are logged under ``_SON_FAULT_K``, the schedule key the
-        phase consumes worker events from.
-        """
-        slot = self._slots.pop(wid, None)
-        if slot is None:  # pragma: no cover - defensive; one recovery
-            # per wid, as in _recover.
-            return {}
-        holdings = slot.holdings
-        future_events = [e for e in slot.events if e.k > _SON_FAULT_K]
-        self._discard(slot)
-
-        attempts = 0
-        for attempt in range(self.max_retries + 1):
-            if attempt > 0:
-                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
-            attempts += 1
-            replacement = self._spawn(wid, holdings, future_events, gated=True)
-            if replacement is None:
-                continue
-            mined = self._ask_mine(replacement, wid, min_support, max_k)
-            if mined is not None:
-                self._slots[wid] = replacement
-                self.fault_log.append(
-                    FaultRecord(
-                        _SON_FAULT_K, wid, failure, "respawned", attempts
-                    )
-                )
-                return mined
-            self._discard(replacement)
-
-        self._fallback_holdings.extend(holdings)
-        self.fault_log.append(
-            FaultRecord(_SON_FAULT_K, wid, failure, "inprocess", attempts)
-        )
-        return mine_blocks(
-            self._packed,
-            holdings,
-            min_support,
-            kernel=self._kernel,
-            branching=self._branching,
-            leaf_capacity=self._leaf_capacity,
-            max_k=max_k,
-            cache=self._inprocess_cache,
-        )
+                return reply
 
     # ------------------------------------------------------------------
     # Recovery ladder
     # ------------------------------------------------------------------
 
     def _recover(
-        self,
-        wid: int,
-        k: int,
-        candidates,
-        payload,
-        failure: str,
-        exclude: frozenset = frozenset(),
-    ) -> Sequence[int]:
-        """Recount a failed worker's holdings; reassign them for future passes.
+        self, wid: int, failure: str, tag: str, k: int, payload,
+        expected: Optional[int], exclude: frozenset, inprocess,
+    ):
+        """Redo a failed worker's request down the ladder; return the body.
 
-        Ladder: respawn (with retries + exponential backoff) → adoption
-        by a surviving worker → in-process counting.  Whatever rung
-        succeeds, the returned vector covers exactly the failed slot's
-        holdings for pass ``k``.  On the shared plane a replacement
-        re-attaches the store by name and an adopter receives only
-        ``(lo, hi)`` ranges — recovery ships no transactions either.
-
-        ``exclude`` holds worker ids that also failed this pass and are
-        still awaiting their own recovery; they are not survivors (their
-        pass-``k`` counts were never collected) and must not be asked to
-        adopt.
+        Ladder: respawn (bounded retries, exponential backoff) ->
+        adoption by a survivor (``pass`` requests only) -> ``inprocess()``
+        in the parent.  A unit is a schedule over the shared database
+        rather than private state, so every rung redoes it from scratch
+        without touching any other worker, and whichever rung leaves a
+        smaller pool, the next pass re-plans the grid over the
+        survivors.  ``exclude`` holds workers that also failed this pass
+        and await their own recovery: they are not survivors.
         """
-        slot = self._slots.pop(wid, None)
-        if slot is None:  # pragma: no cover - defensive; _recover runs
-            # at most once per wid and adoption never touches excluded
-            # same-pass failures, so the slot is always present.
-            return [0] * len(candidates)
-        holdings = slot.holdings
+        slot = self._slots.pop(wid)
         # A replacement must not replay the failure that killed its
         # predecessor; it inherits only events for *future* passes.
         future_events = [e for e in slot.events if e.k > k]
         self._discard(slot)
-
-        attempts = 0
-        expected = len(candidates)
         for attempt in range(self.max_retries + 1):
             if attempt > 0:
                 time.sleep(self.backoff_base * (2 ** (attempt - 1)))
-            attempts += 1
-            replacement = self._spawn(wid, holdings, future_events, gated=True)
+            replacement = self._spawn(wid, future_events, gated=True)
             if replacement is None:
                 continue
-            vector = self._ask(
-                replacement, ("pass", k, payload), wid, k, expected
-            )
-            if vector is not None:
+            reply = self._ask(replacement, wid, tag, k, payload, expected)
+            if reply is not None:
                 self._slots[wid] = replacement
                 self.fault_log.append(
-                    FaultRecord(k, wid, failure, "respawned", attempts)
+                    FaultRecord(k, wid, failure, "respawned", attempt + 1)
                 )
-                return vector
+                return reply.body
             self._discard(replacement)
+        attempts = self.max_retries + 1
 
-        for survivor_id in list(self._slots):
-            if survivor_id in exclude:
-                continue
-            survivor = self._slots[survivor_id]
-            vector = self._ask(
-                survivor, ("adopt", holdings, k, payload), survivor_id, k,
-                expected,
-            )
-            if vector is not None:
-                survivor.holdings.extend(holdings)
-                self.fault_log.append(
-                    FaultRecord(k, wid, failure, "adopted", attempts)
+        if tag == "pass":
+            for survivor_id in [s for s in self._slots if s not in exclude]:
+                survivor = self._slots[survivor_id]
+                reply = self._ask(
+                    survivor, survivor_id, "adopt", k, payload, expected
                 )
-                return vector
-            # The survivor died while adopting.  Its own counts for this
-            # pass were already collected, so its holdings only need to
-            # move in-process for *future* passes.
-            del self._slots[survivor_id]
-            self._discard(survivor)
-            self._fallback_holdings.extend(survivor.holdings)
-            self.fault_log.append(
-                FaultRecord(k, survivor_id, "died", "inprocess", 0)
-            )
+                if reply is not None:
+                    self.fault_log.append(
+                        FaultRecord(k, wid, failure, "adopted", attempts)
+                    )
+                    return reply.body
+                # The survivor died while adopting.  Its own counts for
+                # this pass were already collected and it holds no
+                # private state, so nothing is recounted — it is dropped
+                # and the next pass re-plans over the remaining workers.
+                del self._slots[survivor_id]
+                self._discard(survivor)
+                self.fault_log.append(
+                    FaultRecord(k, survivor_id, "died", "repacked", 0)
+                )
 
-        self._fallback_holdings.extend(holdings)
         self.fault_log.append(
             FaultRecord(k, wid, failure, "inprocess", attempts)
         )
-        return self._count_inprocess(holdings, k, candidates)
-
-    def _ask(
-        self, slot: _Slot, request, wid: int, k: int, expected: int
-    ) -> Optional[Sequence[int]]:
-        """Send one request to one slot; poll-bounded reply or ``None``.
-
-        The request (sans sequence number) gains a fresh ``seq`` before
-        sending; stale replies to earlier frames are drained and
-        ignored, so only the answer to *this* request can be returned.
-        """
-        seq = self._next_seq()
-        try:
-            slot.conn.send((request[0], seq) + tuple(request[1:]))
-        except (BrokenPipeError, OSError, ValueError):
-            return None
-        deadline = time.monotonic() + self.recv_timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not slot.conn.poll(remaining):
-                return None
-            vector, failure, _timings = self._read_reply(
-                slot.conn, wid, k, expected, seq
-            )
-            if failure != "stale":
-                return vector
+        return inprocess()
 
     def _spawn(
-        self,
-        wid: int,
-        holdings: List,
-        events: List[FaultEvent],
-        gated: bool,
+        self, wid: int, events: List[FaultEvent], gated: bool
     ) -> Optional[_Slot]:
         """Start one worker process; ``None`` if spawning is refused/fails.
 
         ``wid`` doubles as the worker's count-region slot index on the
-        shared plane, so a respawned replacement writes where its
+        zero-copy planes, so a respawned replacement writes where its
         predecessor did.
         """
         if gated and self._refusals_left > 0:
             self._refusals_left -= 1
             return None
-        if self._plane != "pickle":
+        if self._segments is not None:
             plane = ("shared", self._segments.store_ref, wid)
         else:
-            plane = ("pickle",)
+            plane = ("pickle", self._store, wid)
         try:
             parent_conn, child_conn = self._context.Pipe()
             process = self._context.Process(
@@ -1531,7 +1475,6 @@ class _WorkerPool:
                 args=(
                     child_conn,
                     plane,
-                    holdings,
                     self._branching,
                     self._leaf_capacity,
                     self._kernel,
@@ -1543,17 +1486,15 @@ class _WorkerPool:
             child_conn.close()
         except OSError:
             return None
-        return _Slot(process, parent_conn, holdings, events)
+        return _Slot(process, parent_conn, events)
 
-    def _count_inprocess(
-        self, holdings: Sequence, k: int, candidates
-    ) -> List[int]:
-        vector, _build_s, _intersect_s = _count_holdings_vector(
-            self._packed if self._plane != "pickle" else None,
-            holdings, k, _candidate_tuples(candidates), self._kernel,
-            self._branching, self._leaf_capacity, self._inprocess_cache,
-        )
-        return vector
+    def _count_inprocess(self, k: int, candidates, unit: _Unit):
+        """Count one unit in the parent — the ladder's bottom rung."""
+        return _count_unit(
+            self._store, self._inprocess_blocks, unit, k,
+            _candidate_tuples(candidates), self._kernel, self._branching,
+            self._leaf_capacity, self._inprocess_cache,
+        ).body
 
     # ------------------------------------------------------------------
     # Teardown
@@ -1564,8 +1505,8 @@ class _WorkerPool:
 
         A declared-failed worker may merely be slow; terminating it
         prevents a late reply from desynchronizing a later pass — and,
-        on the shared plane, a late write to a count slot a replacement
-        is about to use.
+        on the zero-copy planes, a late write to a count slot a
+        replacement is about to use.
         """
         try:
             slot.conn.close()
@@ -1591,39 +1532,118 @@ class _WorkerPool:
                     slot.process.terminate()
                     slot.process.join()
             self._slots = {}
-            self._fallback_holdings = []
         finally:
             if self._segments is not None:
                 self._segments.close()
 
-    def __enter__(self) -> "_WorkerPool":
-        return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
+# ----------------------------------------------------------------------
+# The miners
+# ----------------------------------------------------------------------
 
 
 class _NativeMiner:
-    """The coordinator's pass loop, shared by the native CD and IDD/HD miners.
+    """The coordinator's pass loop and pool glue, shared by every miner.
 
-    Subclasses supply the pool: ``_acquire_pool(db)`` returns one whose
-    ``count_pass(k, candidates)`` sums a pass's counts,
-    ``_release_pool(pool, clean, db)`` keeps or reaps it, and
-    ``_checkpoint_algorithm`` names the mine in the journal.  They also
-    define ``_generate`` as a call of their own module's
-    ``generate_candidates``, so a wrapper installed on that module
-    attribute sees every pass.
+    Subclasses supply the formulation as ``_rows(num_candidates,
+    live_workers)`` — the grid rows G a pass plans — plus
+    ``_checkpoint_algorithm`` (the journal's name for the mine) and
+    ``_generate``, a call of their own module's ``generate_candidates``
+    so that a wrapper installed on that module attribute sees every
+    pass.
 
     **Candidate form.**  When numpy is importable (and every item id
     fits int32) each pass's candidates stay one lexicographically
     sorted ``(n, k)`` int32 matrix from apriori_gen to the reduce: it is
-    the shared candidate frame's body, the IDD planner reads bins off
-    its first column, the pools sum int64 count arrays, and
+    the shared candidate frame's body, the planner reads bins off its
+    first column, the pool sums int64 count arrays, and
     ``candidates[counts >= min_count]`` is already the next pass's
     F(k).  Only frequent rows become tuples, for the result and the
     checkpoint journal.  Without numpy the same loop runs on tuple
     lists; both forms give identical results.
     """
+
+    def __init__(
+        self,
+        min_support: float,
+        num_workers: int,
+        branching: int = 64,
+        leaf_capacity: int = 16,
+        max_k: Optional[int] = None,
+        start_method: Optional[str] = None,
+        kernel: str = "fast",
+        data_plane: str = "shared",
+        recv_timeout: float = 30.0,
+        max_retries: int = 2,
+        backoff_base: float = 0.05,
+        faults: Optional[FaultSpec] = None,
+        store_dir: Optional[str] = None,
+        block_budget: Optional[int] = None,
+        checkpoint_dir: Optional[str] = None,
+        resume: bool = False,
+        two_phase: bool = False,
+        progress=None,
+    ):
+        if num_workers < 1:
+            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
+        if max_k is not None and max_k < 1:
+            raise ValueError(f"max_k must be >= 1, got {max_k}")
+        if recv_timeout <= 0:
+            raise ValueError(f"recv_timeout must be > 0, got {recv_timeout}")
+        if max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        if backoff_base < 0:
+            raise ValueError(f"backoff_base must be >= 0, got {backoff_base}")
+        self.data_plane = validate_data_plane(data_plane)
+        if block_budget is not None:
+            if block_budget < 1:
+                raise ValueError(
+                    f"block_budget must be >= 1, got {block_budget}"
+                )
+            if self.data_plane == "pickle":
+                raise ValueError(
+                    "block_budget requires a zero-copy data plane "
+                    "('shared' or 'mmap'); the pickle plane ships "
+                    "transactions by value"
+                )
+        if two_phase and self.data_plane == "pickle":
+            raise ValueError(
+                "two_phase requires a zero-copy data plane ('shared' or "
+                "'mmap'); SON phase 1 mines packed store ranges in place"
+            )
+        if resume and checkpoint_dir is None:
+            raise ValueError(
+                "resume=True requires a checkpoint_dir to resume from"
+            )
+        self.min_support = min_support
+        self.num_workers = num_workers
+        self.branching = branching
+        self.leaf_capacity = leaf_capacity
+        self.max_k = max_k
+        self.start_method = start_method
+        self.kernel = validate_kernel(kernel)
+        warn_kernel_fallback(self.kernel)
+        self.recv_timeout = recv_timeout
+        self.max_retries = max_retries
+        self.backoff_base = backoff_base
+        self.faults = FaultSpec.of(faults)
+        self.store_dir = store_dir
+        self.block_budget = block_budget
+        self.checkpoint_dir = checkpoint_dir
+        self.resume = resume
+        self.two_phase = two_phase
+        self.progress = progress
+        self.fault_log: List[FaultRecord] = []
+        self.last_pool_size = 0
+        self.last_pass_overheads: List[PassOverhead] = []
+        self.last_pool_reused = False
+        self.last_resume_k = 0
+        self._keep_pool = False
+        self._pool: Optional[_Pool] = None
+        self._pool_db = None
+        # The fault schedule the *current* mine() runs under: the
+        # declared spec, advanced past journaled passes on resume.
+        self._active_faults = self.faults
 
     @property
     def num_processors(self) -> int:
@@ -1650,12 +1670,94 @@ class _NativeMiner:
             len(faults) > 0 or faults.refusals() > 0
         )
 
+    def _reusable(self, pool: _Pool) -> bool:
+        """A clean pool for a warm re-mine: kept, no faults, no recoveries.
+
+        Every rung of the ladder logs a record, so an empty log means
+        the declared worker topology is intact.
+        """
+        return self._keep_pool and not self._has_faults() and not pool.fault_log
+
+    def _acquire_pool(self, db) -> _Pool:
+        """Reuse the kept warm pool for ``db``, or build a fresh one.
+
+        Reuse requires the *same* database object (the store was
+        derived from it) and a clean previous run; it also skips
+        re-packing the store.
+        """
+        if self._pool is not None and self._pool_db is db and self._reusable(
+            self._pool
+        ):
+            self.last_pool_reused = True
+            self._pool.pass_overheads.clear()
+            return self._pool
+        self.last_pool_reused = False
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool, self._pool_db = None, None
+
+        # Zero-copy planes pack once (an already-packed db is used
+        # as-is) and workers attach the store; an attached store file on
+        # the mmap plane is mapped by the workers directly, so the
+        # out-of-core generate-once/attach-many path never copies the
+        # database.  The pickle plane ships the transactions themselves.
+        # The parent keeps the store for the in-process rung.
+        external_store = None
+        if isinstance(db, PackedDB):
+            if self.data_plane == "pickle":
+                raise ValueError(
+                    "a packed store can only be mined on a zero-copy "
+                    "data plane ('shared' or 'mmap'); the pickle plane "
+                    "ships transactions by value"
+                )
+            store = db
+            from ..core.mmapdb import MmapPackedDB
+
+            if (
+                self.data_plane == "mmap"
+                and isinstance(db, MmapPackedDB)
+                and not db.closed
+            ):
+                external_store = db.path
+        elif self.data_plane == "pickle":
+            store = db.transactions
+        else:
+            store = db.to_packed()
+        context = (
+            get_context(self.start_method)
+            if self.start_method
+            else get_context()
+        )
+        # Every worker owns a non-empty block: an idle one would pin a
+        # process for the whole run.
+        return _Pool(
+            context,
+            max(1, min(self.num_workers, len(db))),
+            store,
+            self.branching,
+            self.leaf_capacity,
+            self.kernel,
+            data_plane=self.data_plane,
+            store_dir=self.store_dir,
+            external_store=external_store,
+            block_budget=self.block_budget,
+            recv_timeout=self.recv_timeout,
+            max_retries=self.max_retries,
+            backoff_base=self.backoff_base,
+            faults=self._active_faults,
+        )
+
+    def _release_pool(self, pool: _Pool, clean: bool, db) -> None:
+        """Keep a clean pool warm (context-managed) or shut it down."""
+        if clean and self._reusable(pool):
+            self._pool, self._pool_db = pool, db
+            return
+        if pool is self._pool:
+            self._pool, self._pool_db = None, None
+        pool.shutdown()
+
     def _generate(self, frequent_prev):
         return generate_candidates(frequent_prev)
-
-    def _superset(self, pool, session) -> Optional[Dict[int, List[Itemset]]]:
-        """The SON phase-1 candidate superset, or ``None`` (apriori_gen)."""
-        return None
 
     def mine(self, db) -> AprioriResult:
         """Mine ``db`` with counting fanned out over worker processes.
@@ -1743,7 +1845,7 @@ class _NativeMiner:
                 candidates = superset.get(k, [])
             if not len(candidates):
                 break
-            totals = pool.count_pass(k, candidates)
+            totals = pool.count_pass(k, candidates, self._rows)
             if matrix:
                 prev, frequent_k = frequent_rows(candidates, totals, min_count)
             else:
@@ -1773,6 +1875,32 @@ class _NativeMiner:
                     f"{len(frequent_k)} frequent"
                 )
             k += 1
+
+    def _superset(self, pool, session) -> Optional[Dict[int, List[Itemset]]]:
+        """SON phase 1 under ``two_phase``: the candidate superset.
+
+        ``None`` means apriori_gen.  A journaled superset is restored
+        instead of re-mined, so a killed phase 2 resumes over the exact
+        candidates it was counting; a freshly mined one is journaled
+        before phase 2.
+        """
+        if not self.two_phase:
+            return None
+        restored = session.phase1 if session is not None else None
+        if restored is not None:
+            candidates_by_k = merge_candidates([restored])
+        else:
+            candidates_by_k = pool.mine(self.min_support, self.max_k)
+            if session is not None:
+                session.record_phase1(candidates_by_k)
+        if self.progress is not None:
+            self.progress(
+                "two-phase: phase 1 complete — "
+                f"{superset_size(candidates_by_k)} superset "
+                f"candidates across {len(candidates_by_k)} "
+                "pass sizes"
+            )
+        return candidates_by_k
 
     def _open_checkpoint(self, db, min_count: int, result):
         """Set up the checkpoint session (if any) and the fault schedule.
@@ -1814,11 +1942,14 @@ class _NativeMiner:
 class NativeCountDistribution(_NativeMiner):
     """Multi-process CD miner producing serial-identical results.
 
+    CD is the pool's one-row grid: every worker counts the whole
+    candidate set over its own transaction block, with no root filter,
+    and the pass sums the P vectors.
+
     Args:
         min_support: fractional minimum support in (0, 1].
         num_workers: OS processes to fan counting out to (clamped to the
-            number of non-empty transaction blocks — idle workers are
-            never spawned).
+            transaction count — idle workers are never spawned).
         branching / leaf_capacity: hash tree geometry.
         max_k: optional pass cap.
         start_method: multiprocessing start method (``"fork"`` is
@@ -1828,22 +1959,23 @@ class NativeCountDistribution(_NativeMiner):
             straight out of the shared candidate plane — each worker
             caches one zero-copy counter per published candidate
             segment plus its block's bit-matrices, and reuses both
-            every pass; pure-python fallback without numpy), or
-            ``"vertical"`` (per-item TID bitmaps intersected per
-            candidate; each worker builds its block's bitmaps once and
-            reuses them every pass); all yield identical counts.
+            every pass; the vertical kernel, with a ``RuntimeWarning``,
+            when numpy is absent), or ``"vertical"`` (per-item TID
+            bitmaps intersected per candidate; each worker builds its
+            block's bitmaps once and reuses them every pass); all
+            yield identical counts.
         data_plane: ``"shared"`` (default) — packed transactions in a
             shared-memory store, binary candidate broadcast, count
             vectors in shared int64 slots; ``"mmap"`` — same, but the
             store is a disk file workers map read-only (out-of-core:
             the minable database is bounded by disk, not RAM); or
-            ``"pickle"`` — everything serialized over the pipes.  All
-            planes yield identical results.
+            ``"pickle"`` — transactions by value, everything serialized
+            over the pipes.  All planes yield identical results.
         store_dir: mmap plane only — directory the store file is
             written into (defaults to the platform temp directory; the
             file is removed at pool shutdown).
         block_budget: zero-copy planes only — split every worker's
-            holdings into sub-blocks of at most this many packed items
+            block into sub-blocks of at most this many packed items
             (:meth:`~repro.core.packed.PackedDB.block_bounds`), so a
             pass streams the store block by block instead of touching a
             whole partition at once (the out-of-core counting mode).
@@ -1874,7 +2006,7 @@ class NativeCountDistribution(_NativeMiner):
         recv_timeout: seconds a pass waits for worker replies before
             declaring stragglers failed; receives are poll-based, so no
             call blocks indefinitely.
-        max_retries: respawn attempts per failed worker before its block
+        max_retries: respawn attempts per failed worker before its unit
             is adopted by a survivor or counted in-process.
         backoff_base: first respawn-retry backoff in seconds (doubles
             each attempt).
@@ -1899,231 +2031,17 @@ class NativeCountDistribution(_NativeMiner):
 
     The pool is reused only when it is demonstrably the same
     computation's pool — same ``db`` object, no injected faults, and
-    the previous mine finished clean (no recoveries, not degraded);
-    anything else quietly rebuilds it.  :attr:`last_pool_reused`
-    reports what happened.  Outside a ``with`` block behaviour is
-    unchanged; :meth:`close` releases a kept pool early.
+    the previous mine finished clean (no recoveries); anything else
+    quietly rebuilds it.  :attr:`last_pool_reused` reports what
+    happened.  Outside a ``with`` block behaviour is unchanged;
+    :meth:`close` releases a kept pool early.
     """
 
     _checkpoint_algorithm = "native-cd"
 
-    def __init__(
-        self,
-        min_support: float,
-        num_workers: int,
-        branching: int = 64,
-        leaf_capacity: int = 16,
-        max_k: Optional[int] = None,
-        start_method: Optional[str] = None,
-        kernel: str = "fast",
-        data_plane: str = "shared",
-        recv_timeout: float = 30.0,
-        max_retries: int = 2,
-        backoff_base: float = 0.05,
-        faults: Optional[FaultSpec] = None,
-        store_dir: Optional[str] = None,
-        block_budget: Optional[int] = None,
-        checkpoint_dir: Optional[str] = None,
-        resume: bool = False,
-        two_phase: bool = False,
-        progress=None,
-    ):
-        if num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        if max_k is not None and max_k < 1:
-            raise ValueError(f"max_k must be >= 1, got {max_k}")
-        if recv_timeout <= 0:
-            raise ValueError(f"recv_timeout must be > 0, got {recv_timeout}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if backoff_base < 0:
-            raise ValueError(f"backoff_base must be >= 0, got {backoff_base}")
-        self.min_support = min_support
-        self.num_workers = num_workers
-        self.branching = branching
-        self.leaf_capacity = leaf_capacity
-        self.max_k = max_k
-        self.start_method = start_method
-        self.kernel = validate_kernel(kernel)
-        self.data_plane = validate_data_plane(data_plane)
-        self.recv_timeout = recv_timeout
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.faults = FaultSpec.of(faults)
-        if block_budget is not None:
-            if block_budget < 1:
-                raise ValueError(
-                    f"block_budget must be >= 1, got {block_budget}"
-                )
-            if self.data_plane == "pickle":
-                raise ValueError(
-                    "block_budget requires a zero-copy data plane "
-                    "('shared' or 'mmap'); the pickle plane ships "
-                    "materialized blocks"
-                )
-        if two_phase and self.data_plane == "pickle":
-            raise ValueError(
-                "two_phase requires a zero-copy data plane ('shared' or "
-                "'mmap'); SON phase 1 mines packed store ranges in place"
-            )
-        if resume and checkpoint_dir is None:
-            raise ValueError(
-                "resume=True requires a checkpoint_dir to resume from"
-            )
-        self.store_dir = store_dir
-        self.block_budget = block_budget
-        self.checkpoint_dir = checkpoint_dir
-        self.resume = resume
-        self.two_phase = two_phase
-        self.progress = progress
-        self.fault_log: List[FaultRecord] = []
-        self.last_pool_size = 0
-        self.last_pass_overheads: List[PassOverhead] = []
-        self.last_pool_reused = False
-        self.last_resume_k = 0
-        self._keep_pool = False
-        self._pool: Optional[_WorkerPool] = None
-        self._pool_db: Optional[TransactionDB] = None
-        # The fault schedule the *current* mine() runs under: the
-        # declared spec, advanced past journaled passes on resume.
-        self._active_faults = self.faults
-
-    def _acquire_pool(self, db) -> _WorkerPool:
-        """Reuse the kept warm pool for ``db``, or build a fresh one.
-
-        Reuse requires the *same* database object (holdings and the
-        shared store were derived from it), no injected faults, and a
-        clean previous run — a degraded pool or one that logged
-        recoveries is discarded so every ``mine()`` starts from the
-        declared worker topology.
-        """
-        if (
-            self._keep_pool
-            and self._pool is not None
-            and self._pool_db is db
-            and not self._has_faults()
-            and not self._pool.degraded
-            and not self._pool.fault_log
-        ):
-            self.last_pool_reused = True
-            self._pool.pass_overheads.clear()
-            return self._pool
-        self.last_pool_reused = False
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool, self._pool_db = None, None
-
-        # Clamp to non-empty blocks: partition() pads with empty parts
-        # when num_workers exceeds the transaction count, and an empty
-        # block would pin an idle process for the whole run.
-        packed: Optional[PackedDB] = None
-        external_store: Optional[Path] = None
-        if self.data_plane != "pickle":
-            # Pack once; workers attach the store (segment or file) and
-            # hold (lo, hi) ranges into it.  The array-backed copy stays
-            # in the parent for the in-process recovery rung.  A block
-            # budget splits each worker's partition into bounded
-            # sub-ranges so a pass streams the store block by block.
-            # An already-packed db is used as-is; when it is an attached
-            # store file and the plane is mmap, workers map the caller's
-            # file directly — the out-of-core generate-once/attach-many
-            # path never copies the database anywhere.
-            if isinstance(db, PackedDB):
-                packed = db
-                from ..core.mmapdb import MmapPackedDB
-
-                if (
-                    self.data_plane == "mmap"
-                    and isinstance(db, MmapPackedDB)
-                    and not db.closed
-                ):
-                    external_store = db.path
-                bounds = _even_bounds(len(db), self.num_workers)
-            else:
-                packed = db.to_packed()
-                bounds = db.partition_bounds(self.num_workers)
-            holdings = [
-                packed.block_bounds(self.block_budget, lo, hi)
-                if self.block_budget is not None
-                else [(lo, hi)]
-                for lo, hi in bounds
-                if hi > lo
-            ]
-        else:
-            if isinstance(db, PackedDB):
-                raise ValueError(
-                    "a packed store can only be mined on a zero-copy "
-                    "data plane ('shared' or 'mmap'); the pickle plane "
-                    "ships materialized TransactionDB blocks"
-                )
-            holdings = [
-                [list(part.transactions)]
-                for part in db.partition(self.num_workers)
-                if len(part) > 0
-            ]
-        context = (
-            get_context(self.start_method)
-            if self.start_method
-            else get_context()
-        )
-        return _WorkerPool(
-            context,
-            holdings,
-            self.branching,
-            self.leaf_capacity,
-            self.kernel,
-            data_plane=self.data_plane,
-            packed=packed,
-            store_dir=self.store_dir,
-            external_store=external_store,
-            recv_timeout=self.recv_timeout,
-            max_retries=self.max_retries,
-            backoff_base=self.backoff_base,
-            faults=self._active_faults,
-        )
-
-    def _release_pool(self, pool: _WorkerPool, clean: bool, db) -> None:
-        """Keep a clean pool warm (context-managed) or shut it down."""
-        if (
-            self._keep_pool
-            and clean
-            and not self._has_faults()
-            and not pool.degraded
-            and not pool.fault_log
-        ):
-            self._pool = pool
-            self._pool_db = db
-            return
-        if pool is self._pool:
-            self._pool, self._pool_db = None, None
-        pool.shutdown()
-
-    def _superset(self, pool, session) -> Optional[Dict[int, List[Itemset]]]:
-        """SON phase 1 under ``two_phase``: the candidate superset.
-
-        A journaled superset is restored instead of re-mined, so a
-        killed phase 2 resumes over the exact candidates it was
-        counting; a freshly mined one is journaled before phase 2.
-        """
-        if not self.two_phase:
-            return None
-        restored = session.phase1 if session is not None else None
-        if restored is not None:
-            candidates_by_k = merge_candidates([restored])
-        else:
-            candidates_by_k = pool.mine_local_candidates(
-                self.min_support, self.max_k
-            )
-            if session is not None:
-                session.record_phase1(candidates_by_k)
-        if self.progress is not None:
-            self.progress(
-                "two-phase: phase 1 complete — "
-                f"{superset_size(candidates_by_k)} superset "
-                f"candidates across {len(candidates_by_k)} "
-                "pass sizes"
-            )
-        return candidates_by_k
+    def _rows(self, num_candidates: int, live_workers: int) -> int:
+        """CD is the one-row grid (G = 1) of every pass."""
+        return 1
 
 
 # Items of a packed store's column one vectorized pass-1 chunk copies

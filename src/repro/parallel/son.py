@@ -20,7 +20,7 @@ candidate memory by splitting the work in two:
 
 This module is the phase-1 kernel: pure functions over a packed store
 and ``(lo, hi)`` transaction ranges, called by the native pool's
-workers (each worker mines its own holdings — one partition per
+workers (each worker mines its own block — one partition per
 worker), by the coordinator's in-process fallback rung, and directly by
 tests.  Phase 2 *is* the existing pool pass machinery; see
 ``NativeCountDistribution(two_phase=True)`` in

@@ -10,7 +10,8 @@ the IDD ``root_filter`` contract — plus the plane-specific surface the
 native pool relies on: zero-copy :meth:`from_flat` decoding of the
 shared candidate frame, :meth:`first_item_mask` / :meth:`counts_for`
 shard views, and the :func:`make_counter` / :func:`make_cache` fallback
-when numpy is absent (forced by monkeypatching ``fastnp.HAVE_NUMPY``).
+when numpy is absent (forced by monkeypatching ``fastnp.HAVE_NUMPY``),
+which the serial and native miners report with one ``RuntimeWarning``.
 """
 
 import pytest
@@ -474,3 +475,40 @@ class TestNumpyAbsentFallback:
         without = make_counter(2, [(1, 2), (2, 3)], kernel="fast-np")
         count_packed_into(without, packed)
         assert without.counts() == with_np.counts()
+
+    def test_make_counter_stays_silent(self, monkeypatch, recwarn):
+        # Every worker calls make_counter every pass; the report belongs
+        # to the coordinator's miner constructor, once.
+        monkeypatch.setattr(fastnp, "HAVE_NUMPY", False)
+        make_counter(2, [(1, 2)], kernel="fast-np")
+        assert not recwarn.list
+
+    def test_serial_mine_reports_fallback_once(self, monkeypatch,
+                                               small_quest_db):
+        expected = Apriori(0.05, kernel="vertical").mine(small_quest_db)
+        monkeypatch.setattr(fastnp, "HAVE_NUMPY", False)
+        with pytest.warns(RuntimeWarning, match="'vertical'") as record:
+            result = Apriori(0.05, kernel="fast-np").mine(small_quest_db)
+        assert len(record) == 1
+        assert result.frequent == expected.frequent
+
+    def test_native_mine_reports_fallback_once(self, monkeypatch,
+                                               small_quest_db):
+        from repro.parallel.native import NativeCountDistribution
+
+        expected = Apriori(0.05, kernel="vertical").mine(small_quest_db)
+        monkeypatch.setattr(fastnp, "HAVE_NUMPY", False)
+        with pytest.warns(RuntimeWarning, match="'vertical'") as record:
+            result = NativeCountDistribution(
+                0.05, 2, kernel="fast-np"
+            ).mine(small_quest_db)
+        assert len(record) == 1
+        assert result.frequent == expected.frequent
+
+    def test_streaming_miner_reports_fallback(self, monkeypatch):
+        from repro.core.streaming import StreamingApriori
+
+        monkeypatch.setattr(fastnp, "HAVE_NUMPY", False)
+        with pytest.warns(RuntimeWarning, match="'vertical'") as record:
+            StreamingApriori(0.05, kernel="fast-np")
+        assert len(record) == 1

@@ -365,25 +365,36 @@ class TestStaleReplies:
         even when its payload has the expected length."""
         from multiprocessing import Pipe
 
-        from repro.parallel.native import _WorkerPool
+        from repro.parallel.native import _Pool, _Reply
 
-        pool = _WorkerPool.__new__(_WorkerPool)  # protocol check only
-        pool._plane = "pickle"  # frame protocol; no shared segments
+        pool = _Pool.__new__(_Pool)  # protocol check only
+        pool._segments = None  # pickle plane: vectors travel inline
         parent, child = Pipe()
         try:
             # Late answer to request 7, then the answer to request 8;
-            # ok-payloads carry (vector, build_s, intersect_s,
-            # attach_s, peak_rss_bytes).
-            child.send(("ok", 7, ([1, 2, 3], 0.0, 0.0, 0.0, 0)))
-            child.send(("ok", 8, ([4, 5, 6], 0.0, 0.0, 0.0, 0)))
-            vector, failure, _timings = pool._read_reply(
-                parent, 0, 2, 3, seq=8
+            # each reply record carries its count vector inline.
+            child.send(("ok", 7, _Reply([1, 2, 3])))
+            child.send(("ok", 8, _Reply([4, 5, 6])))
+            reply, failure = pool._read_reply(
+                parent, 0, 2, seq=8, expected=3
             )
-            assert (vector, failure) == (None, "stale")
-            vector, failure, _timings = pool._read_reply(
-                parent, 0, 2, 3, seq=8
+            assert (reply, failure) == (None, "stale")
+            reply, failure = pool._read_reply(
+                parent, 0, 2, seq=8, expected=3
             )
-            assert (vector, failure) == ([4, 5, 6], "")
+            assert (reply.body, failure) == ([4, 5, 6], "")
+            # SON phase-1 ("mine") replies carry local frequent sets
+            # through the same check.
+            child.send(("ok", 8, _Reply({2: [(1, 2)]})))
+            child.send(("ok", 9, _Reply({2: [(1, 3)]})))
+            reply, failure = pool._read_reply(
+                parent, 0, 2, seq=9, expected=None
+            )
+            assert (reply, failure) == (None, "stale")
+            reply, failure = pool._read_reply(
+                parent, 0, 2, seq=9, expected=None
+            )
+            assert (reply.body, failure) == ({2: [(1, 3)]}, "")
         finally:
             parent.close()
             child.close()
@@ -601,14 +612,12 @@ class TestSharedSegmentLifecycle:
     def test_shutdown_is_idempotent(self, tiny_serial):
         from multiprocessing import get_context
 
-        from repro.parallel.native import _WorkerPool
+        from repro.parallel.native import _Pool
 
         db, _ = tiny_serial
-        packed = db.to_packed()
-        holdings = [[(lo, hi)] for lo, hi in db.partition_bounds(2)]
-        pool = _WorkerPool(
-            get_context(), holdings, 64, 16, "fast",
-            data_plane="shared", packed=packed,
+        pool = _Pool(
+            get_context(), 2, db.to_packed(), 64, 16, "fast",
+            data_plane="shared",
         )
         assert pool.segment_names()  # the store segment is live
         pool.shutdown()

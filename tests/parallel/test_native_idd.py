@@ -1,9 +1,9 @@
 """Tests for the native candidate-partitioned miners (IDD / HD).
 
 Covers the paper-level invariant (bit-identical frequent item-sets and
-counts vs serial Apriori at every P, on both data planes), the IDD
-bin-packing edge cases, the ring-shift recovery ladder, and the
-IDD-specific :class:`PassOverhead` instrumentation.
+counts vs serial Apriori at every P, on every data plane), CD as HD's
+one-row corner, the IDD bin-packing edge cases, the ring-shift recovery
+ladder, and the grid's :class:`PassOverhead` instrumentation.
 """
 
 import glob
@@ -20,14 +20,15 @@ from repro.parallel.native import (
     DATA_PLANES,
     NativeCountDistribution,
     WorkerError,
+    _count_unit,
+    _even_bounds,
+    _Pool,
+    _Unit,
 )
 from repro.parallel.native_idd import (
     NativeHybridDistribution,
     NativeIntelligentDistribution,
     NativePartitionedMiner,
-    _count_shard,
-    _even_bounds,
-    _PartitionedPool,
 )
 from repro.parallel.runner import NATIVE_ALGORITHMS, make_miner
 
@@ -168,6 +169,52 @@ class TestHdIdentity:
         assert miner.mine(small_quest_db).frequent == quest_serial.frequent
 
 
+class TestCdIsHdOneRowCorner:
+    """CD is HD's G = 1 corner (Section III-D): "G equal to 1 ... means
+    that the CD algorithm is run on all the processors"."""
+
+    SPECS = (
+        None,
+        "kill@1:k2",
+        "kill@1:k3:mid",
+        "kill@0:k2,refuse-spawn:9",  # adoption
+        "kill@0:k2,kill@1:k2,kill@2:k2,refuse-spawn:9",  # collapse
+    )
+
+    @pytest.mark.parametrize("plane", DATA_PLANES)
+    def test_cd_equals_one_row_hd(self, tiny_partition_db, tiny_serial,
+                                  plane):
+        serial_passes = [
+            (p.k, p.num_candidates, p.num_frequent)
+            for p in tiny_serial.passes
+        ]
+        for spec in self.SPECS:
+            runs = []
+            for miner in (
+                NativeCountDistribution(
+                    TINY_SUPPORT, 3, data_plane=plane, faults=spec,
+                    backoff_base=0.01,
+                ),
+                NativeHybridDistribution(
+                    TINY_SUPPORT, 3, data_plane=plane, faults=spec,
+                    switch_threshold=10**9, backoff_base=0.01,
+                ),
+            ):
+                result = miner.mine(tiny_partition_db)
+                passes = [
+                    (p.k, p.num_candidates, p.num_frequent)
+                    for p in result.passes
+                ]
+                log = sorted(
+                    (r.k, r.worker, r.failure, r.action)
+                    for r in miner.fault_log
+                )
+                runs.append((result.frequent, passes, log))
+            assert runs[0] == runs[1], spec
+            assert runs[0][0] == tiny_serial.frequent, spec
+            assert runs[0][1] == serial_passes, spec
+
+
 class TestBinPackingEdges:
     """IDD edge cases: empty bins and more workers than first items."""
 
@@ -186,13 +233,14 @@ class TestBinPackingEdges:
         candidates = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
         from multiprocessing import get_context
 
-        pool = _PartitionedPool(
-            get_context(), 4, tiny_partition_db.to_packed(),
-            len(tiny_partition_db), 64, 16, "fast",
-            mode="idd", data_plane="pickle",
+        pool = _Pool(
+            get_context(), 4, tiny_partition_db.transactions, 64, 16,
+            "fast", data_plane="pickle",
         )
         try:
-            units, owned_idx, rows = pool._plan(candidates)
+            idd_rows = NativeIntelligentDistribution(TINY_SUPPORT, 4)._rows
+            units, owned_idx = pool._plan(candidates, idd_rows)
+            rows = len(owned_idx)
             assert rows == 4
             # Bins partition the candidate indices exactly...
             flat = sorted(i for idx in owned_idx for i in idx)
@@ -213,20 +261,19 @@ class TestBinPackingEdges:
 
 
 class TestCountShard:
-    """Direct kernel-level checks of the worker's shard counting."""
+    """Direct kernel-level checks of the worker's unit (shard) counting."""
 
     def test_empty_bin_returns_empty_vector(self, tiny_partition_db):
         packed = tiny_partition_db.to_packed()
-        ring = [(0, len(tiny_partition_db))]
-        vector, shift_s, checked, skipped, build_s, intersect_s = (
-            _count_shard(
-                packed, [(1, 2), (2, 3)], 0, ring, 2, "fast", 64, 16
-            )
+        ring = ((0, len(tiny_partition_db)),)
+        reply = _count_unit(
+            packed, {}, _Unit(0, 0, ring), 2, [(1, 2), (2, 3)], "fast",
+            64, 16,
         )
-        assert vector == []
-        assert shift_s == 0.0
-        assert (checked, skipped) == (0, 0)
-        assert (build_s, intersect_s) == (0.0, 0.0)
+        assert reply.body == []
+        assert reply.shift_s == 0.0
+        assert (reply.checked, reply.skipped) == (0, 0)
+        assert (reply.build_s, reply.intersect_s) == (0.0, 0.0)
 
     def test_bitmap_prunes_everything_outside_owned_range(self):
         # The worker owns first item 1 but every transaction item is
@@ -237,39 +284,56 @@ class TestCountShard:
         db = TransactionDB([(5, 6), (6, 7, 8)])
         packed = db.to_packed()
         bits = ItemBitmap([1]).bits
-        vector, _shift, checked, skipped, _build, _inter = _count_shard(
-            packed, [(1, 2), (1, 3)], bits, [(0, len(db))], 2, "fast",
-            64, 1,
+        reply = _count_unit(
+            packed, {}, _Unit(0, bits, ((0, len(db)),)), 2,
+            [(1, 2), (1, 3)], "fast", 64, 1,
         )
-        assert vector == [0, 0]
-        assert checked > 0
-        assert skipped == checked  # every root test missed
+        assert reply.body == [0, 0]
+        assert reply.checked > 0
+        assert reply.skipped == reply.checked  # every root test missed
 
     def test_bitmap_passes_owned_items(self):
         db = TransactionDB([(1, 2), (1, 2, 3)])
         packed = db.to_packed()
         bits = ItemBitmap([1, 2]).bits
-        vector, _shift, checked, skipped, _build, _inter = _count_shard(
-            packed, [(1, 2), (1, 3)], bits, [(0, len(db))], 2, "fast",
-            64, 1,
+        reply = _count_unit(
+            packed, {}, _Unit(0, bits, ((0, len(db)),)), 2,
+            [(1, 2), (1, 3)], "fast", 64, 1,
         )
-        assert vector == [2, 1]
-        assert checked > 0
-        assert skipped == 0  # every root test hit the owned range
+        assert reply.body == [2, 1]
+        assert reply.checked > 0
+        assert reply.skipped == 0  # every root test hit the owned range
 
     def test_ring_order_does_not_change_counts(self, small_quest_db):
         packed = small_quest_db.to_packed()
         serial = Apriori(SUPPORT).mine(small_quest_db)
         pairs = sorted(s for s in serial.frequent if len(s) == 2)[:8]
         bits = ItemBitmap(sorted({c[0] for c in pairs})).bits
-        bounds = _even_bounds(len(small_quest_db), 3)
-        forward, *_ = _count_shard(
-            packed, pairs, bits, bounds, 2, "fast", 64, 16
-        )
-        rotated, *_ = _count_shard(
-            packed, pairs, bits, bounds[1:] + bounds[:1], 2, "fast", 64, 16
-        )
+        bounds = tuple(_even_bounds(len(small_quest_db), 3))
+        forward = _count_unit(
+            packed, {}, _Unit(0, bits, bounds), 2, pairs, "fast", 64, 16
+        ).body
+        rotated = _count_unit(
+            packed, {}, _Unit(0, bits, bounds[1:] + bounds[:1]), 2, pairs,
+            "fast", 64, 16,
+        ).body
         assert forward == rotated == [serial.frequent[c] for c in pairs]
+
+    def test_one_row_unit_counts_without_root_filter(self, small_quest_db):
+        # G = 1 (CD): the bin is every candidate, no root filter runs,
+        # and the unit records no shift time and no prune tallies.
+        serial = Apriori(SUPPORT).mine(small_quest_db)
+        pairs = sorted(s for s in serial.frequent if len(s) == 2)[:8]
+        for store in (small_quest_db.to_packed(),
+                      small_quest_db.transactions):
+            reply = _count_unit(
+                store, {}, _Unit(0, None, ((0, len(small_quest_db)),)), 2,
+                pairs, "fast", 64, 16,
+            )
+            assert reply.body == [serial.frequent[c] for c in pairs]
+            assert (reply.shift_s, reply.checked, reply.skipped) == (
+                0.0, 0, 0
+            )
 
 
 class TestRecoveryLadder:
@@ -357,53 +421,76 @@ class TestRecoveryLadder:
         worker's own pass request), so this drives the pool directly:
         both workers are killed under the pool's feet, respawns are
         refused, and recovery of worker 1 must burn through the dead
-        "survivor" 0 before landing in-process.
+        "survivor" 0 before landing in-process — on IDD's grid and on
+        CD's one-row plan alike.
         """
         from multiprocessing import get_context
 
         candidates = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-        pool = _PartitionedPool(
-            get_context(), 2, tiny_partition_db.to_packed(),
-            len(tiny_partition_db), 64, 16, "fast",
-            mode="idd", data_plane="pickle", recv_timeout=10.0,
-            max_retries=0,
-        )
-        try:
-            clean = pool.count_pass(2, candidates)
-            units, owned_idx, _rows = pool._plan(candidates)
-            for wid in (0, 1):
-                pool._slots[wid].process.terminate()
-                pool._slots[wid].process.join(timeout=10)
-            pool._refusals_left = 10 ** 9
-            unit = units[1]
-            vector = pool._recover(
-                1, 2, candidates, None, unit, len(owned_idx[unit.row]),
-                "died",
+        for miner_cls in (NativeIntelligentDistribution,
+                          NativeCountDistribution):
+            rows_rule = miner_cls(TINY_SUPPORT, 2)._rows
+            pool = _Pool(
+                get_context(), 2, tiny_partition_db.transactions, 64, 16,
+                "fast", data_plane="pickle", recv_timeout=10.0,
+                max_retries=0,
             )
-            assert [(r.k, r.worker, r.action) for r in pool.fault_log] == [
-                (2, 0, "repacked"),
-                (2, 1, "inprocess"),
-            ]
-            owned = [candidates[i] for i in owned_idx[unit.row]]
-            assert vector == [clean[candidates.index(c)] for c in owned]
-            assert pool.num_workers == 0
-        finally:
-            pool.shutdown()
+            try:
+                clean = pool.count_pass(2, candidates, rows_rule)
+                units, owned_idx = pool._plan(candidates, rows_rule)
+                for wid in (0, 1):
+                    pool._slots[wid].process.terminate()
+                    pool._slots[wid].process.join(timeout=10)
+                pool._refusals_left = 10 ** 9
+                unit = units[1]
+                owned_rows = owned_idx[unit.row]
+                if owned_rows is None:  # one row: every candidate
+                    owned_rows = range(len(candidates))
+                vector = pool._recover(
+                    1, "died", "pass", 2,
+                    (candidates, None, unit.bits, unit.ring),
+                    len(owned_rows), exclude=frozenset(),
+                    inprocess=lambda: pool._count_inprocess(
+                        2, candidates, unit
+                    ),
+                )
+                assert [
+                    (r.k, r.worker, r.action) for r in pool.fault_log
+                ] == [
+                    (2, 0, "repacked"),
+                    (2, 1, "inprocess"),
+                ]
+                owned = [candidates[i] for i in owned_rows]
+                walked = [
+                    set(t) for lo, hi in unit.ring
+                    for t in tiny_partition_db.transactions[lo:hi]
+                ]
+                assert vector == [
+                    sum(set(c) <= t for t in walked) for c in owned
+                ]
+                if miner_cls is NativeIntelligentDistribution:
+                    # An IDD ring walks every transaction: clean totals.
+                    assert vector == [
+                        clean[candidates.index(c)] for c in owned
+                    ]
+                assert pool.num_workers == 0
+            finally:
+                pool.shutdown()
 
     def test_empty_pool_counts_in_parent(self, tiny_partition_db,
                                          tiny_serial):
-        # After a total collapse, later passes run via _count_all.
+        # After a total collapse, later passes count in the parent.
         from multiprocessing import get_context
 
-        pool = _PartitionedPool(
-            get_context(), 2, tiny_partition_db.to_packed(),
-            len(tiny_partition_db), 64, 16, "fast",
-            mode="idd", data_plane="pickle",
+        pool = _Pool(
+            get_context(), 2, tiny_partition_db.transactions, 64, 16,
+            "fast", data_plane="pickle",
         )
         try:
-            pool.shutdown()  # empty the pool, keep the packed store
+            pool.shutdown()  # empty the pool, keep the transactions
             candidates = [(1, 2), (2, 3), (2, 4), (3, 4)]
-            totals = pool.count_pass(2, candidates)
+            idd_rows = NativeIntelligentDistribution(TINY_SUPPORT, 2)._rows
+            totals = pool.count_pass(2, candidates, idd_rows)
             expected = [tiny_serial.frequent.get(c, None) for c in candidates]
             for total, exact in zip(totals, expected):
                 if exact is not None:

@@ -22,11 +22,14 @@ from repro.core.partition import partition_by_first_item
 from repro.core.transaction import TransactionDB
 from repro.parallel import native as native_module
 from repro.parallel import native_idd as native_idd_module
-from repro.parallel.native import NativeCountDistribution, serial_pass_one
+from repro.parallel.native import (
+    NativeCountDistribution,
+    owned_rows,
+    serial_pass_one,
+)
 from repro.parallel.native_idd import (
     NativeHybridDistribution,
     NativeIntelligentDistribution,
-    owned_rows,
 )
 
 np = pytest.importorskip("numpy")

@@ -24,7 +24,7 @@ from repro.core.rules import generate_rules
 from repro.core.transaction import TransactionDB
 from repro.data.corpus import t15_i6
 from repro.data.quest import generate
-from repro.parallel.native import NativeCountDistribution
+from repro.parallel.native import NativeCountDistribution, WorkerError
 from repro.parallel.native_idd import NativeIntelligentDistribution
 from repro.parallel.son import merge_candidates, mine_blocks, superset_size
 
@@ -231,6 +231,48 @@ class TestPhaseOneFaults:
             log = list(miner.fault_log)
         assert result.frequent == serial.frequent
         assert [(r.worker, r.action) for r in log] == [(1, "inprocess")]
+
+    def test_phase_one_corrupt_reply_respawns(self, quest_db, serial):
+        with NativeCountDistribution(
+            SUPPORT, 3, max_k=4, two_phase=True,
+            faults="corrupt@1:k2", backoff_base=0.01, recv_timeout=10.0,
+        ) as miner:
+            result = miner.mine(quest_db)
+            log = list(miner.fault_log)
+        assert result.frequent == serial.frequent
+        assert [(r.worker, r.failure, r.action) for r in log] == [
+            (1, "corrupt", "respawned")
+        ]
+
+    def test_phase_one_slow_reply_times_out(self):
+        # The chaos db mines in milliseconds and a forked worker starts
+        # as fast, so only the injected delay outlasts the 0.2 s
+        # deadline; a spawned worker's interpreter start alone can.
+        import time
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+        db = TransactionDB(CHAOS_TRANSACTIONS)
+        start = time.monotonic()
+        with NativeCountDistribution(
+            CHAOS_SUPPORT, 3, two_phase=True, start_method="fork",
+            faults="delay@1:k2:30", backoff_base=0.01, recv_timeout=0.2,
+        ) as miner:
+            result = miner.mine(db)
+            log = list(miner.fault_log)
+        elapsed = time.monotonic() - start
+        assert result.frequent == Apriori(CHAOS_SUPPORT).mine(db).frequent
+        assert [(r.worker, r.failure, r.action) for r in log] == [
+            (1, "timeout", "respawned")
+        ]
+        assert elapsed < 15  # the 30 s sleeper is terminated, not awaited
+
+    def test_phase_one_error_surfaces(self, quest_db):
+        miner = NativeCountDistribution(
+            SUPPORT, 2, max_k=4, two_phase=True, faults="error@0:k2"
+        )
+        with pytest.raises(WorkerError, match="failed at SON phase 1"):
+            miner.mine(quest_db)
 
 
 # --- crash-and-resume: the coordinator itself is SIGKILLed ------------
