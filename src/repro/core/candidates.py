@@ -161,10 +161,7 @@ def _generate_matrix(prev) -> "np.ndarray":
                 if not len(joined):
                     break
                 columns = [c for c in range(k) if c != drop]
-                subset = _row_keys(joined, columns)
-                at = np.searchsorted(keys, subset)
-                np.minimum(at, n - 1, out=at)
-                joined = joined[keys[at] == subset]
+                joined = joined[_find_rows(keys, joined, columns)[1]]
             chunks.append(joined)
         lo = hi
     if not chunks:
@@ -181,6 +178,19 @@ def _row_keys(rows, columns):
     """
     wide = np.ascontiguousarray(rows[:, list(columns)], dtype=">u4")
     return wide.view(f"S{4 * len(columns)}").ravel()
+
+
+def _find_rows(keys, rows, columns):
+    """Exact sorted-key lookup of the sub-rows ``rows[:, columns]``.
+
+    ``keys`` are the :func:`_row_keys` of a sorted, non-empty matrix.
+    Returns ``(at, found)``: for each sub-row, the index of the matrix
+    row equal to it, valid only where ``found`` is true.
+    """
+    wanted = _row_keys(rows, columns)
+    at = np.searchsorted(keys, wanted)
+    np.minimum(at, len(keys) - 1, out=at)
+    return at, keys[at] == wanted
 
 
 def itemset_matrix(itemsets: Sequence[Itemset]):

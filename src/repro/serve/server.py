@@ -226,6 +226,11 @@ def _encode(payload: dict[str, Any]) -> bytes:
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer; ``true``/``false`` decode to ``bool``, an ``int``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class RuleServer:
     """Long-lived rule-serving daemon with background re-mining.
 
@@ -413,14 +418,14 @@ class RuleServer:
         if (
             not isinstance(basket, list)
             or not basket
-            or not all(isinstance(item, int) for item in basket)
+            or not all(_is_int(item) for item in basket)
         ):
             self.stats.record_failed_query()
             return {
                 "status": "error",
                 "error": "query needs a non-empty integer 'basket' list",
             }
-        if top is not None and (not isinstance(top, int) or top < 1):
+        if top is not None and (not _is_int(top) or top < 1):
             self.stats.record_failed_query()
             return {"status": "error", "error": "'top' must be a positive int"}
         # One atomic read: everything below sees this snapshot only.

@@ -1,14 +1,29 @@
 """Tests for association-rule generation."""
 
+import random
+from collections import Counter
+from contextlib import contextmanager, nullcontext
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import fastnp
+from repro.core import rules as rules_module
 from repro.core.apriori import Apriori
 from repro.core.rules import generate_rules, rules_from_result
 from repro.core.transaction import TransactionDB
+
+INT32_MAX = 2**31 - 1
+
+
+@contextmanager
+def tuple_path():
+    """Run generate_rules on its numpy-free tuple path."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fastnp, "HAVE_NUMPY", False)
+        yield
 
 
 def brute_force_rules(frequent, num_transactions, min_confidence):
@@ -87,9 +102,20 @@ class TestGenerateRules:
         assert {(r.antecedent, r.consequent) for r in strict} == {((2,), (1,))}
 
     def test_missing_subset_raises_keyerror(self):
-        # Not downward closed: (1,2) present without (1,).
-        with pytest.raises(KeyError):
-            generate_rules({(1, 2): 2, (2,): 3}, 10, 0.1)
+        # Not downward closed: (1,2) present without (1,); and every
+        # subset of (1,2,3,4) but (2,3).  Both paths name the gap.
+        gapped = {
+            subset: 5 - size
+            for size in range(1, 5)
+            for subset in combinations((1, 2, 3, 4), size)
+            if subset != (2, 3)
+        }
+        for frequent, missing in (({(1, 2): 2, (2,): 3}, (1,)), (gapped, (2, 3))):
+            for min_confidence in (0.1, 0.9, 1.0):
+                for path in (nullcontext, tuple_path):
+                    with path(), pytest.raises(KeyError) as raised:
+                        generate_rules(frequent, 10, min_confidence)
+                    assert raised.value.args == (missing,)
 
     def test_matches_brute_force_on_supermarket(self, supermarket_db):
         result = Apriori(0.4).mine(supermarket_db)
@@ -197,3 +223,100 @@ class TestSupportMemoization:
             _CountingTable(result.frequent), result.num_transactions, 0.3
         )
         assert plain == counted
+
+
+@st.composite
+def closed_tables(draw):
+    """A downward-closed table, its |T|, a confidence and whether its
+    counts were mined.
+
+    Mined counts are anti-monotone, as Apriori's are.  Free counts are
+    not, so ap-genrules' consequent prune decides which rules exist.
+    Item ids are shifted so the largest is small, ``2**31 - 1`` (still
+    int32) or ``2**31`` (past it).  The confidence is often an
+    attainable count ratio, exactly or just above it, so rules sit on
+    both sides of the threshold's ``1e-12`` tolerance.
+    """
+    rows = draw(st.lists(
+        st.sets(st.integers(0, 7), min_size=1, max_size=7), min_size=1, max_size=12
+    ))
+    min_count = draw(st.integers(1, 3))
+    counts = Counter(
+        subset
+        for row in rows
+        for size in range(1, len(row) + 1)
+        for subset in combinations(sorted(row), size)
+    )
+    table = {s: c for s, c in counts.items() if c >= min_count}
+    mined = draw(st.booleans())
+    if not mined:
+        free = draw(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+        table = {s: free[i % len(free)] for i, s in enumerate(sorted(table))}
+    top = max((s[-1] for s in table), default=0)
+    shift = draw(st.sampled_from([0, INT32_MAX - top, INT32_MAX + 1 - top]))
+    table = {tuple(i + shift for i in s): c for s, c in table.items()}
+    ratios = sorted({
+        table[z] / table[x]
+        for z in table
+        for size in range(1, len(z))
+        for x in combinations(z, size)
+        if table[z] <= table[x]
+    })
+    # Nudged by less than the 1e-12 tolerance a ratio's rule still
+    # passes; nudged by more it fails.
+    edge = st.tuples(
+        st.sampled_from(ratios or [1.0]), st.sampled_from([0.0, 5e-13, 2e-12])
+    ).map(lambda pair: min(1.0, sum(pair)))
+    confidence = draw(edge | st.floats(min_value=0.01, max_value=1.0))
+    num_transactions = max([len(rows), *table.values()])
+    return table, num_transactions, confidence, mined
+
+
+@pytest.mark.skipif(not fastnp.HAVE_NUMPY, reason="the matrix path needs numpy")
+class TestMatrixPath:
+    @settings(max_examples=200, deadline=None)
+    @given(closed_tables())
+    def test_matrix_path_equals_tuple_path(self, drawn):
+        table, num_transactions, confidence, mined = drawn
+        ran_matrix = []
+        original = rules_module._matrix_rules
+
+        def spy(*args):
+            rules = original(*args)
+            ran_matrix.append(rules is not None)
+            return rules
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rules_module, "_matrix_rules", spy)
+            matrix = generate_rules(table, num_transactions, confidence)
+            patch.setattr(fastnp, "HAVE_NUMPY", False)
+            tuples = generate_rules(table, num_transactions, confidence)
+        assert matrix == tuples
+        past = max((s[-1] for s in table), default=0) > INT32_MAX
+        assert ran_matrix == [not past]
+        if mined:
+            produced = {(r.antecedent, r.consequent) for r in matrix}
+            assert produced == brute_force_rules(table, num_transactions, confidence)
+
+
+class TestDeepItemsets:
+    def test_ten_item_set(self):
+        # Four copies of a 10-item set plus noise: each of its 9-item
+        # subsets 0-2 times, and random rows.  Every subset is frequent,
+        # with counts (so confidences) that differ within and across levels.
+        full = tuple(range(10))
+        rng = random.Random(10)
+        noise = [full[:i] + full[i + 1:] for i in range(10) for _ in range(i % 3)]
+        noise += [tuple(sorted(rng.sample(range(12), rng.randint(2, 9)))) for _ in range(30)]
+        db = TransactionDB.from_canonical([full] * 4 + noise)
+        result = Apriori(4 / len(db)).mine(db)
+        assert full in result.frequent
+        assert len({result.frequent[s] for s in result.frequent if len(s) == 9}) > 1
+        for min_confidence in (0.3, 0.9):
+            matrix = generate_rules(result.frequent, len(db), min_confidence)
+            with tuple_path():
+                tuples = generate_rules(result.frequent, len(db), min_confidence)
+            assert matrix == tuples
+            produced = {(r.antecedent, r.consequent) for r in matrix}
+            assert produced == brute_force_rules(result.frequent, len(db), min_confidence)
+            assert max(len(r.antecedent) + len(r.consequent) for r in matrix) == 10

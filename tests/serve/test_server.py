@@ -70,6 +70,20 @@ class TestQueryPath:
         assert client.ping() == 1
         assert client.last_retries == 0
 
+    def test_json_booleans_are_not_integers(self, serving):
+        # json decodes true/false to bool, which isinstance(x, int) accepts.
+        _, client = serving
+        for request in (
+            {"op": "query", "basket": [True]},
+            {"op": "query", "basket": [1, 2], "top": True},
+        ):
+            reply = client.request(request)
+            assert reply["status"] == "error"
+            assert "basket" not in reply
+        stats = client.stats()
+        assert stats.failed_queries == 2
+        assert stats.queries == 0
+
     def test_malformed_line_gets_error_reply(self, serving):
         server, _ = serving
         host, port = server.address
