@@ -7,18 +7,18 @@ the counting work of CD out over actual OS processes.  CD's
 shared-nothing structure survives the GIL cleanly, and the result is
 bit-identical to serial Apriori.
 
-Each worker count runs on both data planes: ``pickle`` serializes
-candidates and count vectors over the worker pipes every pass, while
-the default ``shared`` plane keeps the packed transaction store,
-candidate broadcast, and count vectors in shared memory — watch the
-coordinator-overhead column, which is the cost the zero-copy plane
-exists to remove.
+Each worker count runs on both data planes: the default ``shared``
+plane keeps the packed transaction store in a shared-memory segment,
+while ``mmap`` writes it once to a file that every worker maps
+read-only (the out-of-core plane).  On both, the candidate broadcast
+and the count vectors travel through shared memory — the
+coordinator-overhead column shows what the pass loop itself costs.
 
 What you should expect depends on the machine: on a multi-core box the
 counting passes speed up toward the core count (minus CD's replicated
-tree builds — its published weakness); on a single-core box the workers
-time-slice one CPU and the process overhead makes the run *slower*,
-which this script reports just as honestly.
+candidate set — its published weakness); on a single-core box the
+workers time-slice one CPU and the process overhead makes the run
+*slower*, which this script reports just as honestly.
 
 Run:  python examples/native_multicore.py
 """
@@ -48,7 +48,7 @@ def main() -> None:
           f"({len(serial.frequent)} frequent item-sets)")
 
     for workers in (2, 4):
-        for plane in ("pickle", "shared"):
+        for plane in ("shared", "mmap"):
             miner = NativeCountDistribution(
                 MIN_SUPPORT, workers, data_plane=plane
             )
@@ -75,7 +75,7 @@ def main() -> None:
     else:
         print(
             "\nSpeedup tops out below the worker count because every "
-            "worker rebuilds the full candidate hash tree per pass — "
+            "worker counts the full candidate set over its block — "
             "exactly the CD bottleneck the paper's Figure 13 measures."
         )
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from .cluster.machine import CRAY_T3E, IBM_SP2
 from .core.apriori import Apriori
@@ -52,9 +52,10 @@ from .data.corpus import t15_i6
 from .data.io import read_dat, write_dat
 from .data.quest import generate
 from .experiments.registry import EXPERIMENTS, run_experiment
-from .core.kernels import validate_kernel
+from .core.kernels import KERNELS, validate_kernel
 from .faults import FaultSpec
-from .parallel.native import validate_data_plane
+from .parallel.base import SIMULATED_KERNELS
+from .parallel.native import NATIVE_KERNELS, validate_data_plane
 from .parallel.runner import ALGORITHMS, mine_parallel
 
 __all__ = ["main", "build_parser"]
@@ -80,6 +81,29 @@ def _kernel_arg(text: str) -> str:
         return validate_kernel(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _kernels_for(algorithm: Optional[str]) -> Sequence[str]:
+    """The kernels ``algorithm`` counts with (``None``: serial Apriori)."""
+    if algorithm is None:
+        return KERNELS
+    if algorithm.startswith("native"):
+        return NATIVE_KERNELS
+    return SIMULATED_KERNELS
+
+
+def _check_kernel(
+    parser: argparse.ArgumentParser,
+    kernel: Optional[str],
+    algorithm: Optional[str],
+) -> None:
+    """Usage error (exit 2) for a --kernel the chosen miner cannot run."""
+    if kernel is None:
+        return
+    try:
+        validate_kernel(kernel, _kernels_for(algorithm))
+    except ValueError as exc:
+        parser.error(f"--kernel with --algorithm {algorithm}: {exc}")
 
 
 def _data_plane_arg(text: str) -> str:
@@ -129,10 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "mine a packed store file (written by 'generate "
             "--generate-to') by mapping it read-only instead of loading "
-            "a .dat file into RAM; native algorithms on a zero-copy "
-            "data plane only — with --data-plane mmap (the default "
-            "here) the workers map the attached file directly, so the "
-            "database is never copied"
+            "a .dat file into RAM; native algorithms only — with "
+            "--data-plane mmap (the default here) the workers map the "
+            "attached file directly, so the database is never copied"
         ),
     )
     mine.add_argument("--min-support", type=float, default=0.01)
@@ -168,23 +191,24 @@ def build_parser() -> argparse.ArgumentParser:
             "tree), 'fast' (flat-array tree + triangular pass-2 "
             "counter), 'fast-np' (numpy-vectorized packed counting; "
             "falls back to 'vertical' without numpy), or 'vertical' "
-            "(TID-bitmap intersections); 'fast-np' and 'vertical' are "
-            "serial Apriori and native-* only; counts are bit-identical "
-            "— omit to keep each algorithm's default"
+            "(TID-bitmap intersections); serial Apriori runs all four, "
+            "the simulated formulations 'reference' and 'fast', the "
+            "native-* pool 'fast-np' (its default) and 'vertical'; "
+            "counts are bit-identical — omit to keep each algorithm's "
+            "default"
         ),
     )
     mine.add_argument(
         "--data-plane",
         type=_data_plane_arg,
         default=None,
-        metavar="{pickle,shared,mmap}",
+        metavar="{shared,mmap}",
         help=(
             "native pool only: 'shared' (default; packed transactions "
             "in shared memory, binary candidate broadcast, shared "
-            "count vectors), 'mmap' (the packed store written once to "
-            "a file and mapped read-only by every worker — the "
-            "out-of-core plane) or 'pickle' (serialize everything over "
-            "the worker pipes); results are identical"
+            "count vectors) or 'mmap' (the packed store written once "
+            "to a file and mapped read-only by every worker — the "
+            "out-of-core plane); results are identical"
         ),
     )
     mine.add_argument(
@@ -202,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="ITEMS",
         help=(
-            "native pool, zero-copy planes only: stream each worker's "
+            "native pool only: stream each worker's "
             "store range through counting in blocks of at most this "
             "many items (out-of-core passes over databases larger "
             "than RAM)"
@@ -237,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
             "those locally-frequent sets exactly (phase 2); results "
             "are bit-identical to single-phase Apriori, but no pass "
             "ever materializes the full candidate set, which bounds "
-            "candidate memory on huge databases; requires a zero-copy "
-            "data plane"
+            "candidate memory on huge databases"
         ),
     )
     mine.add_argument(
@@ -356,7 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=_kernel_arg,
         default=None,
         metavar="{reference,fast,fast-np,vertical}",
-        help="counting kernel for the (re-)mines",
+        help=(
+            "counting kernel for the (re-)mines; with --attach the "
+            "native pool's 'fast-np' (default) or 'vertical'"
+        ),
     )
     serve.add_argument(
         "--algorithm",
@@ -483,24 +509,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "native-idd or native-hd): only the native pool can "
                 "mine a mapped packed store in place"
             )
-        if args.attach is not None and (
-            args.data_plane or "mmap"
-        ) == "pickle":
-            parser.error(
-                "--attach requires a zero-copy data plane ('shared' or "
-                "'mmap'); the pickle plane would copy the mapped store "
-                "into every worker"
-            )
+        _check_kernel(parser, args.kernel, args.algorithm)
         if args.two_phase and args.algorithm not in ("native", "native-cd"):
             parser.error(
                 "--two-phase only applies to --algorithm native-cd "
                 "(SON phase 1 runs on the count-distribution pool)"
-            )
-        if args.two_phase and (args.data_plane or "shared") == "pickle":
-            parser.error(
-                "--two-phase requires a zero-copy data plane ('shared' "
-                "or 'mmap'); SON phase 1 mines packed store ranges in "
-                "place"
             )
         if args.data_plane is not None and not native:
             parser.error(
@@ -519,13 +532,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "--block-budget only applies to the native algorithms "
                 "(the simulated formulations have no packed store to "
                 "stream)"
-            )
-        if args.block_budget is not None and (
-            args.data_plane or "shared"
-        ) == "pickle":
-            parser.error(
-                "--block-budget requires a zero-copy data plane "
-                "('shared' or 'mmap')"
             )
         if args.checkpoint_dir is not None and not native:
             parser.error(
@@ -574,6 +580,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "--two-phase and --block-budget only apply with "
                 "--attach (they configure the native re-mines)"
             )
+        if args.attach is not None:
+            _check_kernel(parser, args.kernel, args.algorithm)
         return _cmd_serve(args)
     if args.command == "query":
         actions = sum(

@@ -467,27 +467,6 @@ class FlatHashTree:
     # Count-table manipulation (used by the parallel formulations)
     # ------------------------------------------------------------------
 
-    def add_counts(self, other_counts: Dict[Itemset, int]) -> None:
-        """Element-wise add a count table into this tree's counts.
-
-        Raises ``KeyError`` naming the diverging candidate if
-        ``other_counts`` contains a candidate this tree does not store.
-        """
-        if not self._built:
-            self._build()
-        counts = self._counts
-        flat_pos = self._flat_pos
-        seen = self._seen
-        for candidate, count in other_counts.items():
-            index = seen.get(candidate)
-            if index is None:
-                raise KeyError(
-                    f"add_counts: candidate {candidate!r} is not stored in "
-                    f"this tree (k={self.k}, {len(self._order)} candidates) — "
-                    "count tables diverged"
-                )
-            counts[flat_pos[index]] += count
-
     def reset_counts(self) -> None:
         """Zero all candidate counts (counts only; the tree is kept)."""
         if self._built:

@@ -1,6 +1,6 @@
-"""Counting-kernel selection: ``"reference"`` vs ``"fast"`` vs ``"vertical"``.
+"""Counting-kernel selection: reference, fast, fast-np and vertical.
 
-The repository keeps three implementations of the paper's subset-counting
+The repository keeps four implementations of the paper's subset-counting
 kernel:
 
 * **reference** — :class:`repro.core.hashtree.HashTree`: per-node
@@ -11,9 +11,11 @@ kernel:
   arrays, iterative traversal, no stats on the hot path) plus
   :class:`repro.core.pass2.PairCounter` for the dense pass-2 candidate
   set.  Counts are bit-identical to the reference kernel on every
-  input; only the work counters are absent.
-* **fast-np** — :class:`repro.core.fastnp.FastNumpyCounter`: the tree
-  family's candidates as one flat ``(num, k)`` matrix, counted with
+  input; only the work counters are absent.  The simulated formulations
+  run either tree in instrumented mode, because the Section IV cost
+  model prices tree traversals.
+* **fast-np** — :class:`repro.core.fastnp.FastNumpyCounter`: the
+  candidates as one flat ``(num, k)`` matrix, counted with
   numpy batch operations over packed per-item bit-matrices
   (:class:`~repro.core.fastnp.PackedBitmaps`, reusable across passes
   via :class:`~repro.core.fastnp.PackedBitmapCache`) — no
@@ -31,13 +33,18 @@ kernel:
   workers) reuse them across passes via
   :class:`~repro.core.vertical.TidBitmapCache`.
 
+Serial :class:`~repro.core.apriori.Apriori` runs all four; the native
+pool counts only with the two bitmap kernels, ``fast-np`` and
+``vertical``.  :func:`validate_kernel` checks a name against the set a
+miner allows.
+
 :func:`make_counter` is the single decision point: drivers name a
 kernel and get back an object with the shared counting surface
 (``count_transaction`` / ``count_database`` / ``count_packed`` /
-``counts`` / ``frequent`` / ``shape`` / ``add_counts`` /
-``reset_counts``).  ``count_packed`` consumes ``(offsets, items)``
-slices of a :class:`~repro.core.packed.PackedDB` — the zero-copy data
-plane feeds shared-memory stores straight into either kernel through
+``counts`` / ``frequent`` / ``shape`` / ``reset_counts``).
+``count_packed`` consumes ``(offsets, items)`` slices of a
+:class:`~repro.core.packed.PackedDB` — the data planes feed
+shared-memory and file-backed stores straight into any kernel through
 :func:`count_packed_into`.
 """
 
@@ -75,16 +82,19 @@ Counter = Union[HashTree, FlatHashTree, PairCounter, FastNumpyCounter, VerticalC
 _PASS2_MIN_FILL = 1 / 3
 
 
-def validate_kernel(kernel: str) -> str:
-    """Return ``kernel`` if it names a known counting kernel.
+def validate_kernel(kernel: str, allowed: Sequence[str] = KERNELS) -> str:
+    """Return ``kernel`` if it is one of the ``allowed`` kernel names.
 
     Raises:
-        ValueError: for anything other than ``"reference"``, ``"fast"``,
-            ``"fast-np"``, or ``"vertical"``.
+        ValueError: naming the allowed kernels, for an unknown name or
+            for a known kernel the caller cannot run.
     """
-    if kernel not in KERNELS:
-        known = ", ".join(repr(k) for k in KERNELS)
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of: {known}")
+    if kernel not in allowed:
+        known = ", ".join(repr(k) for k in allowed)
+        reason = "unsupported" if kernel in KERNELS else "unknown"
+        raise ValueError(
+            f"{reason} kernel {kernel!r}; expected one of: {known}"
+        )
     return kernel
 
 
@@ -111,7 +121,6 @@ def make_counter(
     kernel: str = "fast",
     branching: int = 64,
     leaf_capacity: int = 16,
-    needs_root_filter: bool = False,
 ) -> Counter:
     """Build a support counter over one pass's candidates.
 
@@ -125,10 +134,6 @@ def make_counter(
             (TID-bitmap intersections).
         branching / leaf_capacity: hash tree geometry (ignored by the
             pair counter and the matrix/bitmap counters).
-        needs_root_filter: the caller will pass ``root_filter`` when
-            counting (IDD-style pruning); forces a kernel with a root
-            level, since the pair counter has none.  The fast-np and
-            vertical kernels filter on first items and qualify.
 
     Returns:
         A counter exposing the shared counting surface.
@@ -146,7 +151,7 @@ def make_counter(
         return VerticalCounter(k, candidates)
     if kernel == "vertical":
         return VerticalCounter(k, candidates)
-    if k == 2 and candidates and not needs_root_filter:
+    if k == 2 and candidates:
         counter = PairCounter(candidates)
         if counter.triangle_size * _PASS2_MIN_FILL <= len(candidates):
             return counter

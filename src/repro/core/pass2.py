@@ -190,24 +190,6 @@ class PairCounter:
     # Count-table manipulation
     # ------------------------------------------------------------------
 
-    def add_counts(self, other_counts: Dict[Itemset, int]) -> None:
-        """Element-wise add a count table into this counter's counts.
-
-        Raises ``KeyError`` naming the diverging candidate if
-        ``other_counts`` contains a pair this counter does not store.
-        """
-        tri = self._tri
-        index = self._index
-        for candidate, count in other_counts.items():
-            slot = index.get(candidate)
-            if slot is None:
-                raise KeyError(
-                    f"add_counts: candidate {candidate!r} is not stored in "
-                    f"this pass-2 counter ({len(index)} pairs) — count "
-                    "tables diverged"
-                )
-            tri[slot] += count
-
     def reset_counts(self) -> None:
         """Zero all counts (the rank structure is kept)."""
         self._tri = [0] * len(self._tri)

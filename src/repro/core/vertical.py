@@ -380,25 +380,6 @@ class VerticalCounter:
     # Count-table manipulation
     # ------------------------------------------------------------------
 
-    def add_counts(self, other_counts: Dict[Itemset, int]) -> None:
-        """Element-wise add a count table into this counter's counts.
-
-        Raises ``KeyError`` naming the diverging candidate if
-        ``other_counts`` contains a candidate this counter does not
-        store.
-        """
-        counts = self._counts
-        index = self._index
-        for candidate, count in other_counts.items():
-            slot = index.get(candidate)
-            if slot is None:
-                raise KeyError(
-                    f"add_counts: candidate {candidate!r} is not stored in "
-                    f"this vertical counter ({len(index)} candidates) — "
-                    "count tables diverged"
-                )
-            counts[slot] += count
-
     def reset_counts(self) -> None:
         """Zero all counts (candidates and cache wiring are kept)."""
         self._counts = [0] * len(self._counts)

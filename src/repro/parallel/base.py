@@ -35,7 +35,16 @@ from ..core.kernels import validate_kernel
 from ..core.transaction import TransactionDB
 from ..faults import FaultSpec
 
-__all__ = ["ParallelMiner", "MiningResult", "ParallelPassStats"]
+__all__ = [
+    "ParallelMiner",
+    "MiningResult",
+    "ParallelPassStats",
+    "SIMULATED_KERNELS",
+]
+
+#: The kernels the simulated formulations run: both trees, instrumented
+#: (see :meth:`ParallelMiner.build_tree`).
+SIMULATED_KERNELS = ("reference", "fast")
 
 
 @dataclass
@@ -188,9 +197,11 @@ class ParallelMiner(ABC):
             the simulated timings are unchanged, only the wall-clock
             cost of running the simulation drops.  The uninstrumented
             fast path (and the pass-2 pair counter) are reserved for
-            real mining (:class:`~repro.core.apriori.Apriori`,
-            :class:`~repro.parallel.native.NativeCountDistribution`)
-            because the cost model prices the counters.
+            serial :class:`~repro.core.apriori.Apriori` because the cost
+            model prices the counters.  ``"vertical"`` and ``"fast-np"``
+            raise ``ValueError``: bitmap intersection and vectorized
+            batch counting perform none of the tree traversals the
+            Section IV cost model prices.
         faults: optional :class:`~repro.faults.FaultSpec` (or spec
             string) of injected processor failures, consumed by the
             cluster's per-processor failure hooks: a killed processor is
@@ -234,7 +245,7 @@ class ParallelMiner(ABC):
         self.charge_io = charge_io
         self.trace = trace
         self.parallel_candgen = parallel_candgen
-        self.kernel = validate_kernel(kernel)
+        self.kernel = validate_kernel(kernel, SIMULATED_KERNELS)
         self.faults = FaultSpec.of(faults)
 
     # ------------------------------------------------------------------
@@ -400,22 +411,7 @@ class ParallelMiner(ABC):
         :class:`HashTree` or, with ``kernel="fast"``, a
         :class:`FlatHashTree` in instrumented mode whose counters (and
         therefore every derived simulated timing) are bit-identical.
-
-        Raises:
-            ValueError: for ``kernel="vertical"`` or ``kernel="fast-np"``
-                — bitmap intersection and vectorized batch counting
-                perform none of the tree traversals the Section IV
-                cost model prices, so the simulated formulations cannot
-                time them.  Those kernels are for real mining only
-                (serial :class:`~repro.core.apriori.Apriori` and the
-                native pool).
         """
-        if self.kernel in ("vertical", "fast-np"):
-            raise ValueError(
-                f"kernel={self.kernel!r} is not available in the simulated "
-                "formulations (no instrumented traversal to price); use "
-                "a native-* algorithm or serial Apriori"
-            )
         if self.kernel == "fast":
             tree = FlatHashTree(
                 k,

@@ -24,22 +24,28 @@ unit, and the next pass re-plans the grid over whatever workers live.
 SON phase 1 (``two_phase=True``) is a ``mine`` request on the same
 fan-out: each worker mines its one-row ring locally.
 
-Three data planes move the bits (``data_plane=``):
+Two data planes move the bits (``data_plane=``):
 
 * ``"shared"`` (default) — the coordinator packs the database once into
   a ``multiprocessing.shared_memory`` segment that workers attach by
-  name, so no transaction is ever pickled.  Each pass's candidates are
-  one binary frame in a shared candidate segment, and each worker
-  writes its count vector into its own slot of a shared int64 region;
-  the pipes carry only small control frames.
+  name, so no transaction is ever pickled.
 * ``"mmap"`` — the same, but the packed store is a disk file (under
   ``store_dir``, or an attached store's own file) that workers map
-  read-only: the minable database is bounded by disk, not RAM.  With
-  ``block_budget`` a ring walks each block in bounded sub-ranges.
-* ``"pickle"`` — every worker receives the transactions by value once
-  (fork inheritance or a one-shot pickle), and candidates and counts
-  cross the pipes pickled.  Nothing is packed, so item ids past int32
-  still mine.
+  read-only: the minable database is bounded by disk, not RAM.
+
+On both, each pass's candidates are one binary frame in a shared
+candidate segment and each worker writes its count vector into its own
+slot of a shared int64 region; the pipes carry only small control
+frames.  With ``block_budget`` a ring walks each block in bounded
+sub-ranges.  The packed store holds int32 item ids, so a database with
+an id past 2^31 - 1 raises ``ValueError`` (serial
+:class:`~repro.core.apriori.Apriori` still mines it).
+
+Workers count with one of two bitmap kernels (``kernel=``):
+``"fast-np"`` (default; numpy bit-matrices, counted straight out of the
+shared candidate frame, or ``"vertical"`` with one ``RuntimeWarning``
+when numpy is absent) or ``"vertical"`` (pure-python TID bitmaps).
+Both keep their per-block bitmaps in a cross-pass cache.
 
 The pool is **fault tolerant** on every plane.  Receives are poll-based
 with a per-pass deadline; a worker that times out, dies or replies with
@@ -126,6 +132,7 @@ __all__ = [
     "WorkerError",
     "PassOverhead",
     "DATA_PLANES",
+    "NATIVE_KERNELS",
     "validate_data_plane",
 ]
 
@@ -140,15 +147,17 @@ _KILLED_EXIT = 17
 # under a two-phase mine.  Each event still fires exactly once.
 _SON_FAULT_K = 2
 
-DATA_PLANES = ("pickle", "shared", "mmap")
+DATA_PLANES = ("shared", "mmap")
+
+#: The counting kernels the pool's workers run (see module docstring).
+NATIVE_KERNELS = ("fast-np", "vertical")
 
 
 def validate_data_plane(data_plane: str) -> str:
     """Return ``data_plane`` if it names a known native data plane.
 
     Raises:
-        ValueError: for anything other than ``"pickle"``, ``"shared"``
-            or ``"mmap"``.
+        ValueError: for anything other than ``"shared"`` or ``"mmap"``.
     """
     if data_plane not in DATA_PLANES:
         known = ", ".join(repr(p) for p in DATA_PLANES)
@@ -173,12 +182,11 @@ class PassOverhead:
     """Coordinator-side timing decomposition of one pool pass.
 
     ``broadcast_s`` is the time the coordinator spends making candidates
-    available to the workers (zero-copy planes: one binary segment write
-    plus P tiny frames; pickle plane: P pickled candidate lists);
-    ``reduce_s`` is the time spent decoding replies and summing count
-    vectors; ``wait_s`` is the time blocked waiting on worker replies —
-    i.e. worker compute, not coordinator overhead.  The data-plane
-    benchmark (``benchmarks/bench_native.py``) records
+    available to the workers (one binary segment write plus P tiny
+    frames); ``reduce_s`` is the time spent decoding replies and summing
+    count vectors; ``wait_s`` is the time blocked waiting on worker
+    replies — i.e. worker compute, not coordinator overhead.  The
+    data-plane benchmark (``benchmarks/bench_native.py``) records
     ``broadcast_s + reduce_s`` per plane.
 
     The grid categories:
@@ -190,14 +198,15 @@ class PassOverhead:
       worker counted: |C_k| on one-row passes, where every worker holds
       the whole set; with G rows it shrinks about G-fold — the paper's
       single-candidate-set-per-node memory argument;
-    * ``prune_checked`` / ``prune_skipped`` — root-level bitmap filter
-      tests and the subset of them that pruned the traversal
-      (:attr:`prune_rate` is the bitmap-prune hit rate); zero on
-      one-row passes, which count with no root filter.
+    * ``prune_checked`` / ``prune_skipped`` — first-item ownership
+      tests against the row's bitmap (each worker tests every distinct
+      candidate first item once) and the number that failed, i.e. the
+      first items whose candidates the worker skipped (:attr:`prune_rate`
+      is the hit rate); zero on one-row passes, which own every
+      candidate.
 
-    The bitmap kernels (``"vertical"``, ``"fast-np"``) fill two more,
-    both the *max* across workers (critical-path semantics, like
-    ``shift_s``); they stay zero under the tree kernels:
+    Two more are the *max* across workers (critical-path semantics,
+    like ``shift_s``):
 
     * ``bitmap_build_s`` — seconds building (or fetching from the
       per-worker cache) the TID bitmaps; near-zero from the second
@@ -205,9 +214,7 @@ class PassOverhead:
     * ``intersect_s`` — seconds intersecting candidate bitmaps and
       popcounting.
 
-    The shared candidate plane fills the last two (zero on the pickle
-    plane, where candidates are pickled per worker into
-    ``broadcast_s``):
+    The shared candidate plane fills the last two:
 
     * ``cand_build_s`` — coordinator seconds encoding the pass's
       candidates into (or recognizing them already present in) the
@@ -288,7 +295,7 @@ def _accumulate(totals, vector, rows=None) -> None:
 
 
 def _candidate_tuples(candidates) -> List[Itemset]:
-    """The pass's candidates as tuples (pickle payloads, in-process rungs)."""
+    """The pass's candidates as tuples (for the in-process rung)."""
     if isinstance(candidates, list):
         return candidates
     return list(map(tuple, candidates.tolist()))
@@ -313,12 +320,8 @@ def _even_bounds(num_transactions: int, parts: int) -> List[Tuple[int, int]]:
 
 
 def _bitmap_cache(kernel: str):
-    """A holder's cross-pass bitmap cache (bitmap kernels only)."""
-    if kernel == "vertical":
-        return TidBitmapCache()
-    if kernel == "fast-np":
-        return fastnp.make_cache()
-    return None
+    """A holder's cross-pass bitmap cache for ``kernel``."""
+    return TidBitmapCache() if kernel == "vertical" else fastnp.make_cache()
 
 
 def owned_rows(candidates, rows: int) -> Tuple[List, List[int]]:
@@ -601,9 +604,9 @@ class _Unit(NamedTuple):
 class _Reply:
     """One worker reply: the result of a request and what it cost.
 
-    ``body`` is the count vector (inline replies), the number of counts
-    written to the worker's shared slot (``pass`` requests on the
-    zero-copy planes), or the local frequent sets of a ``mine`` request.
+    ``body`` is the count vector (``adopt`` replies), the number of
+    counts written to the worker's shared slot (``pass`` requests), or
+    the local frequent sets of a ``mine`` request.
     The rest are the worker's measurements, folded into the pass's
     :class:`PassOverhead` by :func:`_charge`.
     """
@@ -637,8 +640,8 @@ class _TallyFilter:
     """A root filter that counts its own membership tests.
 
     Wraps the owned-first-items :class:`~repro.core.bitmap.ItemBitmap`
-    so the worker can report how many root-level tests the kernels made
-    (``checked``) and how many pruned the traversal (``skipped``) — the
+    so the worker can report how many first items it tested
+    (``checked``) and how many it does not own (``skipped``) — the
     numbers behind :attr:`PassOverhead.prune_rate`.
     """
 
@@ -659,60 +662,52 @@ class _TallyFilter:
 
 def _count_unit(
     store,
-    blocks: Dict[Tuple[int, int], list],
     unit: _Unit,
     k: int,
     candidates: Optional[List[Itemset]],
     kernel: str,
-    branching: int,
-    leaf_capacity: int,
     cache=None,
     plane_counter=None,
     kill_after: Optional[int] = None,
 ) -> _Reply:
-    """Count one unit; the reply's body is its bin's vector in order.
+    """Count one unit over a packed store; the body is its bin's vector.
 
-    ``store`` is a packed store (zero-copy planes) or the transaction
-    list itself (pickle plane), whose ``(lo, hi)`` ranges are sliced
-    once into ``blocks`` so the identity-keyed bitmap caches stay warm
-    across passes.  The bin is rebuilt from the full candidate list and
-    the unit's bitmap (worker and coordinator select ``c[0] in bitmap``
-    over the same sorted list, so they agree on bin order without ever
-    shipping it).  ``plane_counter`` is the zero-copy fast-np path: a
-    :class:`~repro.core.fastnp.FastNumpyCounter` over *every* candidate,
-    decoded once from the shared candidate segment, whose bin is a row
-    mask instead of a rebuilt counter (the tally then sees each
-    distinct first item once).  Shared by the worker loop and the
-    parent's in-process rung, so both produce identical counts.
+    The bin is every candidate whose first item the unit's bitmap owns;
+    worker and coordinator select it from the same sorted candidates, so
+    they agree on bin order without ever shipping it, and the tally
+    tests each distinct first item once.  ``plane_counter`` is the
+    zero-copy fast-np path: a :class:`~repro.core.fastnp.FastNumpyCounter`
+    over *every* candidate, decoded once from the shared candidate
+    segment, whose bin is a row mask.  Otherwise the bin's tuples get a
+    fresh ``kernel`` counter wired to ``cache``, the holder's cross-pass
+    bitmap cache.  Shared by the worker loop and the parent's in-process
+    rung, so both produce identical counts.
 
     ``kill_after`` is the fault-injection hook: die (``os._exit``) after
     that many completed ring steps — a genuine mid-ring death, with the
     count vector never published anywhere.
     """
-    if unit.bits is None:
-        bitmap = tally = None
-    else:
-        bitmap = ItemBitmap.from_bits(unit.bits)
-        tally = _TallyFilter(bitmap)
-    counter, root_filter = plane_counter, tally
+    tally = (
+        None if unit.bits is None
+        else _TallyFilter(ItemBitmap.from_bits(unit.bits))
+    )
+    owned = selected = None
     if plane_counter is not None:
+        counter = plane_counter
+        counter.reset_counts()
         if tally is not None:
-            root_filter = plane_counter.first_item_mask(tally)
-        size = len(plane_counter) if tally is None else int(root_filter.sum())
-        plane_counter.reset_counts()
+            selected = counter.first_item_mask(tally)
+        size = len(counter) if selected is None else int(selected.sum())
     else:
-        owned = (
-            candidates if tally is None
-            else [c for c in candidates if c[0] in bitmap]
-        )
+        owned = candidates
+        if tally is not None:
+            firsts = {c[0] for c in candidates}
+            kept = {item for item in firsts if item in tally}
+            owned = [c for c in candidates if c[0] in kept]
         size = len(owned)
-        if owned:
-            counter = make_counter(
-                k, owned, kernel=kernel, branching=branching,
-                leaf_capacity=leaf_capacity,
-                needs_root_filter=tally is not None,
-            )
-            if cache is not None and kernel in ("vertical", "fast-np"):
+        if size:
+            counter = make_counter(k, owned, kernel=kernel)
+            if cache is not None:
                 counter.use_cache(cache)
     reply = _Reply([])
     if size == 0 and kill_after is not None:
@@ -720,29 +715,22 @@ def _count_unit(
         # schedules stay deterministic regardless of bin packing.
         os._exit(_KILLED_EXIT)
     if size:
-        build_0 = getattr(counter, "build_s", 0.0)
-        intersect_0 = getattr(counter, "intersect_s", 0.0)
+        build_0, intersect_0 = counter.build_s, counter.intersect_s
         for step, (lo, hi) in enumerate(unit.ring, 1):
             tick = time.perf_counter()
-            if isinstance(store, list):
-                block = blocks.get((lo, hi))
-                if block is None:
-                    block = blocks[lo, hi] = store[lo:hi]
-                counter.count_database(block, root_filter)
-            else:
-                count_packed_into(counter, store, lo, hi, root_filter)
+            count_packed_into(counter, store, lo, hi, selected)
             reply.shift_s += time.perf_counter() - tick
             if kill_after is not None and step >= kill_after:
                 os._exit(_KILLED_EXIT)
-        if plane_counter is None:
+        if owned is not None:
             counts = counter.counts()
             reply.body = [counts[c] for c in owned]
-        elif tally is None:
-            reply.body = plane_counter.counts_vector()
+        elif selected is None:
+            reply.body = counter.counts_vector()
         else:
-            reply.body = plane_counter.counts_for(root_filter)
-        reply.build_s = getattr(counter, "build_s", 0.0) - build_0
-        reply.intersect_s = getattr(counter, "intersect_s", 0.0) - intersect_0
+            reply.body = counter.counts_for(selected)
+        reply.build_s = counter.build_s - build_0
+        reply.intersect_s = counter.intersect_s - intersect_0
     if tally is None:  # one-row units record no shift and no prune
         reply.shift_s = 0.0
     else:
@@ -770,19 +758,16 @@ def _recv_command(conn):
 
 def _worker_main(
     conn,
-    plane: Tuple,
-    branching: int,
-    leaf_capacity: int,
+    store_ref: Tuple[str, str],
+    slot: int,
     kernel: str,
     fault_events: List[FaultEvent] = (),
 ) -> None:
     """The worker loop: count (or mine) one unit per request.
 
-    ``plane`` is ``("shared", store_ref, slot)`` — attach the packed
-    store by reference (``("shm", name)`` segment or ``("mmap", path)``
-    file mapping) and write pass vectors into counts slot ``slot`` — or
-    ``("pickle", transactions, slot)`` — the transactions arrived by
-    value in the spawn arguments and vectors go back inline.
+    The worker attaches the packed store by ``store_ref`` (an ``("shm",
+    name)`` segment or an ``("mmap", path)`` file mapping) and writes
+    its pass vectors into count slot ``slot``.
 
     Request frames (parent -> worker), all ``(tag, seq, k, payload)``:
 
@@ -798,19 +783,17 @@ def _worker_main(
 
     A count payload is ``(candidates, counts, bits, ring)``:
     ``candidates`` is the pass's shared candidate segment name and
-    ``counts`` the ``(name, capacity)`` of the shared count region on
-    the zero-copy planes, or the tuple list and ``None`` on the pickle
-    plane.  A mine payload is ``(min_support, max_k, ring)``.
+    ``counts`` the ``(name, capacity)`` of the shared count region.  A
+    mine payload is ``(min_support, max_k, ring)``.
 
     Every reply echoes the request's ``seq`` — ``("ok", seq,``
     :class:`_Reply` ``)`` or ``("error", seq, message)`` when the work
     raised — so the parent can tell the answer to the frame it just
     sent from a late answer to an earlier one.
 
-    The loop owns one cross-pass bitmap cache (vertical or fast-np);
-    since the rings tile the whole store, one bitmap-kernel pass warms
-    every range's bitmaps for all later passes.  On the zero-copy
-    planes it also decodes each candidate segment at most once
+    The loop owns one cross-pass bitmap cache; since the rings tile the
+    whole store, one pass warms every range's bitmaps for all later
+    passes.  It also decodes each candidate segment at most once
     (``plane_counters``, keyed on the segment name, which the
     coordinator binds to one candidate set for the pool's lifetime): a
     zero-copy :class:`~repro.core.fastnp.FastNumpyCounter` under
@@ -829,14 +812,8 @@ def _worker_main(
                 return pending.pop(index)
         return None
 
-    store_holder = None
-    if plane[0] == "shared":
-        store_holder, store = _attach_store(plane[1])
-    else:
-        store = plane[1]
-    slot = plane[2]
+    store_holder, store = _attach_store(store_ref)
     cache = _bitmap_cache(kernel)
-    blocks: Dict[Tuple[int, int], list] = {}
     counts_segment = None
     counts_name: Optional[str] = None
     # Candidate segment name -> (pinned segment or None, plane counter
@@ -848,36 +825,35 @@ def _worker_main(
             if message is None:
                 break
             tag, seq, k, payload = message
-            counts_ref = plane_counter = None
+            plane_counter = None
             attach_s = 0.0
             if tag != "mine":
                 candidates, counts_ref, bits, ring = payload
-                if counts_ref is not None:
-                    tick = time.perf_counter()
-                    entry = plane_counters.get(candidates)
-                    if entry is None:
-                        segment = _attach_segment(candidates)
-                        if kernel == "fast-np" and fastnp.HAVE_NUMPY:
-                            # Zero-copy: the counter's candidate matrix
-                            # is a view into the segment, which stays
-                            # pinned in the entry for its lifetime.
-                            counter = fastnp.FastNumpyCounter.from_flat(
-                                segment.buf
-                            )
-                            counter.use_cache(cache)
-                            entry = (segment, counter, None)
-                        else:
-                            frame = bytes(segment.buf)
-                            segment.close()
-                            entry = (None, None, candidates_from_bytes(frame)[1])
-                        plane_counters[candidates] = entry
-                    attach_s = time.perf_counter() - tick
-                    _segment, plane_counter, candidates = entry
-                    if counts_ref[0] != counts_name:
-                        if counts_segment is not None:
-                            counts_segment.close()
-                        counts_name = counts_ref[0]
-                        counts_segment = _attach_segment(counts_name)
+                tick = time.perf_counter()
+                entry = plane_counters.get(candidates)
+                if entry is None:
+                    segment = _attach_segment(candidates)
+                    if kernel == "fast-np" and fastnp.HAVE_NUMPY:
+                        # Zero-copy: the counter's candidate matrix is a
+                        # view into the segment, which stays pinned in
+                        # the entry for its lifetime.
+                        counter = fastnp.FastNumpyCounter.from_flat(
+                            segment.buf
+                        )
+                        counter.use_cache(cache)
+                        entry = (segment, counter, None)
+                    else:
+                        frame = bytes(segment.buf)
+                        segment.close()
+                        entry = (None, None, candidates_from_bytes(frame)[1])
+                    plane_counters[candidates] = entry
+                attach_s = time.perf_counter() - tick
+                _segment, plane_counter, candidates = entry
+                if counts_ref[0] != counts_name:
+                    if counts_segment is not None:
+                        counts_segment.close()
+                    counts_name = counts_ref[0]
+                    counts_segment = _attach_segment(counts_name)
             kill = take("kill", k)
             if kill is not None and kill.when == "before":
                 os._exit(_KILLED_EXIT)
@@ -891,7 +867,6 @@ def _worker_main(
                     min_support, max_k, ring = payload
                     reply = _Reply(mine_blocks(
                         store, ring, min_support, kernel=kernel,
-                        branching=branching, leaf_capacity=leaf_capacity,
                         max_k=max_k, cache=cache,
                     ))
                     if kill is not None:  # "mid": die after the work
@@ -900,9 +875,8 @@ def _worker_main(
                     # A "mid" kill dies mid-ring: after roughly half the
                     # ring steps, before any count is published.
                     reply = _count_unit(
-                        store, blocks, _Unit(0, bits, ring), k, candidates,
-                        kernel, branching, leaf_capacity, cache,
-                        plane_counter,
+                        store, _Unit(0, bits, ring), k, candidates, kernel,
+                        cache, plane_counter,
                         max(1, len(ring) // 2) if kill is not None else None,
                     )
                     reply.attach_s = attach_s
@@ -913,7 +887,7 @@ def _worker_main(
                 time.sleep(delay.delay)
             if corrupt is not None:
                 reply.body = None if tag == "mine" else reply.body[:-1]
-            if tag == "pass" and counts_ref is not None:
+            if tag == "pass":
                 vector = reply.body
                 base = 8 * slot * counts_ref[1]
                 counts_segment.buf[base:base + 8 * len(vector)] = (
@@ -933,8 +907,7 @@ def _worker_main(
         # free them first.  The bitmap cache pins the store too, so it
         # goes first; plane counters pin their candidate segments the
         # same way, so each counter is dropped before its segment.
-        if cache is not None:
-            cache.clear()
+        cache.clear()
         entry = plane_counter = counter = None
         while plane_counters:
             # The popped entry (and its counter) is freed right here.
@@ -947,11 +920,10 @@ def _worker_main(
         store = None
         if counts_segment is not None:
             counts_segment.close()
-        if store_holder is not None:
-            try:
-                store_holder.close()
-            except BufferError:  # pragma: no cover - view still exported
-                pass
+        try:
+            store_holder.close()
+        except BufferError:  # pragma: no cover - view still exported
+            pass
 
 
 # ----------------------------------------------------------------------
@@ -971,17 +943,17 @@ class _Pool:
     """The persistent, fault-tolerant worker pool every formulation shares.
 
     Workers hold no per-worker transaction state: every worker can reach
-    the whole database (zero-copy planes: by segment name or store-file
-    path; pickle plane: its spawn-time copy of the transactions), and
+    the whole packed store (by segment name or store-file path), and
     each pass hands it a fresh :class:`_Unit`.  That statelessness makes
     the recovery ladder simple — any worker, replacement or the parent
     can recount any unit — and lets the next pass re-plan the grid over
     however many workers remain.
 
     Args:
-        store: the packed store (shared/mmap planes) or the transaction
-            list (pickle plane); the parent keeps it for the in-process
+        store: the packed store; the parent keeps it for the in-process
             rung.
+        kernel: the workers' counting kernel (:data:`NATIVE_KERNELS`).
+        data_plane: ``"shared"`` or ``"mmap"``.
         store_dir: mmap plane only — directory the store file is
             written into (defaults to the platform temp directory).
         external_store: mmap plane only — path of an *existing* store
@@ -1000,8 +972,6 @@ class _Pool:
         context,
         num_workers: int,
         store,
-        branching: int,
-        leaf_capacity: int,
         kernel: str,
         data_plane: str = "shared",
         store_dir: Optional[str] = None,
@@ -1014,8 +984,6 @@ class _Pool:
     ):
         self._context = context
         self._store = store
-        self._branching = branching
-        self._leaf_capacity = leaf_capacity
         self._kernel = kernel
         self._block_budget = block_budget
         self.recv_timeout = recv_timeout
@@ -1030,23 +998,20 @@ class _Pool:
         self._seq = 0
         self._slots: Dict[int, _Slot] = {}
         self._segments: Optional[_SharedSegments] = None
-        # The parent's own caches for the in-process rung.
+        # The parent's own cache for the in-process rung.
         self._inprocess_cache = _bitmap_cache(kernel)
-        self._inprocess_blocks: Dict[Tuple[int, int], list] = {}
         self.fault_log: List[FaultRecord] = []
         self.pass_overheads: List[PassOverhead] = []
         try:
-            if validate_data_plane(data_plane) != "pickle":
-                mmap_dir = None
-                if data_plane == "mmap" and external_store is None:
-                    mmap_dir = (
-                        store_dir
-                        if store_dir is not None
-                        else tempfile.gettempdir()
-                    )
-                self._segments = _SharedSegments(
-                    store, num_workers, mmap_dir, external_store
+            mmap_dir = None
+            if validate_data_plane(data_plane) == "mmap":
+                mmap_dir = (
+                    store_dir if store_dir is not None
+                    else tempfile.gettempdir()
                 )
+            self._segments = _SharedSegments(
+                store, num_workers, mmap_dir, external_store
+            )
             for wid in range(num_workers):
                 events = self._faults.worker_events(wid)
                 slot = self._spawn(wid, events, gated=False)
@@ -1068,9 +1033,7 @@ class _Pool:
         return self._initial_refusals - self._refusals_left
 
     def segment_names(self) -> List[str]:
-        """Names of currently live shared segments (empty on pickle)."""
-        if self._segments is None:
-            return []
+        """Names of currently live shared segments."""
         return list(self._segments._live)
 
     # ------------------------------------------------------------------
@@ -1236,9 +1199,7 @@ class _Pool:
                 exclude=frozenset(),
                 inprocess=lambda: mine_blocks(
                     self._store, ring, min_support, kernel=self._kernel,
-                    branching=self._branching,
-                    leaf_capacity=self._leaf_capacity, max_k=max_k,
-                    cache=self._inprocess_cache,
+                    max_k=max_k, cache=self._inprocess_cache,
                 ),
             ))
         merged = merge_candidates(parts)
@@ -1255,16 +1216,13 @@ class _Pool:
         self.pass_overheads.append(overhead)
 
     def _pass_common(self, k: int, candidates, overhead: PassOverhead):
-        """The plane-shaped ``(candidates, counts)`` head of every payload.
+        """The ``(candidates, counts)`` head of every pass payload.
 
-        Pickle plane: the candidate tuple list, pickled per worker by
-        the pipe.  Zero-copy planes: one binary candidate segment
-        written (or recognized as already published — the warm-pool
-        case) once, plus the count region's ``(name, capacity)``; the
-        publish time is ``overhead.cand_build_s``.
+        One binary candidate segment written (or recognized as already
+        published — the warm-pool case) once, plus the count region's
+        ``(name, capacity)``; the publish time is
+        ``overhead.cand_build_s``.
         """
-        if self._segments is None:
-            return (_candidate_tuples(candidates), None)
         tick = time.perf_counter()
         name = self._segments.publish_candidates(k, candidates)
         counts = self._segments.ensure_counts(len(candidates))
@@ -1329,14 +1287,14 @@ class _Pool:
 
         ``expected`` is the count vector's length, or ``None`` for a
         ``mine`` reply, whose body must be a dict of local frequent
-        sets.  A count body is the vector itself (inline replies) or,
-        for ``pass`` requests on the zero-copy planes, the number of
-        counts written to the worker's shared slot, which is then read
-        out.  A reply echoing a sequence number other than ``seq``
-        answers an *earlier* request and is ``"stale"``: the caller
-        discards it and keeps waiting, even when its payload happens to
-        fit.  Anything malformed — a wrong length, a missing body — is
-        ``"corrupt"``; an error frame raises :class:`WorkerError`.
+        sets.  A count body is the vector itself (``adopt`` replies) or,
+        for ``pass`` requests, the number of counts written to the
+        worker's shared slot, which is then read out.  A reply echoing a
+        sequence number other than ``seq`` answers an *earlier* request
+        and is ``"stale"``: the caller discards it and keeps waiting,
+        even when its payload happens to fit.  Anything malformed — a
+        wrong length, a missing body — is ``"corrupt"``; an error frame
+        raises :class:`WorkerError`.
         """
         try:
             frame = conn.recv()
@@ -1358,7 +1316,7 @@ class _Pool:
         elif isinstance(body, list):
             valid = len(body) == expected
         else:
-            valid = self._segments is not None and body == expected
+            valid = body == expected
             if valid:
                 reply.body = self._segments.read_counts(wid, expected)
         return (reply, "") if valid else (None, "corrupt")
@@ -1457,26 +1415,20 @@ class _Pool:
     ) -> Optional[_Slot]:
         """Start one worker process; ``None`` if spawning is refused/fails.
 
-        ``wid`` doubles as the worker's count-region slot index on the
-        zero-copy planes, so a respawned replacement writes where its
-        predecessor did.
+        ``wid`` doubles as the worker's count-region slot index, so a
+        respawned replacement writes where its predecessor did.
         """
         if gated and self._refusals_left > 0:
             self._refusals_left -= 1
             return None
-        if self._segments is not None:
-            plane = ("shared", self._segments.store_ref, wid)
-        else:
-            plane = ("pickle", self._store, wid)
         try:
             parent_conn, child_conn = self._context.Pipe()
             process = self._context.Process(
                 target=_worker_main,
                 args=(
                     child_conn,
-                    plane,
-                    self._branching,
-                    self._leaf_capacity,
+                    self._segments.store_ref,
+                    wid,
                     self._kernel,
                     events,
                 ),
@@ -1491,9 +1443,8 @@ class _Pool:
     def _count_inprocess(self, k: int, candidates, unit: _Unit):
         """Count one unit in the parent — the ladder's bottom rung."""
         return _count_unit(
-            self._store, self._inprocess_blocks, unit, k,
-            _candidate_tuples(candidates), self._kernel, self._branching,
-            self._leaf_capacity, self._inprocess_cache,
+            self._store, unit, k, _candidate_tuples(candidates),
+            self._kernel, self._inprocess_cache,
         ).body
 
     # ------------------------------------------------------------------
@@ -1504,9 +1455,8 @@ class _Pool:
         """Close a slot's pipe and reap its process (terminate if needed).
 
         A declared-failed worker may merely be slow; terminating it
-        prevents a late reply from desynchronizing a later pass — and,
-        on the zero-copy planes, a late write to a count slot a
-        replacement is about to use.
+        prevents a late reply from desynchronizing a later pass — or a
+        late write to a count slot a replacement is about to use.
         """
         try:
             slot.conn.close()
@@ -1552,9 +1502,9 @@ class _NativeMiner:
     so that a wrapper installed on that module attribute sees every
     pass.
 
-    **Candidate form.**  When numpy is importable (and every item id
-    fits int32) each pass's candidates stay one lexicographically
-    sorted ``(n, k)`` int32 matrix from apriori_gen to the reduce: it is
+    **Candidate form.**  When numpy is importable each pass's
+    candidates stay one lexicographically sorted ``(n, k)`` int32
+    matrix from apriori_gen to the reduce: it is
     the shared candidate frame's body, the planner reads bins off its
     first column, the pool sums int64 count arrays, and
     ``candidates[counts >= min_count]`` is already the next pass's
@@ -1567,11 +1517,9 @@ class _NativeMiner:
         self,
         min_support: float,
         num_workers: int,
-        branching: int = 64,
-        leaf_capacity: int = 16,
         max_k: Optional[int] = None,
         start_method: Optional[str] = None,
-        kernel: str = "fast",
+        kernel: str = "fast-np",
         data_plane: str = "shared",
         recv_timeout: float = 30.0,
         max_retries: int = 2,
@@ -1595,33 +1543,17 @@ class _NativeMiner:
         if backoff_base < 0:
             raise ValueError(f"backoff_base must be >= 0, got {backoff_base}")
         self.data_plane = validate_data_plane(data_plane)
-        if block_budget is not None:
-            if block_budget < 1:
-                raise ValueError(
-                    f"block_budget must be >= 1, got {block_budget}"
-                )
-            if self.data_plane == "pickle":
-                raise ValueError(
-                    "block_budget requires a zero-copy data plane "
-                    "('shared' or 'mmap'); the pickle plane ships "
-                    "transactions by value"
-                )
-        if two_phase and self.data_plane == "pickle":
-            raise ValueError(
-                "two_phase requires a zero-copy data plane ('shared' or "
-                "'mmap'); SON phase 1 mines packed store ranges in place"
-            )
+        if block_budget is not None and block_budget < 1:
+            raise ValueError(f"block_budget must be >= 1, got {block_budget}")
         if resume and checkpoint_dir is None:
             raise ValueError(
                 "resume=True requires a checkpoint_dir to resume from"
             )
         self.min_support = min_support
         self.num_workers = num_workers
-        self.branching = branching
-        self.leaf_capacity = leaf_capacity
         self.max_k = max_k
         self.start_method = start_method
-        self.kernel = validate_kernel(kernel)
+        self.kernel = validate_kernel(kernel, NATIVE_KERNELS)
         warn_kernel_fallback(self.kernel)
         self.recv_timeout = recv_timeout
         self.max_retries = max_retries
@@ -1696,20 +1628,13 @@ class _NativeMiner:
             self._pool.shutdown()
             self._pool, self._pool_db = None, None
 
-        # Zero-copy planes pack once (an already-packed db is used
+        # The database is packed once (an already-packed db is used
         # as-is) and workers attach the store; an attached store file on
         # the mmap plane is mapped by the workers directly, so the
         # out-of-core generate-once/attach-many path never copies the
-        # database.  The pickle plane ships the transactions themselves.
-        # The parent keeps the store for the in-process rung.
+        # database.  The parent keeps the store for the in-process rung.
         external_store = None
         if isinstance(db, PackedDB):
-            if self.data_plane == "pickle":
-                raise ValueError(
-                    "a packed store can only be mined on a zero-copy "
-                    "data plane ('shared' or 'mmap'); the pickle plane "
-                    "ships transactions by value"
-                )
             store = db
             from ..core.mmapdb import MmapPackedDB
 
@@ -1719,8 +1644,6 @@ class _NativeMiner:
                 and not db.closed
             ):
                 external_store = db.path
-        elif self.data_plane == "pickle":
-            store = db.transactions
         else:
             store = db.to_packed()
         context = (
@@ -1734,8 +1657,6 @@ class _NativeMiner:
             context,
             max(1, min(self.num_workers, len(db))),
             store,
-            self.branching,
-            self.leaf_capacity,
             self.kernel,
             data_plane=self.data_plane,
             store_dir=self.store_dir,
@@ -1762,12 +1683,15 @@ class _NativeMiner:
     def mine(self, db) -> AprioriResult:
         """Mine ``db`` with counting fanned out over worker processes.
 
-        ``db`` is a :class:`~repro.core.transaction.TransactionDB` or —
-        on the zero-copy planes — an already-packed
-        :class:`~repro.core.packed.PackedDB`, including an attached
-        :class:`~repro.core.mmapdb.MmapPackedDB` store file (the
-        generate-to-disk product); on the mmap plane workers map an
+        ``db`` is a :class:`~repro.core.transaction.TransactionDB` or an
+        already-packed :class:`~repro.core.packed.PackedDB`, including
+        an attached :class:`~repro.core.mmapdb.MmapPackedDB` store file
+        (the generate-to-disk product); on the mmap plane workers map an
         attached file directly, so the database is never copied.
+
+        Raises:
+            ValueError: when an item id does not fit the packed store's
+                int32 encoding (serial Apriori mines such a database).
         """
         min_count = min_support_count(self.min_support, max(1, len(db)))
         result = AprioriResult(
@@ -1950,39 +1874,36 @@ class NativeCountDistribution(_NativeMiner):
         min_support: fractional minimum support in (0, 1].
         num_workers: OS processes to fan counting out to (clamped to the
             transaction count — idle workers are never spawned).
-        branching / leaf_capacity: hash tree geometry.
         max_k: optional pass cap.
         start_method: multiprocessing start method (``"fork"`` is
             fastest where available; ``None`` uses the platform default).
-        kernel: per-worker counting kernel, ``"fast"`` (default),
-            ``"reference"``, ``"fast-np"`` (numpy batch counting
-            straight out of the shared candidate plane — each worker
-            caches one zero-copy counter per published candidate
-            segment plus its block's bit-matrices, and reuses both
-            every pass; the vertical kernel, with a ``RuntimeWarning``,
-            when numpy is absent), or ``"vertical"`` (per-item TID
-            bitmaps intersected per candidate; each worker builds its
-            block's bitmaps once and reuses them every pass); all
-            yield identical counts.
+        kernel: per-worker counting kernel, ``"fast-np"`` (default;
+            numpy batch counting straight out of the shared candidate
+            plane — each worker caches one zero-copy counter per
+            published candidate segment plus its block's bit-matrices,
+            and reuses both every pass; the vertical kernel, with a
+            ``RuntimeWarning``, when numpy is absent) or ``"vertical"``
+            (per-item TID bitmaps intersected per candidate; each
+            worker builds its block's bitmaps once and reuses them
+            every pass); both yield identical counts.  Any other kernel
+            raises ``ValueError``.
         data_plane: ``"shared"`` (default) — packed transactions in a
             shared-memory store, binary candidate broadcast, count
-            vectors in shared int64 slots; ``"mmap"`` — same, but the
-            store is a disk file workers map read-only (out-of-core:
-            the minable database is bounded by disk, not RAM); or
-            ``"pickle"`` — transactions by value, everything serialized
-            over the pipes.  All planes yield identical results.
+            vectors in shared int64 slots — or ``"mmap"`` — the same,
+            but the store is a disk file workers map read-only
+            (out-of-core: the minable database is bounded by disk, not
+            RAM).  Both yield identical results.
         store_dir: mmap plane only — directory the store file is
             written into (defaults to the platform temp directory; the
             file is removed at pool shutdown).
-        block_budget: zero-copy planes only — split every worker's
-            block into sub-blocks of at most this many packed items
+        block_budget: split every worker's block into sub-blocks of at
+            most this many packed items
             (:meth:`~repro.core.packed.PackedDB.block_bounds`), so a
             pass streams the store block by block instead of touching a
             whole partition at once (the out-of-core counting mode).
-        two_phase: SON/partition two-phase counting (zero-copy planes
-            only).  Phase 1: every worker mines its own partition
-            locally at partition-scaled support
-            (:mod:`repro.parallel.son`), and the merged union — a
+        two_phase: SON/partition two-phase counting.  Phase 1: every
+            worker mines its own partition locally at partition-scaled
+            support (:mod:`repro.parallel.son`), and the merged union — a
             provable superset of every global F_k — replaces
             ``generate_candidates`` as the candidate source.  Phase 2:
             the ordinary counting passes run over that superset and

@@ -9,14 +9,13 @@ holds the paper's two candidate-partitioned formulations:
   live workers.  Candidates are bin-packed by first item with the exact
   partitioner the simulated IDD uses
   (:func:`repro.core.partition.partition_by_first_item` — greedy LPT
-  over first-item groups), so each worker builds only its owned shard
-  and keeps a first-item bitmap for root-level pruning: per-worker
-  candidate memory shrinks with P, the paper's "single candidate set
-  per node" argument.  Transaction blocks circulate through a ring; on
-  the zero-copy planes a "shift" is nothing but a worker reading its
-  ring predecessor's ``(lo, hi)`` slice of the shared store, the honest
-  shared-memory realization of the paper's contention-free shift
-  schedule.
+  over first-item groups), and each worker counts only the shard its
+  first-item bitmap owns: per-worker candidate memory shrinks with P,
+  the paper's "single candidate set per node" argument.  Transaction
+  blocks circulate through a ring; a "shift" is nothing but a worker
+  reading its ring predecessor's ``(lo, hi)`` slice of the shared
+  store, the honest shared-memory realization of the paper's
+  contention-free shift schedule.
 * **HD** (Hybrid Distribution, Section III-D) picks G per pass with
   :func:`repro.parallel.hybrid.choose_grid`: candidates are partitioned
   over the G rows (each row's bin replicated across its P/G columns),
@@ -29,8 +28,9 @@ Because the grid is re-planned from the live workers every pass, a
 worker lost to a failure simply re-packs the bins over the survivors
 next pass.  Per-pass :class:`~repro.parallel.native.PassOverhead`
 records fill the grid categories: ``shift_s`` (the slowest worker's
-ring time), ``max_bin_candidates`` (the largest bin any worker built)
-and the ``prune_checked`` / ``prune_skipped`` bitmap-filter tallies.
+ring time), ``max_bin_candidates`` (the largest bin any worker counted)
+and the ``prune_checked`` / ``prune_skipped`` first-item ownership
+tallies.
 """
 
 from __future__ import annotations
@@ -62,28 +62,25 @@ class NativePartitionedMiner(_NativeMiner):
         min_support: fractional minimum support in (0, 1].
         num_workers: OS processes P (clamped to the transaction count so
             every worker owns a non-empty block).
-        branching / leaf_capacity: hash tree geometry.
         max_k: optional pass cap.
         start_method: multiprocessing start method (``None`` = platform
             default).
-        kernel: per-worker counting kernel, ``"fast"`` (default),
-            ``"reference"``, ``"fast-np"`` (numpy-vectorized packed
-            counting; on the zero-copy planes workers decode the
+        kernel: per-worker counting kernel, ``"fast-np"`` (default;
+            numpy-vectorized packed counting — workers decode the
             candidate plane once per segment and mask it with their
-            ownership bitmaps) or ``"vertical"`` (TID-bitmap
+            ownership bitmaps; ``"vertical"`` with a ``RuntimeWarning``
+            when numpy is absent) or ``"vertical"`` (TID-bitmap
             intersections; a ring walk warms every block's bitmaps for
-            all later passes); all yield identical counts.
+            all later passes); both yield identical counts.
         data_plane: ``"shared"`` (default; ring shifts are zero-copy
-            reads of the shared packed store), ``"mmap"`` (the store is
-            written once to a file and every worker maps it read-only —
-            the out-of-core plane) or ``"pickle"`` (the transactions
-            ship into each worker once, by value, at spawn).
+            reads of the shared packed store) or ``"mmap"`` (the store
+            is written once to a file and every worker maps it
+            read-only — the out-of-core plane).
         store_dir: mmap plane only — directory the store file is
             written to (default: the system temp directory).
-        block_budget: zero-copy planes only — split every ring block
-            into sub-ranges of at most this many items, so each shift
-            step streams the store in bounded bites instead of touching
-            a whole block at once.
+        block_budget: split every ring block into sub-ranges of at most
+            this many items, so each shift step streams the store in
+            bounded bites instead of touching a whole block at once.
         switch_threshold: HD's ``m`` — minimum candidates worth one more
             grid row (ignored in IDD mode, where G is always P).
         recv_timeout / max_retries / backoff_base: recovery-ladder knobs,
@@ -112,11 +109,9 @@ class NativePartitionedMiner(_NativeMiner):
         self,
         min_support: float,
         num_workers: int,
-        branching: int = 64,
-        leaf_capacity: int = 16,
         max_k: Optional[int] = None,
         start_method: Optional[str] = None,
-        kernel: str = "fast",
+        kernel: str = "fast-np",
         data_plane: str = "shared",
         store_dir: Optional[str] = None,
         block_budget: Optional[int] = None,
@@ -140,8 +135,6 @@ class NativePartitionedMiner(_NativeMiner):
         super().__init__(
             min_support,
             num_workers,
-            branching=branching,
-            leaf_capacity=leaf_capacity,
             max_k=max_k,
             start_method=start_method,
             kernel=kernel,

@@ -97,23 +97,24 @@ def make_miner(
         min_support: fractional minimum support.
         num_processors: P.
         machine: cost model.
-        kernel: counting kernel for the formulation's hash trees —
-            ``"reference"`` (instrumented object tree, the formulation
-            default) or ``"fast"`` (flat-array tree in instrumented
-            mode; bit-identical counters and simulated timings).
-            Native formulations additionally accept ``"vertical"``
-            (TID-bitmap intersections; bit-identical counts, no
-            simulated timings to price, so the simulated formulations
-            reject it).  ``None`` keeps the formulation's default.
+        kernel: counting kernel.  The simulated formulations accept
+            ``"reference"`` (instrumented object tree, their default)
+            or ``"fast"`` (flat-array tree in instrumented mode;
+            bit-identical counters and simulated timings).  The native
+            formulations accept ``"fast-np"`` (their default) or
+            ``"vertical"`` (bitmap kernels; bit-identical counts, no
+            traversals for a cost model to price).  ``None`` keeps the
+            formulation's default.
         **kwargs: forwarded to the formulation's constructor (e.g.
             ``switch_threshold`` for HD, ``max_k``, ``charge_io``;
-            ``data_plane`` — ``"pickle"``, ``"shared"`` or the
-            out-of-core ``"mmap"`` — plus ``store_dir``,
-            ``block_budget``, ``checkpoint_dir`` and ``resume`` for the
-            native pool's transport and crash recovery).
+            ``data_plane`` — ``"shared"`` or the out-of-core
+            ``"mmap"`` — plus ``store_dir``, ``block_budget``,
+            ``checkpoint_dir`` and ``resume`` for the native pool's
+            transport and crash recovery).
 
     Raises:
         KeyError: for an unknown algorithm name.
+        ValueError: for a kernel the chosen formulation cannot run.
     """
     try:
         factory = ALGORITHMS[algorithm]

@@ -45,9 +45,7 @@ def mine_blocks(
     blocks: Sequence[Tuple[int, int]],
     min_support: float,
     *,
-    kernel: str = "fast",
-    branching: int = 64,
-    leaf_capacity: int = 16,
+    kernel: str = "fast-np",
     max_k: Optional[int] = None,
     cache=None,
 ) -> Dict[int, List[Itemset]]:
@@ -64,10 +62,10 @@ def mine_blocks(
     pass 1 is counted globally (and exactly) by the coordinator's
     serial scan, so locally-frequent 1-sets never leave the partition.
 
-    ``cache`` is the holder's cross-pass bitmap cache; the bitmap
-    kernels (``vertical`` / ``fast-np``) reuse the same per-range
-    bitmaps phase 2 will intersect, so phase 1 warms exactly the state
-    phase 2 needs.
+    ``kernel`` is the pool's counting kernel, ``"fast-np"`` or
+    ``"vertical"``.  ``cache`` is the holder's cross-pass bitmap cache
+    for that kernel: phase 1 reuses the same per-range bitmaps phase 2
+    will intersect, so it warms exactly the state phase 2 needs.
     """
     total = sum(hi - lo for lo, hi in blocks)
     if total == 0:
@@ -90,14 +88,8 @@ def mine_blocks(
         candidates = generate_candidates(frequent_prev)
         if not candidates:
             break
-        counter = make_counter(
-            k,
-            candidates,
-            kernel=kernel,
-            branching=branching,
-            leaf_capacity=leaf_capacity,
-        )
-        if cache is not None and kernel in ("vertical", "fast-np"):
+        counter = make_counter(k, candidates, kernel=kernel)
+        if cache is not None:
             counter.use_cache(cache)
         for lo, hi in blocks:
             count_packed_into(counter, packed, lo, hi)

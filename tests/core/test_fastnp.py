@@ -341,12 +341,10 @@ class TestFastNumpyCounterSurface:
         counter.count_database([(1, 2), (1, 2), (3, 4)])
         assert counter.frequent(2) == {(1, 2): 2}
 
-    def test_add_counts_and_reset(self):
+    def test_reset_counts(self):
         counter = FastNumpyCounter(2, [(1, 2)])
-        counter.add_counts({(1, 2): 5})
-        assert counter.get_count((1, 2)) == 5
-        with pytest.raises(KeyError, match="diverged"):
-            counter.add_counts({(7, 8): 1})
+        counter.count_database([(1, 2), (1, 2, 3)])
+        assert counter.get_count((1, 2)) == 2
         counter.reset_counts()
         assert counter.get_count((1, 2)) == 0
 

@@ -7,6 +7,7 @@ import pytest
 from repro.core.apriori import Apriori
 from repro.parallel.native import (
     DATA_PLANES,
+    NATIVE_KERNELS,
     NativeCountDistribution,
     validate_data_plane,
 )
@@ -56,23 +57,24 @@ class TestNativeCountDistribution:
 
     def test_kernels_agree_with_serial(self, medium_quest_db):
         serial = Apriori(0.05, kernel="reference").mine(medium_quest_db)
-        for kernel in ("reference", "fast", "vertical"):
+        for kernel in NATIVE_KERNELS:
             native = NativeCountDistribution(0.05, 3, kernel=kernel).mine(
                 medium_quest_db
             )
             assert native.frequent == serial.frequent
             assert native.min_count == serial.min_count
 
-    def test_fast_kernel_is_default(self):
-        assert NativeCountDistribution(0.1, 2).kernel == "fast"
+    def test_fastnp_kernel_is_default(self):
+        assert NativeCountDistribution(0.1, 2).kernel == "fast-np"
 
     def test_invalid_kernel_rejected(self):
         with pytest.raises(ValueError):
             NativeCountDistribution(0.1, 2, kernel="nope")
 
     def test_spawn_start_method(self, tiny_db):
-        # Workers get their block by one-shot pickle instead of fork
-        # inheritance; results must not change.
+        # Spawned workers attach the store by name in a fresh
+        # interpreter instead of inheriting the parent's memory;
+        # results must not change.
         native = NativeCountDistribution(
             0.3, 2, start_method="spawn"
         ).mine(tiny_db)
@@ -91,10 +93,12 @@ class TestDataPlanes:
             NativeCountDistribution(0.1, 2, data_plane="carrier-pigeon")
 
     def test_validate_data_plane(self):
+        assert DATA_PLANES == ("shared", "mmap")
         for plane in DATA_PLANES:
             assert validate_data_plane(plane) == plane
-        with pytest.raises(ValueError):
-            validate_data_plane("udp")
+        for bad in ("udp", "pickle"):
+            with pytest.raises(ValueError, match="unknown data plane"):
+                validate_data_plane(bad)
 
     @pytest.mark.parametrize("data_plane", DATA_PLANES)
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
@@ -115,7 +119,7 @@ class TestDataPlanes:
     @pytest.mark.parametrize("data_plane", DATA_PLANES)
     def test_planes_agree_across_kernels(self, small_quest_db, data_plane):
         serial = Apriori(0.02, kernel="reference").mine(small_quest_db)
-        for kernel in ("reference", "fast", "vertical"):
+        for kernel in NATIVE_KERNELS:
             native = NativeCountDistribution(
                 0.02, 2, data_plane=data_plane, kernel=kernel
             ).mine(small_quest_db)
@@ -137,23 +141,19 @@ class TestDataPlanes:
 
     @pytest.mark.parametrize("data_plane", DATA_PLANES)
     def test_vertical_overheads_recorded(self, tiny_db, data_plane):
-        """The vertical kernel reports bitmap build / intersection time;
-        the tree kernels leave both fields at zero."""
-        miner = NativeCountDistribution(
-            0.3, 2, data_plane=data_plane, kernel="vertical"
-        )
-        miner.mine(tiny_db)
-        assert any(
-            o.bitmap_build_s > 0 for o in miner.last_pass_overheads
-        )
-        assert all(
-            o.intersect_s >= 0 for o in miner.last_pass_overheads
-        )
-        miner = NativeCountDistribution(0.3, 2, data_plane=data_plane)
-        miner.mine(tiny_db)
-        for overhead in miner.last_pass_overheads:
-            assert overhead.bitmap_build_s == 0.0
-            assert overhead.intersect_s == 0.0
+        """The vertical kernel reports bitmap build / intersection time,
+        and so does fast-np (the default), which shares the columns."""
+        for kernel in ("vertical", "fast-np"):
+            miner = NativeCountDistribution(
+                0.3, 2, data_plane=data_plane, kernel=kernel
+            )
+            miner.mine(tiny_db)
+            assert any(
+                o.bitmap_build_s > 0 for o in miner.last_pass_overheads
+            )
+            assert all(
+                o.intersect_s >= 0 for o in miner.last_pass_overheads
+            )
 
 
 class TestWarmPool:
@@ -167,7 +167,7 @@ class TestWarmPool:
         assert miner.mine(tiny_db).frequent == serial.frequent
         assert miner.last_pool_reused is False
 
-    @pytest.mark.parametrize("kernel", ["fast", "vertical"])
+    @pytest.mark.parametrize("kernel", NATIVE_KERNELS)
     def test_reuse_within_context(self, tiny_db, kernel):
         serial = Apriori(0.3).mine(tiny_db)
         with NativeCountDistribution(0.3, 2, kernel=kernel) as miner:

@@ -5,9 +5,9 @@ deterministic fault-injection layer (:mod:`repro.faults`) and asserts
 the paper's baseline invariant survives the failure: the mined result is
 bit-identical to serial :class:`Apriori`.  The whole suite runs once per
 **data plane** (the autouse ``data_plane`` fixture), so every recovery
-scenario is exercised both over pickled pipes and over the shared-memory
-store — and after every test the ``no_leaked_segments`` fixture asserts
-no ``repro-*`` shared segment outlived the run.  The ``timeout`` marks
+scenario is exercised over both the shared-memory store and the
+file-backed mmap store — and after every test the ``no_leaked_segments``
+fixture asserts no ``repro-*`` shared segment outlived the run.  The ``timeout`` marks
 are enforced by pytest-timeout in CI, turning any recovery-path hang
 into a fast failure instead of a stalled runner.
 """
@@ -21,6 +21,7 @@ from repro.core.apriori import Apriori
 from repro.faults import FaultSpec
 from repro.parallel.native import (
     DATA_PLANES,
+    NATIVE_KERNELS,
     NativeCountDistribution,
     WorkerError,
     _SEGMENT_PREFIX,
@@ -368,11 +369,11 @@ class TestStaleReplies:
         from repro.parallel.native import _Pool, _Reply
 
         pool = _Pool.__new__(_Pool)  # protocol check only
-        pool._segments = None  # pickle plane: vectors travel inline
         parent, child = Pipe()
         try:
             # Late answer to request 7, then the answer to request 8;
-            # each reply record carries its count vector inline.
+            # each reply record carries its count vector inline, as
+            # adopt replies do.
             child.send(("ok", 7, _Reply([1, 2, 3])))
             child.send(("ok", 8, _Reply([4, 5, 6])))
             reply, failure = pool._read_reply(
@@ -446,8 +447,10 @@ class TestRandomizedFailures:
         assert len(miner.fault_log) == len(spec)
 
     def test_reference_kernel_agrees_under_faults(self, tiny_serial):
-        db, serial = tiny_serial
-        for kernel in ("reference", "fast", "fast-np", "vertical"):
+        """Both pool kernels match the serial reference kernel."""
+        db, _ = tiny_serial
+        reference = Apriori(TINY_SUPPORT, kernel="reference").mine(db)
+        for kernel in NATIVE_KERNELS:
             miner = NativeCountDistribution(
                 TINY_SUPPORT,
                 3,
@@ -456,7 +459,7 @@ class TestRandomizedFailures:
                 backoff_base=0.01,
             )
             result = miner.mine(db)
-            assert result.frequent == serial.frequent
+            assert result.frequent == reference.frequent
 
     def test_vertical_kernel_kill_mid_pass(self, tiny_serial):
         """Acceptance: the vertical kernel stays bit-identical under a
@@ -616,22 +619,13 @@ class TestSharedSegmentLifecycle:
 
         db, _ = tiny_serial
         pool = _Pool(
-            get_context(), 2, db.to_packed(), 64, 16, "fast",
-            data_plane="shared",
+            get_context(), 2, db.to_packed(), "fast-np", data_plane="shared"
         )
         assert pool.segment_names()  # the store segment is live
         pool.shutdown()
         assert pool.segment_names() == []
         pool.shutdown()  # second shutdown is a no-op, not a double unlink
         assert not _live_repro_segments()
-
-    def test_pickle_plane_creates_no_segments(self, tiny_serial):
-        db, serial = tiny_serial
-        before = _live_repro_segments()
-        miner = NativeCountDistribution(TINY_SUPPORT, 2, data_plane="pickle")
-        result = miner.mine(db)
-        assert result.frequent == serial.frequent
-        assert _live_repro_segments() == before
 
 
 class TestKnobValidation:

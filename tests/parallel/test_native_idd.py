@@ -16,9 +16,12 @@ from repro.core.bitmap import ItemBitmap
 from repro.core.transaction import TransactionDB
 from repro.data.serialize import frequent_from_payload
 from repro.faults import FaultSpec
+from repro.core import fastnp
 from repro.parallel.native import (
     DATA_PLANES,
+    NATIVE_KERNELS,
     NativeCountDistribution,
+    PassOverhead,
     WorkerError,
     _count_unit,
     _even_bounds,
@@ -90,14 +93,6 @@ class TestIddIdentity:
         assert result.frequent == quest_serial.frequent
         assert miner.last_pool_size == workers
         assert not miner.fault_log
-
-    @pytest.mark.parametrize("plane", DATA_PLANES)
-    def test_reference_kernel_matches(self, small_quest_db, quest_serial,
-                                      plane):
-        miner = NativeIntelligentDistribution(
-            SUPPORT, 3, data_plane=plane, kernel="reference"
-        )
-        assert miner.mine(small_quest_db).frequent == quest_serial.frequent
 
     @pytest.mark.parametrize("plane", DATA_PLANES)
     def test_vertical_kernel_matches(self, small_quest_db, quest_serial,
@@ -233,10 +228,7 @@ class TestBinPackingEdges:
         candidates = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
         from multiprocessing import get_context
 
-        pool = _Pool(
-            get_context(), 4, tiny_partition_db.transactions, 64, 16,
-            "fast", data_plane="pickle",
-        )
+        pool = _Pool(get_context(), 4, tiny_partition_db.to_packed(), "fast-np")
         try:
             idd_rows = NativeIntelligentDistribution(TINY_SUPPORT, 4)._rows
             units, owned_idx = pool._plan(candidates, idd_rows)
@@ -260,49 +252,69 @@ class TestBinPackingEdges:
         assert _even_bounds(3, 3) == [(0, 1), (1, 2), (2, 3)]
 
 
+def _count_both_paths(store, unit, k, candidates):
+    """Count one unit through every path a worker or the parent takes.
+
+    Each native kernel builds a counter over the bin's tuples (the
+    in-process rung and the vertical worker); with numpy, fast-np
+    workers also mask one counter over every candidate (the shared
+    candidate plane).  Every path must give the same reply.
+    """
+    replies = [
+        _count_unit(store, unit, k, candidates, kernel)
+        for kernel in NATIVE_KERNELS
+    ]
+    if fastnp.HAVE_NUMPY:
+        plane = fastnp.FastNumpyCounter(k, candidates)
+        replies.append(
+            _count_unit(store, unit, k, None, "fast-np", plane_counter=plane)
+        )
+    for reply in replies[1:]:
+        assert (reply.body, reply.checked, reply.skipped) == (
+            replies[0].body, replies[0].checked, replies[0].skipped
+        )
+    return replies[0]
+
+
 class TestCountShard:
     """Direct kernel-level checks of the worker's unit (shard) counting."""
 
     def test_empty_bin_returns_empty_vector(self, tiny_partition_db):
         packed = tiny_partition_db.to_packed()
         ring = ((0, len(tiny_partition_db)),)
-        reply = _count_unit(
-            packed, {}, _Unit(0, 0, ring), 2, [(1, 2), (2, 3)], "fast",
-            64, 16,
-        )
+        reply = _count_both_paths(packed, _Unit(0, 0, ring), 2,
+                                  [(1, 2), (2, 3)])
         assert reply.body == []
         assert reply.shift_s == 0.0
-        assert (reply.checked, reply.skipped) == (0, 0)
+        # Both first items were tested and neither is owned.
+        assert (reply.checked, reply.skipped) == (2, 2)
         assert (reply.build_s, reply.intersect_s) == (0.0, 0.0)
 
     def test_bitmap_prunes_everything_outside_owned_range(self):
-        # The worker owns first item 1 but every transaction item is
-        # outside the owned range: all root tests must miss, yet the
-        # (zero) counts stay correct.  leaf_capacity=1 forces internal
-        # nodes, so the filter applies at the root item level (the
-        # degenerate one-leaf tree instead tests candidate first items).
+        # The worker owns first item 1: the candidates starting at 5
+        # and 6 are pruned from its bin, one ownership test per
+        # distinct first item, and the owned ones count zero because no
+        # transaction holds item 1.
         db = TransactionDB([(5, 6), (6, 7, 8)])
         packed = db.to_packed()
         bits = ItemBitmap([1]).bits
-        reply = _count_unit(
-            packed, {}, _Unit(0, bits, ((0, len(db)),)), 2,
-            [(1, 2), (1, 3)], "fast", 64, 1,
+        reply = _count_both_paths(
+            packed, _Unit(0, bits, ((0, len(db)),)), 2,
+            [(1, 2), (1, 3), (5, 6), (6, 7)],
         )
         assert reply.body == [0, 0]
-        assert reply.checked > 0
-        assert reply.skipped == reply.checked  # every root test missed
+        assert (reply.checked, reply.skipped) == (3, 2)
 
     def test_bitmap_passes_owned_items(self):
         db = TransactionDB([(1, 2), (1, 2, 3)])
         packed = db.to_packed()
         bits = ItemBitmap([1, 2]).bits
-        reply = _count_unit(
-            packed, {}, _Unit(0, bits, ((0, len(db)),)), 2,
-            [(1, 2), (1, 3)], "fast", 64, 1,
+        reply = _count_both_paths(
+            packed, _Unit(0, bits, ((0, len(db)),)), 2, [(1, 2), (1, 3)],
         )
         assert reply.body == [2, 1]
         assert reply.checked > 0
-        assert reply.skipped == 0  # every root test hit the owned range
+        assert reply.skipped == 0  # every first item is owned
 
     def test_ring_order_does_not_change_counts(self, small_quest_db):
         packed = small_quest_db.to_packed()
@@ -310,30 +322,25 @@ class TestCountShard:
         pairs = sorted(s for s in serial.frequent if len(s) == 2)[:8]
         bits = ItemBitmap(sorted({c[0] for c in pairs})).bits
         bounds = tuple(_even_bounds(len(small_quest_db), 3))
-        forward = _count_unit(
-            packed, {}, _Unit(0, bits, bounds), 2, pairs, "fast", 64, 16
+        forward = _count_both_paths(
+            packed, _Unit(0, bits, bounds), 2, pairs
         ).body
-        rotated = _count_unit(
-            packed, {}, _Unit(0, bits, bounds[1:] + bounds[:1]), 2, pairs,
-            "fast", 64, 16,
+        rotated = _count_both_paths(
+            packed, _Unit(0, bits, bounds[1:] + bounds[:1]), 2, pairs
         ).body
         assert forward == rotated == [serial.frequent[c] for c in pairs]
 
     def test_one_row_unit_counts_without_root_filter(self, small_quest_db):
-        # G = 1 (CD): the bin is every candidate, no root filter runs,
-        # and the unit records no shift time and no prune tallies.
+        # G = 1 (CD): the bin is every candidate, no ownership test
+        # runs, and the unit records no shift time and no prune tallies.
         serial = Apriori(SUPPORT).mine(small_quest_db)
         pairs = sorted(s for s in serial.frequent if len(s) == 2)[:8]
-        for store in (small_quest_db.to_packed(),
-                      small_quest_db.transactions):
-            reply = _count_unit(
-                store, {}, _Unit(0, None, ((0, len(small_quest_db)),)), 2,
-                pairs, "fast", 64, 16,
-            )
-            assert reply.body == [serial.frequent[c] for c in pairs]
-            assert (reply.shift_s, reply.checked, reply.skipped) == (
-                0.0, 0, 0
-            )
+        reply = _count_both_paths(
+            small_quest_db.to_packed(),
+            _Unit(0, None, ((0, len(small_quest_db)),)), 2, pairs,
+        )
+        assert reply.body == [serial.frequent[c] for c in pairs]
+        assert (reply.shift_s, reply.checked, reply.skipped) == (0.0, 0, 0)
 
 
 class TestRecoveryLadder:
@@ -431,9 +438,8 @@ class TestRecoveryLadder:
                           NativeCountDistribution):
             rows_rule = miner_cls(TINY_SUPPORT, 2)._rows
             pool = _Pool(
-                get_context(), 2, tiny_partition_db.transactions, 64, 16,
-                "fast", data_plane="pickle", recv_timeout=10.0,
-                max_retries=0,
+                get_context(), 2, tiny_partition_db.to_packed(), "fast-np",
+                recv_timeout=10.0, max_retries=0,
             )
             try:
                 clean = pool.count_pass(2, candidates, rows_rule)
@@ -446,9 +452,12 @@ class TestRecoveryLadder:
                 owned_rows = owned_idx[unit.row]
                 if owned_rows is None:  # one row: every candidate
                     owned_rows = range(len(candidates))
+                common = pool._pass_common(
+                    2, candidates, PassOverhead(2, len(candidates))
+                )
                 vector = pool._recover(
                     1, "died", "pass", 2,
-                    (candidates, None, unit.bits, unit.ring),
+                    common + (unit.bits, unit.ring),
                     len(owned_rows), exclude=frozenset(),
                     inprocess=lambda: pool._count_inprocess(
                         2, candidates, unit
@@ -482,12 +491,9 @@ class TestRecoveryLadder:
         # After a total collapse, later passes count in the parent.
         from multiprocessing import get_context
 
-        pool = _Pool(
-            get_context(), 2, tiny_partition_db.transactions, 64, 16,
-            "fast", data_plane="pickle",
-        )
+        pool = _Pool(get_context(), 2, tiny_partition_db.to_packed(), "fast-np")
         try:
-            pool.shutdown()  # empty the pool, keep the transactions
+            pool.shutdown()  # empty the pool, keep the store
             candidates = [(1, 2), (2, 3), (2, 4), (3, 4)]
             idd_rows = NativeIntelligentDistribution(TINY_SUPPORT, 2)._rows
             totals = pool.count_pass(2, candidates, idd_rows)
@@ -670,8 +676,9 @@ class TestKnobValidation:
             NativeIntelligentDistribution(0.1, 2, kernel="bogus")
 
     def test_rejects_bad_data_plane(self):
-        with pytest.raises(ValueError, match="data plane"):
-            NativeIntelligentDistribution(0.1, 2, data_plane="carrier")
+        for plane in ("carrier", "pickle"):
+            with pytest.raises(ValueError, match="unknown data plane"):
+                NativeIntelligentDistribution(0.1, 2, data_plane=plane)
 
     def test_rejects_bad_mode(self):
         class Broken(NativePartitionedMiner):

@@ -88,7 +88,7 @@ class TestBothFormsMatchSerial:
         assert set(seen) == {np.ndarray if numpy_path else list}
 
     @pytest.mark.parametrize("numpy_path", [True, False])
-    @pytest.mark.parametrize("data_plane", ["shared", "pickle"])
+    @pytest.mark.parametrize("data_plane", ["shared", "mmap"])
     def test_native_idd(self, small_quest_db, serial, monkeypatch, numpy_path,
                         data_plane):
         monkeypatch.setattr(fastnp, "HAVE_NUMPY", numpy_path)
@@ -102,18 +102,25 @@ class TestBothFormsMatchSerial:
         _assert_python_ints(result)
         assert set(seen) == {np.ndarray if numpy_path else list}
 
-    def test_item_ids_past_int32_keep_the_tuple_path(self, monkeypatch):
-        # A TransactionDB may hold any non-negative id; the pickle plane
-        # never packs it, so the loop must fall back to tuples.
+    @pytest.mark.parametrize(
+        "cls", [NativeCountDistribution, NativeIntelligentDistribution]
+    )
+    def test_item_ids_past_int32_are_refused_by_the_pool(self, cls):
+        # A TransactionDB may hold any non-negative id, but the pool
+        # mines a packed int32 store: such a database is refused before
+        # any worker or segment exists (the autouse fixture checks
+        # /dev/shm), while serial Apriori still mines it.
         big = 2**40
         db = TransactionDB(
             [(1, 2, big), (1, big), (2, big), (1, 2, big), (1, 2)]
         )
-        seen = _spy_generate(monkeypatch, native_module)
+        with pytest.raises(
+            ValueError,
+            match=f"item {big} does not fit the packed int32 encoding",
+        ):
+            cls(0.4, 2).mine(db)
         expected = Apriori(0.4, kernel="reference").mine(db)
-        result = NativeCountDistribution(0.4, 2, data_plane="pickle").mine(db)
-        assert result.frequent == expected.frequent
-        assert set(seen) == {list}
+        assert (1, 2, big) in expected.frequent
         assert Apriori(0.4, kernel="fast-np").mine(db).frequent == (
             expected.frequent
         )

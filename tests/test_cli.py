@@ -196,7 +196,7 @@ class TestKernelAndDataPlaneFlags:
         for argv in (
             ["mine", str(dat_file), "--data-plane", "shared"],
             ["mine", str(dat_file), "--algorithm", "CD",
-             "--data-plane", "pickle"],
+             "--data-plane", "mmap"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
@@ -221,12 +221,51 @@ class TestKernelAndDataPlaneFlags:
         assert exit_code == 0
         assert "frequent item-sets" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "algorithm, kernel, allowed",
+        [
+            ("CD", "vertical", "'reference', 'fast'"),
+            ("IDD", "fast-np", "'reference', 'fast'"),
+            ("HD", "vertical", "'reference', 'fast'"),
+            ("native-cd", "reference", "'fast-np', 'vertical'"),
+            ("native-idd", "fast", "'fast-np', 'vertical'"),
+            ("native", "fast", "'fast-np', 'vertical'"),
+        ],
+    )
+    def test_kernel_algorithm_mismatch_is_usage_error(
+        self, dat_file, capsys, algorithm, kernel, allowed
+    ):
+        # Rejected before the database is even read: one usage line
+        # naming the kernels the chosen miner can run.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mine", str(dat_file), "--algorithm", algorithm,
+                  "--kernel", kernel])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "loaded" not in captured.out
+        (line,) = [
+            text for text in captured.err.splitlines() if "error:" in text
+        ]
+        assert f"unsupported kernel {kernel!r}" in line
+        assert f"expected one of: {allowed}" in line
+
+    def test_serve_attach_kernel_mismatch_is_usage_error(
+        self, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--attach", str(tmp_path / "x.packed"),
+                  "--algorithm", "native-hd", "--kernel", "reference"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unsupported kernel 'reference'" in err
+        assert "expected one of: 'fast-np', 'vertical'" in err
+
     def test_native_mine_each_plane(self, dat_file, capsys):
-        for plane in ("pickle", "shared"):
+        for plane in ("shared", "mmap"):
             exit_code = main(
                 ["mine", str(dat_file), "--min-support", "0.3",
                  "--algorithm", "native", "--processors", "2",
-                 "--data-plane", plane, "--kernel", "reference"]
+                 "--data-plane", plane, "--kernel", "vertical"]
             )
             assert exit_code == 0
             out = capsys.readouterr().out
@@ -288,7 +327,7 @@ class TestCheckpointFlags:
             )
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "zero-copy data plane" in err
+        assert "unknown data plane 'pickle'" in err
 
     def test_block_budget_must_be_positive(self, dat_file, capsys):
         for bad in ("0", "-3", "four"):
@@ -320,7 +359,7 @@ class TestCheckpointFlags:
             ["mine", str(dat_file), "--min-support", "0.3",
              "--algorithm", "native", "--processors", "2",
              "--data-plane", "mmap", "--store-dir", str(store),
-             "--block-budget", "4", "--kernel", "reference"]
+             "--block-budget", "4", "--kernel", "vertical"]
         )
         assert exit_code == 0
         out = capsys.readouterr().out
@@ -470,7 +509,7 @@ class TestScaleFlags:
                  "--algorithm", "native", "--data-plane", "pickle"]
             )
         assert excinfo.value.code == 2
-        assert "zero-copy data plane" in capsys.readouterr().err
+        assert "unknown data plane 'pickle'" in capsys.readouterr().err
 
     def test_attach_missing_store_is_clean_error(self, tmp_path, capsys):
         exit_code = main(
@@ -500,7 +539,7 @@ class TestScaleFlags:
                  "--data-plane", "pickle", "--two-phase"]
             )
         assert excinfo.value.code == 2
-        assert "zero-copy data plane" in capsys.readouterr().err
+        assert "unknown data plane 'pickle'" in capsys.readouterr().err
 
     def test_two_phase_matches_single_phase(self, dat_file, capsys):
         main(
