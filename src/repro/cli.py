@@ -56,7 +56,7 @@ from .core.kernels import KERNELS, validate_kernel
 from .faults import FaultSpec
 from .parallel.base import SIMULATED_KERNELS
 from .parallel.native import NATIVE_KERNELS, validate_data_plane
-from .parallel.runner import ALGORITHMS, mine_parallel
+from .parallel.runner import ALGORITHMS, make_miner, mine_parallel
 
 __all__ = ["main", "build_parser"]
 
@@ -636,20 +636,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             print(format_report(result))
             return 0
     elif args.algorithm.startswith("native"):
-        from .parallel.native import NativeCountDistribution
-        from .parallel.native_idd import (
-            NativeHybridDistribution,
-            NativeIntelligentDistribution,
-        )
-
-        native_classes = {
-            "native": (NativeCountDistribution, "CD"),
-            "native-cd": (NativeCountDistribution, "CD"),
-            "native-idd": (NativeIntelligentDistribution, "IDD"),
-            "native-hd": (NativeHybridDistribution, "HD"),
-        }
-        miner_class, label = native_classes[args.algorithm]
-        extra_kwargs = dict(kernel_kwargs)
+        extra_kwargs: dict = {}
         if args.switch_threshold is not None:
             extra_kwargs["switch_threshold"] = args.switch_threshold
         if args.two_phase:
@@ -658,9 +645,11 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         # An attached store defaults to the mmap plane: the workers
         # then map the store file itself instead of copying it.
         default_plane = "mmap" if store is not None else "shared"
-        miner = miner_class(
+        miner = make_miner(
+            args.algorithm,
             args.min_support,
             args.processors,
+            kernel=args.kernel,
             max_k=args.max_k,
             recv_timeout=args.recv_timeout,
             max_retries=args.max_retries,
@@ -683,6 +672,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             print(
                 f"resumed from checkpoint after pass {miner.last_resume_k}"
             )
+        label = args.algorithm.partition("-")[2].upper() or "CD"
         print(
             f"native {label} on "
             f"{miner.last_pool_size or args.processors} worker "

@@ -19,13 +19,18 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from . import fastnp
 from .candidates import frequent_rows, generate_candidates, itemset_matrix
-from .hashtree import HashTree, HashTreeStats, TreeShape
+from .hashtree import HashTreeStats, TreeShape
 from .items import Itemset
-from .kernels import make_counter, validate_kernel, warn_kernel_fallback
+from .kernels import (
+    make_cache,
+    make_counter,
+    validate_kernel,
+    warn_kernel_fallback,
+)
 from .transaction import TransactionDB
 
 __all__ = ["Apriori", "AprioriResult", "PassTrace", "min_support_count"]
@@ -109,14 +114,18 @@ class Apriori:
             natural fixpoint.  The paper's Figures 13-15 time "size 3
             frequent item sets only", i.e. ``max_k=3``.
         kernel: counting kernel — ``"fast"`` (default: flat-array tree,
-            triangular pass-2 counter, no work counters) or
+            triangular pass-2 counter, no work counters),
             ``"reference"`` (instrumented object tree; required when the
-            per-pass ``tree_stats`` feed the Section IV cost model).
-            Both kernels produce identical frequent item-sets and counts.
-            ``"fast-np"`` with numpy runs each pass in matrix form, as
-            the native coordinator does: apriori_gen over the sorted
-            int32 F(k-1) matrix, a counter over the C(k) matrix, and a
-            count mask for the threshold (see :mod:`repro.core.candidates`).
+            per-pass ``tree_stats`` feed the Section IV cost model), or
+            one of the bitmap kernels ``"fast-np"`` and ``"vertical"``,
+            which build the database's bitmaps once per :meth:`mine`
+            (through :func:`~repro.core.kernels.make_cache`) and reuse
+            them on every pass.  All four produce identical frequent
+            item-sets and counts.  ``"fast-np"`` with numpy runs each
+            pass in matrix form, as the native coordinator does:
+            apriori_gen over the sorted int32 F(k-1) matrix, a counter
+            over the C(k) matrix, and a count mask for the threshold
+            (see :mod:`repro.core.candidates`).
     """
 
     def __init__(
@@ -152,6 +161,9 @@ class Apriori:
             matrix = itemset_matrix(frequent_prev)
             if matrix is not None:
                 frequent_prev = matrix
+        # One cache per mine: the bitmap kernels build the database's
+        # bit-matrices on pass 2 and reuse them on every later pass.
+        cache = make_cache(self.kernel)
         k = 2
         while len(frequent_prev) and (self.max_k is None or k <= self.max_k):
             candidates = generate_candidates(frequent_prev)
@@ -165,11 +177,14 @@ class Apriori:
                     branching=self.branching,
                     leaf_capacity=self.leaf_capacity,
                 )
+                if cache is not None:
+                    counter.use_cache(cache)
                 counter.count_database(db)
                 frequent_k = counter.frequent(min_count)
                 frequent_prev = list(frequent_k)
             else:
                 counter = fastnp.FastNumpyCounter.from_matrix(k, candidates)
+                counter.use_cache(cache)
                 counter.count_database(db)
                 frequent_prev, frequent_k = frequent_rows(
                     candidates, counter.counts_array(), min_count
@@ -188,15 +203,6 @@ class Apriori:
             )
             k += 1
         return result
-
-    def build_tree(self, k: int, candidates: Sequence[Itemset]) -> HashTree:
-        """Build a reference hash tree for one pass with this miner's
-        parameters (instrumentation always available)."""
-        tree = HashTree(
-            k, branching=self.branching, leaf_capacity=self.leaf_capacity
-        )
-        tree.insert_all(candidates)
-        return tree
 
     def _pass_one(
         self, db: TransactionDB, min_count: int, result: AprioriResult

@@ -29,12 +29,14 @@ candidate's AND row has bit ``t`` set for exactly the transactions whose
 item set contains all its items — the tree's superset test.
 
 **Numpy is optional.**  The module imports cleanly without it;
-:data:`HAVE_NUMPY` tells the kernel facade to fall back to the
+:data:`HAVE_NUMPY` tells the kernel selectors to fall back to the
 pure-python vertical machinery (:class:`~repro.core.vertical.
 VerticalCounter` + :class:`~repro.core.vertical.TidBitmapCache`), which
-shares the count-surface contract and the bit-identical guarantee.
-:func:`make_cache` returns whichever cross-pass cache matches the
-active implementation, so drivers never branch on the import themselves.
+shares the bitmap kernels' count contract (``count_packed`` /
+``count_database`` through a cross-pass cache) and the bit-identical
+guarantee.  :func:`~repro.core.kernels.make_counter` and
+:func:`~repro.core.kernels.make_cache` pick the matching pair, so
+callers never branch on the import themselves.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from typing import (
 from .hashtree import TreeShape
 from .items import Itemset
 from .packed import _CAND_HEADER
+from .transaction import TransactionDB
 
 try:  # pragma: no cover - exercised via the HAVE_NUMPY monkeypatch tests
     import numpy as np
@@ -68,7 +71,6 @@ __all__ = [
     "PackedBitmaps",
     "PackedBitmapCache",
     "FastNumpyCounter",
-    "make_cache",
 ]
 
 # Candidates ANDed per batch: large enough to amortize the per-chunk
@@ -82,21 +84,6 @@ if HAVE_NUMPY:
     _POPCOUNT_LUT = np.array(
         [bin(value).count("1") for value in range(256)], dtype=np.uint8
     )
-
-
-def make_cache():
-    """The cross-pass bitmap cache matching the active implementation.
-
-    :class:`PackedBitmapCache` with numpy, the vertical kernel's
-    :class:`~repro.core.vertical.TidBitmapCache` without — paired with
-    what :func:`~repro.core.kernels.make_counter` returns for
-    ``kernel="fast-np"`` in the same interpreter.
-    """
-    if HAVE_NUMPY:
-        return PackedBitmapCache()
-    from .vertical import TidBitmapCache
-
-    return TidBitmapCache()
 
 
 def _popcount_rows(acc) -> "np.ndarray":
@@ -195,14 +182,14 @@ class PackedBitmaps:
 
 
 class PackedBitmapCache:
-    """Per-process bit-matrix cache, keyed on the data a worker holds.
+    """Per-process bit-matrix cache, keyed on the data a holder counts.
 
     The numpy twin of :class:`~repro.core.vertical.TidBitmapCache`:
-    native-pool workers persist across passes while counters are rebuilt
-    (or reset) every pass, so the cache lives in the worker loop and
-    hands each pass the matrices built on the first pass over the same
-    range.  Entries pin their source object, so the ``id()`` keys cannot
-    be recycled while an entry is alive.
+    counters are rebuilt (or reset) every pass while native-pool workers
+    and serial ``Apriori.mine()`` outlive the pass, so the cache lives
+    in the holder and hands each pass the matrices built on the first
+    pass over the same range or block.  Entries pin their source object,
+    so the ``id()`` keys cannot be recycled while an entry is alive.
     """
 
     def __init__(self) -> None:
@@ -224,7 +211,12 @@ class PackedBitmapCache:
         return entry[1]
 
     def for_block(self, block: Sequence[Sequence[int]]) -> PackedBitmaps:
-        """Bitmaps for a transaction block, built at most once."""
+        """Bitmaps for a transaction block, built at most once.
+
+        ``block`` must re-iterate the same transactions (a list, tuple
+        or :class:`~repro.core.transaction.TransactionDB`); counters
+        never cache a one-shot iterator.
+        """
         key = id(block)
         entry = self._blocks.get(key)
         if entry is None or entry[0] is not block:
@@ -240,10 +232,11 @@ class PackedBitmapCache:
 class FastNumpyCounter:
     """Support counter over batched bit-matrix intersections.
 
-    The public surface mirrors :class:`~repro.core.vertical.
-    VerticalCounter` (and through it the hash trees), so the kernel
-    facade hands any of them to the same driver code; counts accumulate
-    across ``count_*`` calls (the CD reduction invariant).
+    Its count contract is the bitmap kernels' one, shared with
+    :class:`~repro.core.vertical.VerticalCounter` (``count_packed`` /
+    ``count_database`` through an optional :meth:`use_cache` cache), so
+    callers hand either to the same code; counts accumulate across
+    ``count_*`` calls (the CD reduction invariant).
 
     Two extra constructors serve the shared candidate plane:
     :meth:`from_matrix` wraps an existing ``(num, k)`` candidate matrix
@@ -558,30 +551,14 @@ class FastNumpyCounter:
     ) -> None:
         """Build (or fetch) bit-matrices for ``transactions`` and count."""
         started = time.perf_counter()
-        if self._cache is not None and isinstance(transactions, (list, tuple)):
+        if self._cache is not None and isinstance(
+            transactions, (list, tuple, TransactionDB)
+        ):
             bitmaps = self._cache.for_block(transactions)
         else:
             bitmaps = PackedBitmaps.from_transactions(transactions)
         self.build_s += time.perf_counter() - started
         self.count_bitmaps(bitmaps, root_filter)
-
-    def count_transaction(
-        self,
-        transaction: Sequence[int],
-        root_filter: Optional[Container[int]] = None,
-    ) -> None:
-        """Count one transaction (API-compat fallback; set-superset).
-
-        Single transactions have no matrix to batch, so this is the
-        direct subset test — still bit-identical to the tree kernels.
-        """
-        present = set(transaction)
-        counts = self._ensure_counts()
-        for candidate, slot in self._ensure_index().items():
-            if root_filter is not None and candidate[0] not in root_filter:
-                continue
-            if present.issuperset(candidate):
-                counts[slot] += 1
 
     # ------------------------------------------------------------------
     # Count-table manipulation

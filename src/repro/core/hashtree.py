@@ -408,27 +408,6 @@ class HashTree:
         for transaction in transactions:
             self.count_transaction(transaction, root_filter)
 
-    def count_packed(
-        self,
-        packed,
-        lo: int = 0,
-        hi: Optional[int] = None,
-        root_filter: Optional[Container[int]] = None,
-    ) -> None:
-        """Count transactions ``[lo, hi)`` of a packed columnar store.
-
-        The reference traversal works on any indexable item sequence, so
-        it consumes ``(offsets, items)`` slices of a
-        :class:`~repro.core.packed.PackedDB` without decoding tuples;
-        counts and stats are identical to the decoded-tuple path.
-        """
-        if hi is None:
-            hi = len(packed)
-        offsets = packed.offsets
-        items = packed.items
-        for i in range(lo, hi):
-            self.count_transaction(items[offsets[i]:offsets[i + 1]], root_filter)
-
     # ------------------------------------------------------------------
     # Count-table manipulation (used by the parallel formulations)
     # ------------------------------------------------------------------

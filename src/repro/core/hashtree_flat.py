@@ -438,31 +438,6 @@ class FlatHashTree:
         for transaction in transactions:
             count_transaction(transaction, root_filter)
 
-    def count_packed(
-        self,
-        packed,
-        lo: int = 0,
-        hi: Optional[int] = None,
-        root_filter: Optional[Container[int]] = None,
-    ) -> None:
-        """Count transactions ``[lo, hi)`` of a packed columnar store.
-
-        Consumes ``(offsets, items)`` slices of a
-        :class:`~repro.core.packed.PackedDB` directly — when the store
-        is memoryview-backed (the shared-memory data plane) no
-        per-transaction tuple is ever materialized.  Counts are
-        identical to feeding the decoded tuples through
-        :meth:`count_transaction`, because the traversal only indexes
-        and iterates the slice.
-        """
-        if hi is None:
-            hi = len(packed)
-        offsets = packed.offsets
-        items = packed.items
-        count_transaction = self.count_transaction
-        for i in range(lo, hi):
-            count_transaction(items[offsets[i]:offsets[i + 1]], root_filter)
-
     # ------------------------------------------------------------------
     # Count-table manipulation (used by the parallel formulations)
     # ------------------------------------------------------------------

@@ -33,19 +33,30 @@ kernel:
   workers) reuse them across passes via
   :class:`~repro.core.vertical.TidBitmapCache`.
 
-Serial :class:`~repro.core.apriori.Apriori` runs all four; the native
-pool counts only with the two bitmap kernels, ``fast-np`` and
-``vertical``.  :func:`validate_kernel` checks a name against the set a
-miner allows.
+The two families count through two contracts, one each:
 
-:func:`make_counter` is the single decision point: drivers name a
-kernel and get back an object with the shared counting surface
-(``count_transaction`` / ``count_database`` / ``count_packed`` /
-``counts`` / ``frequent`` / ``shape`` / ``reset_counts``).
-``count_packed`` consumes ``(offsets, items)`` slices of a
-:class:`~repro.core.packed.PackedDB` — the data planes feed
-shared-memory and file-backed stores straight into any kernel through
-:func:`count_packed_into`.
+* the **tree kernels** (``reference``, ``fast``; :data:`TREE_KERNELS`)
+  run the paper's subset operation one transaction at a time:
+  ``count_transaction(transaction, root_filter)`` and
+  ``count_database(transactions, root_filter)``, where ``root_filter``
+  is IDD's root-level item bitmap (Section III-C).
+  :class:`~repro.core.streaming.StreamingApriori` and the simulated
+  formulations count with them.
+* the **bitmap kernels** (``fast-np``, ``vertical``) build per-item
+  bitmaps once per transaction range and AND and popcount them:
+  ``count_packed(packed, lo, hi, root_filter)`` over a
+  :class:`~repro.core.packed.PackedDB` range (the native pool's shared
+  and file-backed stores) and ``count_database(transactions,
+  root_filter)``, both fetching bitmaps through the cross-pass cache
+  :func:`make_cache` pairs with the kernel (``use_cache``).
+
+Every counter also answers ``counts`` / ``frequent`` / ``get_count`` /
+``shape`` / ``reset_counts``.  Serial :class:`~repro.core.apriori.
+Apriori` runs all four kernels; the native pool counts only with the
+two bitmap kernels.  :func:`validate_kernel` checks a name against the
+set a miner allows, and :func:`make_counter` / :func:`make_cache` are
+the single decision points from a kernel name to its counter and its
+cache.
 """
 
 from __future__ import annotations
@@ -54,23 +65,27 @@ import warnings
 from typing import Optional, Sequence, Union
 
 from . import fastnp
-from .fastnp import FastNumpyCounter
+from .fastnp import FastNumpyCounter, PackedBitmapCache
 from .hashtree import HashTree
 from .hashtree_flat import FlatHashTree
 from .items import Itemset
 from .pass2 import PairCounter
-from .vertical import VerticalCounter
+from .vertical import TidBitmapCache, VerticalCounter
 
 __all__ = [
     "KERNELS",
+    "TREE_KERNELS",
     "validate_kernel",
     "warn_kernel_fallback",
     "make_counter",
-    "count_packed_into",
+    "make_cache",
     "Counter",
 ]
 
 KERNELS = ("reference", "fast", "fast-np", "vertical")
+
+#: The kernels that count one transaction at a time (see module docstring).
+TREE_KERNELS = ("reference", "fast")
 
 Counter = Union[HashTree, FlatHashTree, PairCounter, FastNumpyCounter, VerticalCounter]
 
@@ -78,7 +93,7 @@ Counter = Union[HashTree, FlatHashTree, PairCounter, FastNumpyCounter, VerticalC
 # span of the candidates.  apriori_gen's C2 fills the triangle exactly
 # (one candidate per slot); a memory-partitioned chunk or an externally
 # filtered pair set may not.  Below this fill ratio the triangle wastes
-# memory without buying speed, so the facade falls back to the flat tree.
+# memory without buying speed, so make_counter falls back to the flat tree.
 _PASS2_MIN_FILL = 1 / 3
 
 
@@ -136,7 +151,8 @@ def make_counter(
             pair counter and the matrix/bitmap counters).
 
     Returns:
-        A counter exposing the shared counting surface.
+        A counter exposing its family's count contract (see the module
+        docstring).
     """
     validate_kernel(kernel)
     if kernel == "reference":
@@ -160,20 +176,19 @@ def make_counter(
     return tree
 
 
-def count_packed_into(
-    counter: Counter,
-    packed,
-    lo: int = 0,
-    hi: Optional[int] = None,
-    root_filter=None,
-) -> None:
-    """Count packed-store transactions ``[lo, hi)`` into any counter.
+def make_cache(kernel: str) -> Optional[Union[PackedBitmapCache, TidBitmapCache]]:
+    """The cross-pass bitmap cache of ``make_counter(kernel=kernel)``.
 
-    Every kernel implements ``count_packed`` over a
-    :class:`~repro.core.packed.PackedDB`; this facade is the single
-    entry point drivers use so a counter from :func:`make_counter` and a
-    packed (possibly shared-memory-backed) store compose without the
-    driver knowing which kernel it holds.  Counts are bit-identical to
-    decoding the slice into a tuple and calling ``count_transaction``.
+    :class:`~repro.core.fastnp.PackedBitmapCache` for ``"fast-np"`` with
+    numpy, :class:`~repro.core.vertical.TidBitmapCache` for
+    ``"vertical"`` and for ``"fast-np"`` without numpy (the counter is
+    then a :class:`VerticalCounter`), and ``None`` for the tree kernels,
+    which build no bitmaps.  Holders that outlive one pass (a pool
+    worker, one serial ``mine()``) wire it into every counter they make.
     """
-    counter.count_packed(packed, lo, hi, root_filter)
+    validate_kernel(kernel)
+    if kernel in TREE_KERNELS:
+        return None
+    if kernel == "fast-np" and fastnp.HAVE_NUMPY:
+        return PackedBitmapCache()
+    return TidBitmapCache()

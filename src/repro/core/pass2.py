@@ -38,8 +38,10 @@ class PairCounter:
     Args:
         candidates: canonical size-2 candidates (sorted tuples).
 
-    The public counting/query surface mirrors :class:`HashTree` so the
-    kernel facade can hand either to the same driver code.
+    The public counting/query surface is the tree kernels' count
+    contract, as on :class:`HashTree`, so
+    :func:`~repro.core.kernels.make_counter` can hand either to the
+    same calling code.
     """
 
     k = 2
@@ -74,7 +76,7 @@ class PairCounter:
 
     @property
     def triangle_size(self) -> int:
-        """Number of triangle slots (density guard for the facade)."""
+        """Number of triangle slots (density guard for ``make_counter``)."""
         return len(self._tri)
 
     # ------------------------------------------------------------------
@@ -158,33 +160,6 @@ class PairCounter:
         count_transaction = self.count_transaction
         for transaction in transactions:
             count_transaction(transaction, root_filter)
-
-    def count_packed(
-        self,
-        packed,
-        lo: int = 0,
-        hi: Optional[int] = None,
-        root_filter: Optional[Container[int]] = None,
-    ) -> None:
-        """Count transactions ``[lo, hi)`` of a packed columnar store.
-
-        The rank translation iterates ``(offsets, items)`` slices of a
-        :class:`~repro.core.packed.PackedDB` directly (zero-copy for
-        memoryview-backed stores); counts are identical to decoding each
-        transaction into a tuple first.
-        """
-        if root_filter is not None:
-            raise ValueError(
-                "PairCounter does not support root_filter; use a hash-tree "
-                "kernel for IDD-style first-item pruning"
-            )
-        if hi is None:
-            hi = len(packed)
-        offsets = packed.offsets
-        items = packed.items
-        count_transaction = self.count_transaction
-        for i in range(lo, hi):
-            count_transaction(items[offsets[i]:offsets[i + 1]])
 
     # ------------------------------------------------------------------
     # Count-table manipulation

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, List, Optional, Sequence
 from .apriori import AprioriResult, PassTrace, min_support_count
 from .candidates import generate_candidates
 from .items import Itemset
-from .kernels import make_counter, validate_kernel, warn_kernel_fallback
+from .kernels import TREE_KERNELS, make_counter, validate_kernel
 
 __all__ = ["StreamingApriori", "TransactionSource"]
 
@@ -38,6 +38,8 @@ class StreamingApriori:
         kernel: counting kernel — ``"reference"`` (default; keeps the
             per-pass ``tree_stats`` instrumentation) or ``"fast"``
             (uninstrumented flat kernel, ``tree_stats`` left ``None``).
+            Only the tree kernels count one streamed transaction at a
+            time; a bitmap kernel is a ``ValueError``.
 
     The source callable is invoked once per pass and must yield the same
     canonical transactions each time (a file re-opened per pass, a
@@ -58,8 +60,7 @@ class StreamingApriori:
         self.branching = branching
         self.leaf_capacity = leaf_capacity
         self.max_k = max_k
-        self.kernel = validate_kernel(kernel)
-        warn_kernel_fallback(self.kernel)
+        self.kernel = validate_kernel(kernel, TREE_KERNELS)
 
     def mine(self, source: TransactionSource) -> AprioriResult:
         """Mine all frequent item-sets of the streamed database.

@@ -46,6 +46,7 @@ from typing import (
 
 from .hashtree import TreeShape
 from .items import Itemset
+from .transaction import TransactionDB
 
 __all__ = ["TidBitmaps", "TidBitmapCache", "VerticalCounter"]
 
@@ -144,14 +145,15 @@ class TidBitmaps:
 
 
 class TidBitmapCache:
-    """Per-process bitmap cache, keyed on the data a worker holds.
+    """Per-process bitmap cache, keyed on the data a holder counts.
 
-    Native-pool workers persist across passes, but the candidates (and
-    hence the counters) are rebuilt every pass.  The cache lives in the
-    worker loop instead and hands each pass's counter the bitmaps built
-    on the first pass over the same range.  Entries pin their source
-    object (the packed store or transaction block), so the ``id()`` keys
-    cannot be recycled while an entry is alive.
+    Native-pool workers and serial ``Apriori.mine()`` outlive a pass,
+    but the candidates (and hence the counters) are rebuilt every pass.
+    The cache lives in the holder instead and hands each pass's counter
+    the bitmaps built on the first pass over the same range or block.
+    Entries pin their source object (the packed store or transaction
+    block), so the ``id()`` keys cannot be recycled while an entry is
+    alive.
     """
 
     def __init__(self) -> None:
@@ -172,7 +174,12 @@ class TidBitmapCache:
         return entry[1]
 
     def for_block(self, block: Sequence[Sequence[int]]) -> TidBitmaps:
-        """Bitmaps for a transaction block, built at most once."""
+        """Bitmaps for a transaction block, built at most once.
+
+        ``block`` must re-iterate the same transactions (a list, tuple
+        or :class:`~repro.core.transaction.TransactionDB`); counters
+        never cache a one-shot iterator.
+        """
         key = id(block)
         entry = self._blocks.get(key)
         if entry is None or entry[0] is not block:
@@ -188,9 +195,10 @@ class TidBitmapCache:
 class VerticalCounter:
     """Support counter over TID-bitmap intersections.
 
-    The public surface mirrors :class:`HashTree` /
-    :class:`~repro.core.pass2.PairCounter` so the kernel facade can hand
-    any of them to the same driver code.  Counts accumulate across
+    Its count contract is the bitmap kernels' one, shared with
+    :class:`~repro.core.fastnp.FastNumpyCounter` (``count_packed`` /
+    ``count_database`` through an optional :meth:`use_cache` cache), so
+    callers hand either to the same code.  Counts accumulate across
     ``count_*`` calls, so summing disjoint ranges equals counting the
     whole store (the CD reduction invariant).
 
@@ -351,30 +359,14 @@ class VerticalCounter:
     ) -> None:
         """Build (or fetch) bitmaps for ``transactions`` and count."""
         started = time.perf_counter()
-        if self._cache is not None and isinstance(transactions, (list, tuple)):
+        if self._cache is not None and isinstance(
+            transactions, (list, tuple, TransactionDB)
+        ):
             bitmaps = self._cache.for_block(transactions)
         else:
             bitmaps = TidBitmaps.from_transactions(transactions)
         self.build_s += time.perf_counter() - started
         self.count_bitmaps(bitmaps, root_filter)
-
-    def count_transaction(
-        self,
-        transaction: Sequence[int],
-        root_filter: Optional[Container[int]] = None,
-    ) -> None:
-        """Count one transaction (API-compat fallback; set-superset).
-
-        Single transactions have no bitmap to amortize, so this is the
-        direct subset test — still bit-identical to the tree kernels.
-        """
-        present = set(transaction)
-        counts = self._counts
-        for candidate, slot in self._index.items():
-            if root_filter is not None and candidate[0] not in root_filter:
-                continue
-            if present.issuperset(candidate):
-                counts[slot] += 1
 
     # ------------------------------------------------------------------
     # Count-table manipulation

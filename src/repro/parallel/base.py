@@ -31,7 +31,7 @@ from ..core.candidates import generate_candidates
 from ..core.hashtree import HashTree, HashTreeStats
 from ..core.hashtree_flat import FlatHashTree
 from ..core.items import Itemset
-from ..core.kernels import validate_kernel
+from ..core.kernels import TREE_KERNELS, validate_kernel
 from ..core.transaction import TransactionDB
 from ..faults import FaultSpec
 
@@ -44,7 +44,7 @@ __all__ = [
 
 #: The kernels the simulated formulations run: both trees, instrumented
 #: (see :meth:`ParallelMiner.build_tree`).
-SIMULATED_KERNELS = ("reference", "fast")
+SIMULATED_KERNELS = TREE_KERNELS
 
 
 @dataclass

@@ -106,7 +106,7 @@ from ..core.candidates import (
 )
 from ..core.items import Itemset
 from ..core.kernels import (
-    count_packed_into,
+    make_cache,
     make_counter,
     validate_kernel,
     warn_kernel_fallback,
@@ -122,7 +122,6 @@ from ..core.packed import (
     write_packed_into,
 )
 from ..core.partition import bin_pack, partition_by_first_item
-from ..core.vertical import TidBitmapCache
 from ..faults import FaultEvent, FaultRecord, FaultSpec
 from ..memprof import peak_rss_bytes
 from .son import merge_candidates, mine_blocks, superset_size
@@ -317,11 +316,6 @@ def _even_bounds(num_transactions: int, parts: int) -> List[Tuple[int, int]]:
         bounds.append((lo, hi))
         lo = hi
     return bounds
-
-
-def _bitmap_cache(kernel: str):
-    """A holder's cross-pass bitmap cache for ``kernel``."""
-    return TidBitmapCache() if kernel == "vertical" else fastnp.make_cache()
 
 
 def owned_rows(candidates, rows: int) -> Tuple[List, List[int]]:
@@ -718,7 +712,7 @@ def _count_unit(
         build_0, intersect_0 = counter.build_s, counter.intersect_s
         for step, (lo, hi) in enumerate(unit.ring, 1):
             tick = time.perf_counter()
-            count_packed_into(counter, store, lo, hi, selected)
+            counter.count_packed(store, lo, hi, selected)
             reply.shift_s += time.perf_counter() - tick
             if kill_after is not None and step >= kill_after:
                 os._exit(_KILLED_EXIT)
@@ -813,7 +807,7 @@ def _worker_main(
         return None
 
     store_holder, store = _attach_store(store_ref)
-    cache = _bitmap_cache(kernel)
+    cache = make_cache(kernel)
     counts_segment = None
     counts_name: Optional[str] = None
     # Candidate segment name -> (pinned segment or None, plane counter
@@ -999,7 +993,7 @@ class _Pool:
         self._slots: Dict[int, _Slot] = {}
         self._segments: Optional[_SharedSegments] = None
         # The parent's own cache for the in-process rung.
-        self._inprocess_cache = _bitmap_cache(kernel)
+        self._inprocess_cache = make_cache(kernel)
         self.fault_log: List[FaultRecord] = []
         self.pass_overheads: List[PassOverhead] = []
         try:

@@ -35,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.apriori import min_support_count
 from ..core.candidates import generate_candidates
 from ..core.items import Itemset
-from ..core.kernels import count_packed_into, make_counter
+from ..core.kernels import make_counter
 
 __all__ = ["merge_candidates", "mine_blocks", "superset_size"]
 
@@ -92,7 +92,7 @@ def mine_blocks(
         if cache is not None:
             counter.use_cache(cache)
         for lo, hi in blocks:
-            count_packed_into(counter, packed, lo, hi)
+            counter.count_packed(packed, lo, hi)
         counts = counter.counts()
         frequent_k = sorted(
             c for c in candidates if counts[c] >= local_count

@@ -105,8 +105,6 @@ class StoreSource(ModelSource):
     anything a concurrently serving model references.
     """
 
-    _MINERS = ("native-cd", "native-idd", "native-hd")
-
     def __init__(
         self,
         store_path: PathLike,
@@ -118,12 +116,14 @@ class StoreSource(ModelSource):
         two_phase: bool = False,
         block_budget: int | None = None,
     ):
+        from ..parallel.runner import NATIVE_ALGORITHMS
+
         if algorithm == "native":
             algorithm = "native-cd"
-        if algorithm not in self._MINERS:
+        if algorithm not in NATIVE_ALGORITHMS:
             raise ValueError(
-                f"StoreSource algorithm must be one of {self._MINERS}, "
-                f"got {algorithm!r}"
+                f"StoreSource algorithm must be one of "
+                f"{sorted(NATIVE_ALGORITHMS)}, got {algorithm!r}"
             )
         self.store_path = Path(store_path)
         self.min_support = min_support
@@ -136,24 +136,15 @@ class StoreSource(ModelSource):
 
     def mine(self) -> AprioriResult:
         from ..core.mmapdb import MmapPackedDB
-        from ..parallel.native import NativeCountDistribution
-        from ..parallel.native_idd import (
-            NativeHybridDistribution,
-            NativeIntelligentDistribution,
-        )
+        from ..parallel.runner import make_miner
 
-        miner_class = {
-            "native-cd": NativeCountDistribution,
-            "native-idd": NativeIntelligentDistribution,
-            "native-hd": NativeHybridDistribution,
-        }[self.algorithm]
-        kwargs = {} if self.kernel is None else {"kernel": self.kernel}
-        if self.two_phase:
-            kwargs["two_phase"] = True
+        kwargs = {"two_phase": True} if self.two_phase else {}
         with MmapPackedDB.attach(self.store_path) as db:
-            miner = miner_class(
+            miner = make_miner(
+                self.algorithm,
                 self.min_support,
                 self.processors,
+                kernel=self.kernel,
                 max_k=self.max_k,
                 data_plane="mmap",
                 block_budget=self.block_budget,

@@ -1,11 +1,16 @@
 """Tests for serial Apriori against oracles and pinned paper values."""
 
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import fastnp
 from repro.core.apriori import Apriori, min_support_count
+from repro.core.fastnp import PackedBitmaps
 from repro.core.transaction import TransactionDB
+from repro.core.vertical import TidBitmaps
 from tests.conftest import brute_force_frequent
 
 
@@ -151,3 +156,41 @@ class TestAprioriProperties:
         loose = Apriori(0.1).mine(db).frequent
         strict = Apriori(0.5).mine(db).frequent
         assert set(strict) <= set(loose)
+
+
+class TestBitmapBuildsPerMine:
+    """The bitmap kernels build the database's bitmaps once per mine()."""
+
+    @pytest.mark.parametrize(
+        "kernel, have_numpy, builds",
+        [
+            ("reference", True, 0),
+            ("fast", True, 0),
+            ("fast-np", True, 1),
+            ("vertical", True, 1),
+            ("fast-np", False, 1),
+        ],
+        ids=["reference", "fast", "fast-np", "vertical", "fast-np-no-numpy"],
+    )
+    def test_from_transactions_calls(
+        self, monkeypatch, small_quest_db, kernel, have_numpy, builds
+    ):
+        expected = Apriori(0.05, kernel="reference").mine(small_quest_db)
+        if not have_numpy:
+            monkeypatch.setattr(fastnp, "HAVE_NUMPY", False)
+        calls = []
+        for bitmaps in (PackedBitmaps, TidBitmaps):
+            def spy(transactions, _build=bitmaps.from_transactions):
+                calls.append(transactions)
+                return _build(transactions)
+
+            monkeypatch.setattr(
+                bitmaps, "from_transactions", staticmethod(spy)
+            )
+        with warnings.catch_warnings():
+            # fast-np without numpy reports its fallback; not tested here.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = Apriori(0.05, kernel=kernel).mine(small_quest_db)
+        assert len(result.passes) >= 4  # pass 1 plus 3+ counting passes
+        assert len(calls) == builds
+        assert result.frequent == expected.frequent

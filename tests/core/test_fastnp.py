@@ -9,9 +9,10 @@ duplicate-transaction edges, the range-sum (CD reduction) invariant and
 the IDD ``root_filter`` contract — plus the plane-specific surface the
 native pool relies on: zero-copy :meth:`from_flat` decoding of the
 shared candidate frame, :meth:`first_item_mask` / :meth:`counts_for`
-shard views, and the :func:`make_counter` / :func:`make_cache` fallback
-when numpy is absent (forced by monkeypatching ``fastnp.HAVE_NUMPY``),
-which the serial and native miners report with one ``RuntimeWarning``.
+shard views, and the :func:`~repro.core.kernels.make_counter` /
+:func:`~repro.core.kernels.make_cache` fallback when numpy is absent
+(forced by monkeypatching ``fastnp.HAVE_NUMPY``), which the serial and
+native miners report with one ``RuntimeWarning``.
 """
 
 import pytest
@@ -26,7 +27,7 @@ from repro.core.apriori import Apriori
 from repro.core.bitmap import ItemBitmap
 from repro.core.fastnp import FastNumpyCounter, PackedBitmapCache, PackedBitmaps
 from repro.core.hashtree import HashTree
-from repro.core.kernels import KERNELS, count_packed_into, make_counter
+from repro.core.kernels import KERNELS, make_cache, make_counter
 from repro.core.packed import (
     PackedDB,
     candidates_nbytes,
@@ -226,19 +227,6 @@ class TestFastNumpyEquivalence:
         candidates=candidates_2_strategy,
     )
     @settings(max_examples=75, deadline=None)
-    def test_count_transaction_fallback_agrees(
-        self, transactions, candidates
-    ):
-        counter = FastNumpyCounter(2, candidates)
-        for transaction in transactions:
-            counter.count_transaction(transaction)
-        assert counter.counts() == _oracle_counts(2, candidates, transactions)
-
-    @given(
-        transactions=transactions_strategy,
-        candidates=candidates_2_strategy,
-    )
-    @settings(max_examples=75, deadline=None)
     def test_duplicate_database_doubles_counts(
         self, transactions, candidates
     ):
@@ -302,7 +290,7 @@ class TestFastNumpyCounterSurface:
         counter = make_counter(2, [(1, 2)], kernel="fast-np")
         assert isinstance(counter, FastNumpyCounter)
 
-    def test_count_packed_into_facade(self, small_quest_db):
+    def test_count_packed_matches_hashtree(self, small_quest_db):
         packed = small_quest_db.to_packed()
         frequent_1 = sorted(
             Apriori(0.05, max_k=1).mine(small_quest_db).frequent
@@ -310,10 +298,11 @@ class TestFastNumpyCounterSurface:
         from repro.core.candidates import generate_candidates
 
         candidates = generate_candidates(frequent_1)[:40]
-        oracle = make_counter(2, candidates, kernel="reference")
-        count_packed_into(oracle, packed)
+        oracle = HashTree(2)
+        oracle.insert_all(candidates)
+        oracle.count_database(small_quest_db)
         fast_np = make_counter(2, candidates, kernel="fast-np")
-        count_packed_into(fast_np, packed)
+        fast_np.count_packed(packed)
         assert fast_np.counts() == oracle.counts()
 
     def test_rejects_bad_k(self):
@@ -458,7 +447,7 @@ class TestNumpyAbsentFallback:
 
     def test_make_cache_falls_back(self, monkeypatch):
         monkeypatch.setattr(fastnp, "HAVE_NUMPY", False)
-        assert isinstance(fastnp.make_cache(), TidBitmapCache)
+        assert isinstance(make_cache("fast-np"), TidBitmapCache)
 
     def test_direct_construction_raises(self, monkeypatch):
         monkeypatch.setattr(fastnp, "HAVE_NUMPY", False)
@@ -468,10 +457,10 @@ class TestNumpyAbsentFallback:
     def test_fallback_counts_match(self, monkeypatch, small_quest_db):
         packed = small_quest_db.to_packed()
         with_np = make_counter(2, [(1, 2), (2, 3)], kernel="fast-np")
-        count_packed_into(with_np, packed)
+        with_np.count_packed(packed)
         monkeypatch.setattr(fastnp, "HAVE_NUMPY", False)
         without = make_counter(2, [(1, 2), (2, 3)], kernel="fast-np")
-        count_packed_into(without, packed)
+        without.count_packed(packed)
         assert without.counts() == with_np.counts()
 
     def test_make_counter_stays_silent(self, monkeypatch, recwarn):
@@ -502,11 +491,3 @@ class TestNumpyAbsentFallback:
             ).mine(small_quest_db)
         assert len(record) == 1
         assert result.frequent == expected.frequent
-
-    def test_streaming_miner_reports_fallback(self, monkeypatch):
-        from repro.core.streaming import StreamingApriori
-
-        monkeypatch.setattr(fastnp, "HAVE_NUMPY", False)
-        with pytest.warns(RuntimeWarning, match="'vertical'") as record:
-            StreamingApriori(0.05, kernel="fast-np")
-        assert len(record) == 1

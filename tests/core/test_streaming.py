@@ -12,6 +12,14 @@ class TestStreamingApriori:
         with pytest.raises(ValueError):
             StreamingApriori(0.3, max_k=0)
 
+    @pytest.mark.parametrize("kernel", ["fast-np", "vertical"])
+    def test_rejects_bitmap_kernels(self, kernel):
+        # Streaming counts one transaction at a time: tree kernels only.
+        with pytest.raises(
+            ValueError, match="unsupported kernel .*'reference', 'fast'$"
+        ):
+            StreamingApriori(0.3, kernel=kernel)
+
     def test_matches_in_memory_on_tiny_db(self, tiny_db):
         in_memory = Apriori(0.3).mine(tiny_db)
         streamed = StreamingApriori(0.3).mine(lambda: iter(tiny_db))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core.apriori import Apriori
 from repro.core.candidates import generate_candidates
 from repro.core.hashtree import HashTree
-from repro.core.kernels import KERNELS, count_packed_into, make_counter
+from repro.core.kernels import KERNELS, make_counter
 from repro.core.packed import PackedDB
 from repro.core.vertical import TidBitmapCache, TidBitmaps, VerticalCounter
 
@@ -192,19 +192,6 @@ class TestVerticalEquivalence:
         candidates=candidates_2_strategy,
     )
     @settings(max_examples=75, deadline=None)
-    def test_count_transaction_fallback_agrees(
-        self, transactions, candidates
-    ):
-        counter = VerticalCounter(2, candidates)
-        for transaction in transactions:
-            counter.count_transaction(transaction)
-        assert counter.counts() == _oracle_counts(2, candidates, transactions)
-
-    @given(
-        transactions=transactions_strategy,
-        candidates=candidates_2_strategy,
-    )
-    @settings(max_examples=75, deadline=None)
     def test_duplicate_database_doubles_counts(
         self, transactions, candidates
     ):
@@ -236,23 +223,24 @@ class TestVerticalEquivalence:
 
 
 class TestVerticalCounterSurface:
-    """The shared counter surface the kernel facade relies on."""
+    """The bitmap kernels' count contract, as the native pool uses it."""
 
     def test_registered_in_kernels(self):
         assert "vertical" in KERNELS
         counter = make_counter(2, [(1, 2)], kernel="vertical")
         assert isinstance(counter, VerticalCounter)
 
-    def test_count_packed_into_facade(self, small_quest_db):
+    def test_count_packed_matches_hashtree(self, small_quest_db):
         packed = small_quest_db.to_packed()
         frequent_1 = sorted(
             Apriori(0.05, max_k=1).mine(small_quest_db).frequent
         )
         candidates = generate_candidates(frequent_1)[:40]
-        oracle = make_counter(2, candidates, kernel="reference")
-        count_packed_into(oracle, packed)
+        oracle = HashTree(2)
+        oracle.insert_all(candidates)
+        oracle.count_database(small_quest_db)
         vertical = make_counter(2, candidates, kernel="vertical")
-        count_packed_into(vertical, packed)
+        vertical.count_packed(packed)
         assert vertical.counts() == oracle.counts()
 
     def test_rejects_bad_k(self):
