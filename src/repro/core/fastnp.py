@@ -10,17 +10,22 @@ shared segment* without ever materializing candidate tuples:
 
 * :class:`PackedBitmaps` — one pass over a :class:`~repro.core.packed.
   PackedDB` range builds a packed presence **bit-matrix**: row ``r`` is
-  the TID bitmap of the range's ``r``-th distinct item, eight
-  transactions per byte.  Like the vertical kernel's bitmaps they are
-  candidate- and pass-independent, so long-lived holders reuse them
-  across passes via :class:`PackedBitmapCache`.
+  the TID bitmap of the range's ``r``-th distinct item, 64 transactions
+  per little-endian ``uint64`` word.  Each (item, transaction) bit is
+  scattered straight into its word, so the build's scratch grows with
+  the range's item occurrences, not with items x transactions.  Like
+  the vertical kernel's bitmaps they are candidate- and
+  pass-independent, so long-lived holders reuse them across passes via
+  :class:`PackedBitmapCache`.
 * :class:`FastNumpyCounter` — candidates as one ``(num, k)`` int32/64
   matrix.  Counting maps every candidate item to its bitmap row with one
   ``np.searchsorted`` over the sorted distinct-item table, ANDs the
-  gathered rows chunk-wise (sharing the work of equal ``k-1`` prefixes:
-  contiguous runs of candidates with the same prefix — the normal shape
+  gathered rows in chunks of about ``_CHUNK_BYTES`` of row data each (so
+  the transient row buffers stay in a core's L2 cache, whatever the
+  range length), sharing the work of equal ``k-1`` prefixes
+  (contiguous runs of candidates with the same prefix — the normal shape
   of a sorted apriori_gen batch — pay the prefix AND once), and reduces
-  each row with a popcount into an int64 count vector.  No
+  each row with a word popcount into an int64 count vector.  No
   per-transaction or per-candidate interpreter loop remains.
 
 Counts are bit-identical to :class:`~repro.core.hashtree.HashTree` on
@@ -73,12 +78,19 @@ __all__ = [
     "FastNumpyCounter",
 ]
 
-# Candidates ANDed per batch: large enough to amortize the per-chunk
-# numpy dispatch, small enough that the three transient (chunk, nbytes)
-# row buffers stay comfortably in cache.
-_CHUNK = 2048
+# Bytes of bitmap rows one counting chunk gathers: a chunk holds
+# ``max(1, _CHUNK_BYTES // row_nbytes)`` candidates, so its transient
+# row buffers fit a core's L2 cache however long the range is, while a
+# short range still gets chunks long enough to amortize the per-chunk
+# numpy dispatch.  On a Xeon with 2 MiB of L2 per core, pass 2 of a
+# 50k-transaction range (92k candidates) took 0.26-0.28 s with 256-512
+# KiB chunks, 0.29-0.32 s with 1-4 MiB and 0.37-0.42 s with 8 MiB.
+_CHUNK_BYTES = 512 << 10
 
 if HAVE_NUMPY:
+    # Little-endian, so a word row's bytes are the little-bit-order
+    # bitmap on any host.
+    _WORD = np.dtype("<u8")
     _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
     # Byte-popcount table for numpy < 2.0 (no np.bitwise_count).
     _POPCOUNT_LUT = np.array(
@@ -87,18 +99,25 @@ if HAVE_NUMPY:
 
 
 def _popcount_rows(acc) -> "np.ndarray":
-    """Per-row popcount of a uint8 matrix, as int64."""
+    """Per-row popcount of a C-contiguous word matrix, as int64.
+
+    Without ``np.bitwise_count`` (numpy < 2.0) the words are viewed as
+    bytes and counted through a 256-entry table.
+    """
     if _HAS_BITWISE_COUNT:
         return np.bitwise_count(acc).sum(axis=1, dtype=np.int64)
-    return _POPCOUNT_LUT[acc].sum(axis=1, dtype=np.int64)
+    return _POPCOUNT_LUT[acc.view(np.uint8)].sum(axis=1, dtype=np.int64)
 
 
 class PackedBitmaps:
     """Per-item TID bitmaps over one transaction range, as a bit-matrix.
 
-    ``rows[r]`` is the packed (little bit-order: bit ``t`` of byte ``b``
-    is relative transaction ``8 b + t``) presence bitmap of
-    ``item_ids[r]``; ``item_ids`` is sorted, so an item maps to its row
+    ``rows`` is a ``(len(item_ids), ceil(n / 64))`` matrix of
+    little-endian ``uint64`` words: bit ``t`` of ``rows[r, w]`` is set
+    iff relative transaction ``64 w + t`` holds ``item_ids[r]``.  Bits
+    past ``num_transactions`` are zero, so ``rows[r].tobytes()`` is the
+    little-bit-order bitmap (bit ``t`` of byte ``b`` is transaction
+    ``8 b + t``).  ``item_ids`` is sorted, so an item maps to its row
     with one ``np.searchsorted``.  Items absent from the range have no
     row (their bitmap is all-zero by construction).
     """
@@ -117,18 +136,28 @@ class PackedBitmaps:
                ) -> "PackedBitmaps":
         """Assemble the bit-matrix from flat (item, transaction) pairs.
 
-        Builds a transient ``(distinct_items, n)`` bool matrix and packs
-        it — O(items x transactions) bytes of scratch, freed on return.
+        Each pair ORs its bit straight into its word of the flat row
+        array, keyed ``row * nwords + (tx >> 6)``; ``np.bitwise_or.at``
+        is unbuffered, so the pairs that share a word all land.  Scratch
+        is a few int64 vectors as long as the pair list, not an
+        items x transactions matrix.  ``tx_ids`` (a fresh int64 array)
+        is overwritten in place.
         """
-        if seg_items.size and n:
-            item_ids = np.unique(seg_items)
-            col = np.searchsorted(item_ids, seg_items)
-            present = np.zeros((item_ids.size, n), dtype=bool)
-            present[col, tx_ids] = True
-            rows = np.packbits(present, axis=1, bitorder="little")
-        else:
-            item_ids = np.zeros(0, dtype=np.int64)
-            rows = np.zeros((0, (n + 7) >> 3), dtype=np.uint8)
+        nwords = (n + 63) >> 6
+        if not (seg_items.size and n):
+            rows = np.zeros((0, nwords), dtype=_WORD)
+            return cls(np.zeros(0, dtype=np.int64), rows, n,
+                       time.perf_counter() - started)
+        item_ids = np.unique(seg_items)
+        key = np.searchsorted(item_ids, seg_items)
+        key *= nwords
+        key += tx_ids >> 6
+        tx_ids &= 63
+        bits = tx_ids.view(np.uint64)
+        np.left_shift(np.uint64(1), bits, out=bits)
+        words = np.zeros(item_ids.size * nwords, dtype=_WORD)
+        np.bitwise_or.at(words, key, bits)
+        rows = words.reshape(item_ids.size, nwords)
         return cls(item_ids, rows, n, time.perf_counter() - started)
 
     @classmethod
@@ -147,12 +176,12 @@ class PackedBitmaps:
         n = hi - lo
         if n <= 0:
             return cls._build(
-                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.intp),
+                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
                 max(n, 0), started,
             )
         offsets = np.asarray(packed.offsets)[lo:hi + 1].astype(np.int64)
         seg_items = np.asarray(packed.items)[offsets[0]:offsets[-1]]
-        tx_ids = np.repeat(np.arange(n, dtype=np.intp), np.diff(offsets))
+        tx_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
         return cls._build(seg_items, tx_ids, n, started)
 
     @classmethod
@@ -169,16 +198,16 @@ class PackedBitmaps:
         n = len(lengths)
         seg_items = np.array(flat, dtype=np.int64)
         tx_ids = np.repeat(
-            np.arange(n, dtype=np.intp), np.array(lengths, dtype=np.int64)
+            np.arange(n, dtype=np.int64), np.array(lengths, dtype=np.int64)
         )
         return cls._build(seg_items, tx_ids, n, started)
 
     def bits_for(self, item: int) -> "np.ndarray":
-        """Packed bitmap row of ``item`` (all-zero when absent)."""
+        """Word row of ``item``'s bitmap (all-zero when absent)."""
         row = np.searchsorted(self.item_ids, item)
         if row < self.item_ids.size and self.item_ids[row] == item:
             return self.rows[row]
-        return np.zeros(self.rows.shape[1], dtype=np.uint8)
+        return np.zeros(self.rows.shape[1], dtype=self.rows.dtype)
 
 
 class PackedBitmapCache:
@@ -502,13 +531,14 @@ class FastNumpyCounter:
         rows = bitmaps.rows
         k = self.k
         counts = self._ensure_counts()
-        for start in range(0, hits.size, _CHUNK):
-            chunk = hits[start:start + _CHUNK]
+        step = max(1, _CHUNK_BYTES // (rows.shape[1] * rows.itemsize))
+        for start in range(0, hits.size, step):
+            chunk = hits[start:start + step]
             gathered = pos[chunk]
-            if k == 1:
+            if k <= 2:
                 acc = rows[gathered[:, 0]]
-            elif k == 2:
-                acc = rows[gathered[:, 0]] & rows[gathered[:, 1]]
+                if k == 2:
+                    acc &= rows[gathered[:, 1]]
             else:
                 # Prefix-run sharing: contiguous candidates with equal
                 # (k-1)-prefixes (the shape of a sorted apriori_gen
@@ -521,9 +551,10 @@ class FastNumpyCounter:
                 run_starts = np.flatnonzero(new_run)
                 pre = rows[prefix[run_starts, 0]]
                 for j in range(1, k - 1):
-                    pre = pre & rows[prefix[run_starts, j]]
+                    pre &= rows[prefix[run_starts, j]]
                 group = np.cumsum(new_run) - 1
-                acc = pre[group] & rows[gathered[:, k - 1]]
+                acc = pre[group]
+                acc &= rows[gathered[:, k - 1]]
             counts[chunk] += _popcount_rows(acc)
 
     def count_packed(

@@ -412,26 +412,6 @@ class HashTree:
     # Count-table manipulation (used by the parallel formulations)
     # ------------------------------------------------------------------
 
-    def add_counts(self, other_counts: Dict[Itemset, int]) -> None:
-        """Element-wise add a count table into this tree's counts.
-
-        This is the local step of CD's global reduction: candidate sets
-        are identical on every processor, so tables add key-by-key.
-
-        Raises ``KeyError`` naming the diverging candidate if
-        ``other_counts`` contains a candidate this tree does not store
-        (which would indicate the replicas diverged).
-        """
-        counts = self._counts
-        for candidate, count in other_counts.items():
-            if candidate not in counts:
-                raise KeyError(
-                    f"add_counts: candidate {candidate!r} is not stored in "
-                    f"this tree (k={self.k}, {len(counts)} candidates) — "
-                    "count tables diverged"
-                )
-            counts[candidate] = counts[candidate] + count
-
     def reset_counts(self) -> None:
         """Zero all candidate counts (counts only; the tree is kept)."""
         for candidate in self._counts:

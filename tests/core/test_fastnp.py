@@ -12,8 +12,16 @@ shared candidate frame, :meth:`first_item_mask` / :meth:`counts_for`
 shard views, and the :func:`~repro.core.kernels.make_counter` /
 :func:`~repro.core.kernels.make_cache` fallback when numpy is absent
 (forced by monkeypatching ``fastnp.HAVE_NUMPY``), which the serial and
-native miners report with one ``RuntimeWarning``.
+native miners report with one ``RuntimeWarning``.  The word layout has
+its own checks: ranges on either side of a 64-transaction word boundary
+under chunks of 1-3 candidates, zero pad bits, the numpy<2 byte-table
+popcount (forced by monkeypatching ``fastnp._HAS_BITWISE_COUNT``) and a
+build whose scratch stays far below an items x transactions matrix.
 """
+
+import random
+import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -35,28 +43,32 @@ from repro.core.packed import (
 )
 from repro.core.vertical import TidBitmapCache, VerticalCounter
 
-# Same canonical shapes as the vertical suite: sorted unique items,
-# empty transactions allowed, duplicate transactions allowed.
-transactions_strategy = st.lists(
-    st.frozensets(st.integers(0, 12), max_size=8).map(
-        lambda s: tuple(sorted(s))
-    ),
-    max_size=40,
-)
 
-candidates_2_strategy = st.sets(
-    st.tuples(st.integers(0, 12), st.integers(0, 12)).filter(
-        lambda c: c[0] < c[1]
-    ),
-    max_size=30,
-).map(sorted)
+def _transactions_strategy(max_size):
+    # Same canonical shapes as the vertical suite: sorted unique items,
+    # empty transactions allowed, duplicate transactions allowed.
+    return st.lists(
+        st.frozensets(st.integers(0, 12), max_size=8).map(
+            lambda s: tuple(sorted(s))
+        ),
+        max_size=max_size,
+    )
 
-candidates_3_strategy = st.sets(
-    st.tuples(
-        st.integers(0, 12), st.integers(0, 12), st.integers(0, 12)
-    ).filter(lambda c: c[0] < c[1] < c[2]),
-    max_size=30,
-).map(sorted)
+
+def _candidates_strategy(k):
+    return st.sets(
+        st.frozensets(st.integers(0, 12), min_size=k, max_size=k).map(
+            lambda s: tuple(sorted(s))
+        ),
+        max_size=30,
+    ).map(sorted)
+
+
+transactions_strategy = _transactions_strategy(40)
+# Long enough to span several 64-transaction words.
+long_transactions_strategy = _transactions_strategy(200)
+candidates_2_strategy = _candidates_strategy(2)
+candidates_3_strategy = _candidates_strategy(3)
 
 
 def _oracle_counts(k, candidates, transactions, root_filter=None):
@@ -119,6 +131,96 @@ class TestPackedBitmaps:
     def test_absent_item_is_zero(self):
         bitmaps = PackedBitmaps.from_transactions([(1, 2)])
         assert not bitmaps.bits_for(99).any()
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
+    def test_rows_are_words_with_zero_padding(self, n):
+        rng = random.Random(n)
+        transactions = [
+            tuple(sorted(rng.sample(range(12), rng.randint(0, 6))))
+            for _ in range(n + 10)
+        ]
+        bitmaps = PackedBitmaps.from_packed(
+            PackedDB.pack(transactions), 5, 5 + n
+        )
+        nwords = -(-n // 64)
+        assert bitmaps.rows.dtype == np.dtype("<u8")
+        assert bitmaps.rows.shape == (bitmaps.item_ids.size, nwords)
+        if n % 64:
+            assert not (bitmaps.rows[:, -1] >> np.uint64(n % 64)).any()
+        for item in bitmaps.item_ids.tolist():
+            expected = sum(
+                1 << t for t, tx in enumerate(transactions[5:5 + n])
+                if item in tx
+            )
+            row = bitmaps.bits_for(item)
+            assert int.from_bytes(row.tobytes(), "little") == expected
+
+    def test_build_scratch_stays_below_half_the_bool_matrix(self):
+        # 100k transactions of 10 items over 1,000: a dense
+        # (distinct_items, n) bool matrix would be ~100 MB; the word
+        # build's scratch grows with the 1M item occurrences instead.
+        rng = random.Random(0)
+        universe = range(1000)
+        packed = PackedDB.pack(
+            tuple(sorted(rng.sample(universe, 10))) for _ in range(100_000)
+        )
+        tracemalloc.start()
+        try:
+            bitmaps = PackedBitmaps.from_packed(packed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bool_matrix = bitmaps.item_ids.size * bitmaps.num_transactions
+        assert bitmaps.item_ids.size == 1000
+        assert peak < bool_matrix / 2, (peak, bool_matrix)
+
+
+class TestWordBoundaries:
+    """Ranges around word edges, counted in chunks of 1-3 candidates."""
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3])
+    def test_ranges_match_hashtree(self, monkeypatch, per_chunk):
+        rng = random.Random(per_chunk)
+        transactions = [
+            tuple(sorted(rng.sample(range(8), rng.randint(0, 6))))
+            for _ in range(140)
+        ]
+        packed = PackedDB.pack(transactions)
+        for n in (0, 1, 63, 64, 65, 129):
+            lo, hi = 7, 7 + n
+            row_nbytes = 8 * -(-n // 64)
+            monkeypatch.setattr(fastnp, "_CHUNK_BYTES", per_chunk * row_nbytes)
+            for k in (1, 2, 3, 4):
+                # Every k-subset of 8 items, sorted: long prefix runs
+                # that chunks this small split.
+                candidates = list(combinations(range(8), k))
+                counter = FastNumpyCounter(k, candidates)
+                counter.count_packed(packed, lo, hi)
+                expected = _oracle_counts(k, candidates, transactions[lo:hi])
+                assert counter.counts() == expected, (n, k)
+
+
+class TestBytePopcount:
+    """The numpy<2 path: words viewed as bytes through a 256-entry LUT."""
+
+    @given(
+        transactions=long_transactions_strategy,
+        k=st.integers(1, 4),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lut_counts_match_hashtree(self, transactions, k, data):
+        candidates = data.draw(_candidates_strategy(k))
+        expected = _oracle_counts(k, candidates, transactions)
+        packed = PackedDB.pack(transactions)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fastnp, "_HAS_BITWISE_COUNT", False)
+            via_packed = FastNumpyCounter(k, candidates)
+            via_packed.count_packed(packed)
+            via_lists = FastNumpyCounter(k, candidates)
+            via_lists.count_database(transactions)
+        assert via_packed.counts() == expected
+        assert via_lists.counts() == expected
 
 
 class TestFastNumpyEquivalence:

@@ -123,23 +123,6 @@ class TestCounting:
         tree.reset_counts()
         assert tree.get_count((1, 2)) == 0
 
-    def test_add_counts_merges(self):
-        tree = build([(1, 2), (2, 3)])
-        tree.count_transaction((1, 2))
-        tree.add_counts({(1, 2): 5, (2, 3): 2})
-        assert tree.get_count((1, 2)) == 6
-        assert tree.get_count((2, 3)) == 2
-
-    def test_add_counts_unknown_candidate_raises(self):
-        tree = build([(1, 2)])
-        with pytest.raises(KeyError):
-            tree.add_counts({(9, 9): 1})
-
-    def test_add_counts_error_names_diverging_candidate(self):
-        tree = build([(1, 2)])
-        with pytest.raises(KeyError, match=r"\(9, 9\)"):
-            tree.add_counts({(9, 9): 1})
-
 
 class TestRootFilter:
     def test_filter_skips_unowned_first_items(self):
