@@ -1,4 +1,4 @@
-"""Native-pool benchmarks: data planes, partitioning, and kernels.
+"""Native-pool benchmarks: data planes, partitioning, and out-of-core.
 
 Three sections, all mining the same grown Quest workload and landing
 medians in ``BENCH_native.json`` at the repo root:
@@ -28,9 +28,6 @@ medians in ``BENCH_native.json`` at the repo root:
   shard), and gated
   ``native.idd.w4.speedup_vs_serial > 1.0`` — the formulation that
   bounds candidate memory must also beat serial, not trade it away.
-* **CD vs vertical** (``test_vertical_kernel_speedup``) — the
-  TID-bitmap kernel on the shared plane, warm-pool pattern as above.
-  Gate: ``native.vertical.w4.speedup_vs_serial > 1.0``.
 * **Out-of-core mmap plane** (``test_mmap_out_of_core``) — the same
   warm-pool measurement through a disk-backed packed store
   (``data_plane="mmap"``) with a constrained ``block_budget``, so every
@@ -100,13 +97,13 @@ def serial_baseline(db):
     """Median serial wall per kernel, measured in the same run.
 
     The fast-kernel median is the denominator of every
-    ``speedup_vs_serial`` key; recording the serial vertical wall next
-    to it shows how much of the native-vertical win is the kernel
-    itself.  Returns ``(fast_median_wall_s, frequent)``.
+    ``speedup_vs_serial`` key; recording the serial fast-np wall next
+    to it shows how much of the native win is the kernel itself.
+    Returns ``(fast_median_wall_s, frequent)``.
     """
     medians = {}
     frequent = None
-    for kernel in ("fast", "fast-np", "vertical"):
+    for kernel in ("fast", "fast-np"):
         walls = []
         for _ in range(ROUNDS):
             start = time.perf_counter()
@@ -120,8 +117,7 @@ def serial_baseline(db):
     record_bench_medians(medians, path=BENCH_NATIVE_JSON)
     print(
         f"\nserial baseline: fast {medians['serial.fast.wall_s']:.3f}s / "
-        f"fast-np {medians['serial.fast-np.wall_s']:.3f}s / "
-        f"vertical {medians['serial.vertical.wall_s']:.3f}s"
+        f"fast-np {medians['serial.fast-np.wall_s']:.3f}s"
     )
     return medians["serial.fast.wall_s"], frequent
 
@@ -290,66 +286,6 @@ def test_cd_vs_idd_partitioning(db, serial_baseline):
             "serial fast kernel (need > 1.0x: with the warm pool and "
             "the shared candidate plane the partitioned formulation "
             "must beat serial too, not just bound memory)"
-        )
-
-
-def test_vertical_kernel_speedup(db, serial_baseline):
-    """CD vs vertical on the shared plane -> the wall-clock gate.
-
-    Each worker count runs inside the warm-pool context manager: the
-    first (cold) mine pays spawn + packing + the one-time bitmap build
-    and is recorded separately; the ROUNDS warm mines that follow reuse
-    the pool and the per-worker bitmap caches, which is the steady
-    state a repeatedly-queried miner actually runs in.  The gate is the
-    acceptance criterion of the vertical kernel: at 4 workers the warm
-    median must beat the serial fast-kernel wall measured this same
-    run.
-    """
-    serial_wall, serial_frequent = serial_baseline
-    medians = {}
-    for num_workers in WORKER_COUNTS:
-        with NativeCountDistribution(
-            MIN_SUPPORT, num_workers, kernel="vertical", max_k=3
-        ) as miner:
-            start = time.perf_counter()
-            result = miner.mine(db)
-            cold_wall = time.perf_counter() - start
-            assert result.frequent == serial_frequent
-            walls = []
-            for _ in range(ROUNDS):
-                start = time.perf_counter()
-                result = miner.mine(db)
-                walls.append(time.perf_counter() - start)
-                assert miner.last_pool_reused
-                assert result.frequent == serial_frequent
-            build = max(
-                o.bitmap_build_s for o in miner.last_pass_overheads
-            )
-        wall = statistics.median(walls)
-        medians[f"native.vertical.w{num_workers}.wall_s"] = wall
-        medians[f"native.vertical.w{num_workers}.cold_wall_s"] = cold_wall
-        medians[
-            f"native.vertical.w{num_workers}.speedup_vs_serial"
-        ] = serial_wall / wall
-        print(
-            f"\nvertical {num_workers} worker(s): "
-            f"cold {cold_wall:.3f}s, warm {wall:.3f}s "
-            f"({serial_wall / wall:.2f}x vs serial fast; warm bitmap "
-            f"build {build * 1e3:.2f}ms/pass)"
-        )
-        # Warm passes fetch bitmaps from the per-worker cache instead
-        # of rebuilding them — the build column must collapse.
-        if not TINY:
-            assert build < 0.05
-
-    record_bench_medians(medians, path=BENCH_NATIVE_JSON)
-
-    if not TINY:
-        speedup = medians["native.vertical.w4.speedup_vs_serial"]
-        assert speedup > 1.0, (
-            f"vertical native pool at 4 workers is {speedup:.2f}x the "
-            "serial fast kernel (need > 1.0x: the whole point of the "
-            "TID-bitmap kernel is to win wall-clock, not just scale)"
         )
 
 

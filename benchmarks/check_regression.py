@@ -11,7 +11,7 @@ plane's headline metric — and fails (exit 1) when any key grows more
 than 25% over the baseline.  ``--prefix`` / ``--suffix`` retarget the
 key selection, ``--keys-glob`` replaces it with a single
 :mod:`fnmatch` pattern (e.g. ``'native.*.speedup_vs_serial'`` covers
-the tree-family, IDD and vertical speedups in one invocation), and
+the data-plane, IDD and mmap speedups in one invocation), and
 ``--threshold`` adjusts the allowed drift, so other benches can reuse
 the checker.
 

@@ -185,17 +185,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         type=_kernel_arg,
         default=None,
-        metavar="{reference,fast,fast-np,vertical}",
+        metavar="{reference,fast,fast-np}",
         help=(
             "counting kernel: 'reference' (instrumented object hash "
             "tree), 'fast' (flat-array tree + triangular pass-2 "
-            "counter), 'fast-np' (numpy-vectorized packed counting; "
-            "falls back to 'vertical' without numpy), or 'vertical' "
-            "(TID-bitmap intersections); serial Apriori runs all four, "
-            "the simulated formulations 'reference' and 'fast', the "
-            "native-* pool 'fast-np' (its default) and 'vertical'; "
-            "counts are bit-identical — omit to keep each algorithm's "
-            "default"
+            "counter) or 'fast-np' (numpy-vectorized bitmap counting); "
+            "serial Apriori runs all three, the simulated formulations "
+            "'reference' and 'fast', the native-* pool only 'fast-np' "
+            "(its default); counts are bit-identical — omit to keep "
+            "each algorithm's default"
         ),
     )
     mine.add_argument(
@@ -378,10 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         type=_kernel_arg,
         default=None,
-        metavar="{reference,fast,fast-np,vertical}",
+        metavar="{reference,fast,fast-np}",
         help=(
-            "counting kernel for the (re-)mines; with --attach the "
-            "native pool's 'fast-np' (default) or 'vertical'"
+            "counting kernel for the (re-)mines; with --attach only the "
+            "native pool's 'fast-np' (the default)"
         ),
     )
     serve.add_argument(

@@ -28,7 +28,6 @@ from .rules import AssociationRule, generate_rules, rules_from_result
 from .streaming import StreamingApriori
 from .summaries import closed_itemsets, maximal_itemsets, support_histogram
 from .transaction import DBStats, TransactionDB
-from .vertical import TidBitmapCache, TidBitmaps, VerticalCounter
 
 __all__ = [
     "Apriori",
@@ -49,11 +48,8 @@ __all__ = [
     "PairCounter",
     "PassTrace",
     "StreamingApriori",
-    "TidBitmapCache",
-    "TidBitmaps",
     "TransactionDB",
     "TreeShape",
-    "VerticalCounter",
     "bin_pack",
     "closed_itemsets",
     "count_naive",

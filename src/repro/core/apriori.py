@@ -21,16 +21,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from . import fastnp
 from .candidates import frequent_rows, generate_candidates, itemset_matrix
+from .fastnp import FastNumpyCounter
 from .hashtree import HashTreeStats, TreeShape
 from .items import Itemset
-from .kernels import (
-    make_cache,
-    make_counter,
-    validate_kernel,
-    warn_kernel_fallback,
-)
+from .kernels import make_cache, make_counter, validate_kernel
 from .transaction import TransactionDB
 
 __all__ = ["Apriori", "AprioriResult", "PassTrace", "min_support_count"]
@@ -117,15 +112,16 @@ class Apriori:
             triangular pass-2 counter, no work counters),
             ``"reference"`` (instrumented object tree; required when the
             per-pass ``tree_stats`` feed the Section IV cost model), or
-            one of the bitmap kernels ``"fast-np"`` and ``"vertical"``,
-            which build the database's bitmaps once per :meth:`mine`
-            (through :func:`~repro.core.kernels.make_cache`) and reuse
-            them on every pass.  All four produce identical frequent
-            item-sets and counts.  ``"fast-np"`` with numpy runs each
-            pass in matrix form, as the native coordinator does:
-            apriori_gen over the sorted int32 F(k-1) matrix, a counter
-            over the C(k) matrix, and a count mask for the threshold
-            (see :mod:`repro.core.candidates`).
+            the bitmap kernel ``"fast-np"``, which builds the database's
+            bitmaps once per :meth:`mine` (through
+            :func:`~repro.core.kernels.make_cache`) and reuses them on
+            every pass.  All three produce identical frequent item-sets
+            and counts.  ``"fast-np"`` runs each pass in matrix form, as
+            the native coordinator does: apriori_gen over the sorted
+            int32 F(k-1) matrix, a counter over the C(k) matrix, and a
+            count mask for the threshold (see
+            :mod:`repro.core.candidates`); item ids past int32 keep the
+            tuple form.
     """
 
     def __init__(
@@ -143,7 +139,6 @@ class Apriori:
         self.leaf_capacity = leaf_capacity
         self.max_k = max_k
         self.kernel = validate_kernel(kernel)
-        warn_kernel_fallback(self.kernel)
 
     def mine(self, db: TransactionDB) -> AprioriResult:
         """Mine all frequent item-sets of ``db``."""
@@ -157,7 +152,7 @@ class Apriori:
         )
 
         frequent_prev = self._pass_one(db, min_count, result)
-        if self.kernel == "fast-np" and fastnp.HAVE_NUMPY:
+        if self.kernel == "fast-np":
             matrix = itemset_matrix(frequent_prev)
             if matrix is not None:
                 frequent_prev = matrix
@@ -183,7 +178,7 @@ class Apriori:
                 frequent_k = counter.frequent(min_count)
                 frequent_prev = list(frequent_k)
             else:
-                counter = fastnp.FastNumpyCounter.from_matrix(k, candidates)
+                counter = FastNumpyCounter.from_matrix(k, candidates)
                 counter.use_cache(cache)
                 counter.count_database(db)
                 frequent_prev, frequent_k = frequent_rows(

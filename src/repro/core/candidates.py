@@ -17,7 +17,7 @@ bin-packing partitioner (Section III-C): the number of candidates
 starting with each item, computable *without materializing the
 candidates on every processor*.
 
-**Matrix form.**  With numpy, a pass's item-sets can also be held as
+**Matrix form.**  A pass's item-sets can also be held as
 one lexicographically sorted ``(n, k)`` int32 matrix — the layout of
 the native pool's shared candidate frame.  :func:`generate_candidates`
 accepts F(k-1) in that form and returns C(k) in it, row for row and in
@@ -31,7 +31,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from .fastnp import np
+import numpy as np
+
 from .items import Itemset
 
 __all__ = [
@@ -67,7 +68,7 @@ def generate_candidates(frequent_prev):
     >>> generate_candidates([(1, 2), (1, 3), (2, 3), (2, 4)])
     [(1, 2, 3)]
     """
-    if np is not None and isinstance(frequent_prev, np.ndarray):
+    if isinstance(frequent_prev, np.ndarray):
         return _generate_matrix(frequent_prev)
     frequent_set: Set[Itemset] = set(frequent_prev)
     if not frequent_set:

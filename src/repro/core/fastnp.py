@@ -1,9 +1,8 @@
-"""Vectorized tree-family counting kernel (``kernel="fast-np"``).
+"""Vectorized bitmap counting kernel (``kernel="fast-np"``).
 
 The hash-tree kernels walk every transaction through the candidate tree
-in the interpreter; the vertical kernel removed that loop with CPython
-big-integer bitmaps.  This module removes it with :mod:`numpy` batch
-operations instead, which also lets the candidate set live as one flat
+in the interpreter.  This module removes that loop with :mod:`numpy`
+batch operations, which also lets the candidate set live as one flat
 int32 matrix — exactly the binary frame the native pool's shared
 candidate plane broadcasts, so a worker can count *straight out of the
 shared segment* without ever materializing candidate tuples:
@@ -12,9 +11,9 @@ shared segment* without ever materializing candidate tuples:
   PackedDB` range builds a packed presence **bit-matrix**: row ``r`` is
   the TID bitmap of the range's ``r``-th distinct item, 64 transactions
   per little-endian ``uint64`` word.  Each (item, transaction) bit is
-  scattered straight into its word, so the build's scratch grows with
-  the range's item occurrences, not with items x transactions.  Like
-  the vertical kernel's bitmaps they are candidate- and
+  scattered straight into its word, a bounded chunk of transactions at
+  a time, so the build neither fills an items x transactions matrix
+  nor keys the whole range at once.  The bitmaps are candidate- and
   pass-independent, so long-lived holders reuse them across passes via
   :class:`PackedBitmapCache`.
 * :class:`FastNumpyCounter` — candidates as one ``(num, k)`` int32/64
@@ -32,16 +31,6 @@ Counts are bit-identical to :class:`~repro.core.hashtree.HashTree` on
 every input (property-tested in ``tests/core/test_fastnp.py``): a
 candidate's AND row has bit ``t`` set for exactly the transactions whose
 item set contains all its items — the tree's superset test.
-
-**Numpy is optional.**  The module imports cleanly without it;
-:data:`HAVE_NUMPY` tells the kernel selectors to fall back to the
-pure-python vertical machinery (:class:`~repro.core.vertical.
-VerticalCounter` + :class:`~repro.core.vertical.TidBitmapCache`), which
-shares the bitmap kernels' count contract (``count_packed`` /
-``count_database`` through a cross-pass cache) and the bit-identical
-guarantee.  :func:`~repro.core.kernels.make_counter` and
-:func:`~repro.core.kernels.make_cache` pick the matching pair, so
-callers never branch on the import themselves.
 """
 
 from __future__ import annotations
@@ -63,16 +52,9 @@ from .items import Itemset
 from .packed import _CAND_HEADER
 from .transaction import TransactionDB
 
-try:  # pragma: no cover - exercised via the HAVE_NUMPY monkeypatch tests
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - CI's no-numpy leg
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
+import numpy as np
 
 __all__ = [
-    "HAVE_NUMPY",
     "PackedBitmaps",
     "PackedBitmapCache",
     "FastNumpyCounter",
@@ -87,26 +69,23 @@ __all__ = [
 # KiB chunks, 0.29-0.32 s with 1-4 MiB and 0.37-0.42 s with 8 MiB.
 _CHUNK_BYTES = 512 << 10
 
-if HAVE_NUMPY:
-    # Little-endian, so a word row's bytes are the little-bit-order
-    # bitmap on any host.
-    _WORD = np.dtype("<u8")
-    _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-    # Byte-popcount table for numpy < 2.0 (no np.bitwise_count).
-    _POPCOUNT_LUT = np.array(
-        [bin(value).count("1") for value in range(256)], dtype=np.uint8
-    )
+# Transactions one build chunk scatters: the chunk's int64 keys and bits
+# (8 bytes each per item occurrence) are about 1 MB each on T15-shaped
+# data however long the range.
+_BUILD_CHUNK = 1 << 13
+
+# Little-endian, so a word row's bytes are the little-bit-order bitmap
+# on any host.
+_WORD = np.dtype("<u8")
 
 
-def _popcount_rows(acc) -> "np.ndarray":
-    """Per-row popcount of a C-contiguous word matrix, as int64.
+def _popcount_rows(acc) -> np.ndarray:
+    """Per-row popcount of a word matrix.
 
-    Without ``np.bitwise_count`` (numpy < 2.0) the words are viewed as
-    bytes and counted through a 256-entry table.
+    uint32 is exact: a row holds ``64 * nwords`` bits, and a range holds
+    fewer than 2**31 transactions (packed offsets are int32).
     """
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(acc).sum(axis=1, dtype=np.int64)
-    return _POPCOUNT_LUT[acc.view(np.uint8)].sum(axis=1, dtype=np.int64)
+    return np.bitwise_count(acc).sum(axis=1, dtype=np.uint32)
 
 
 class PackedBitmaps:
@@ -132,31 +111,33 @@ class PackedBitmaps:
         self.build_s = build_s
 
     @classmethod
-    def _build(cls, seg_items, tx_ids, n: int, started: float
-               ) -> "PackedBitmaps":
-        """Assemble the bit-matrix from flat (item, transaction) pairs.
+    def _build(cls, items, offsets, started: float) -> "PackedBitmaps":
+        """Assemble the bit-matrix from a flat item column.
 
-        Each pair ORs its bit straight into its word of the flat row
-        array, keyed ``row * nwords + (tx >> 6)``; ``np.bitwise_or.at``
-        is unbuffered, so the pairs that share a word all land.  Scratch
-        is a few int64 vectors as long as the pair list, not an
-        items x transactions matrix.  ``tx_ids`` (a fresh int64 array)
-        is overwritten in place.
+        Transaction ``t`` holds ``items[offsets[t]:offsets[t + 1]]``.
+        Every (item, transaction) pair ORs its bit straight into its
+        word of the flat row array, keyed ``row * nwords + (t >> 6)``;
+        ``np.bitwise_or.at`` is unbuffered, so the pairs that share a
+        word all land.  Pairs are keyed ``_BUILD_CHUNK`` transactions at
+        a time, so the int64 key scratch is bounded by one chunk's
+        occurrences.
         """
+        n = offsets.size - 1
         nwords = (n + 63) >> 6
-        if not (seg_items.size and n):
-            rows = np.zeros((0, nwords), dtype=_WORD)
-            return cls(np.zeros(0, dtype=np.int64), rows, n,
-                       time.perf_counter() - started)
-        item_ids = np.unique(seg_items)
-        key = np.searchsorted(item_ids, seg_items)
-        key *= nwords
-        key += tx_ids >> 6
-        tx_ids &= 63
-        bits = tx_ids.view(np.uint64)
-        np.left_shift(np.uint64(1), bits, out=bits)
+        item_ids = np.unique(items)
         words = np.zeros(item_ids.size * nwords, dtype=_WORD)
-        np.bitwise_or.at(words, key, bits)
+        for lo in range(0, n, _BUILD_CHUNK):
+            hi = min(lo + _BUILD_CHUNK, n)
+            tx_ids = np.repeat(
+                np.arange(lo, hi, dtype=np.int64), np.diff(offsets[lo:hi + 1])
+            )
+            key = np.searchsorted(item_ids, items[offsets[lo]:offsets[hi]])
+            key *= nwords
+            key += tx_ids >> 6
+            tx_ids &= 63
+            bits = tx_ids.view(np.uint64)
+            np.left_shift(np.uint64(1), bits, out=bits)
+            np.bitwise_or.at(words, key, bits)
         rows = words.reshape(item_ids.size, nwords)
         return cls(item_ids, rows, n, time.perf_counter() - started)
 
@@ -166,23 +147,16 @@ class PackedBitmaps:
     ) -> "PackedBitmaps":
         """Build bitmaps from transactions ``[lo, hi)`` of a packed store.
 
-        One vectorized pass over the int32 columns; identical for
-        array-backed and shared-memory ``memoryview``-backed stores (the
-        views are read, never retained).
+        Vectorized over the int32 columns; identical for array-backed
+        and shared-memory ``memoryview``-backed stores (the views are
+        read, never retained).
         """
         started = time.perf_counter()
-        if hi is None:
-            hi = len(packed)
-        n = hi - lo
-        if n <= 0:
-            return cls._build(
-                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                max(n, 0), started,
-            )
+        hi = max(lo, len(packed) if hi is None else hi)
         offsets = np.asarray(packed.offsets)[lo:hi + 1].astype(np.int64)
-        seg_items = np.asarray(packed.items)[offsets[0]:offsets[-1]]
-        tx_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-        return cls._build(seg_items, tx_ids, n, started)
+        items = np.asarray(packed.items)[offsets[0]:offsets[-1]]
+        offsets -= offsets[0]
+        return cls._build(items, offsets, started)
 
     @classmethod
     def from_transactions(
@@ -191,16 +165,15 @@ class PackedBitmaps:
         """Build bitmaps from an iterable of item sequences."""
         started = time.perf_counter()
         flat: List[int] = []
-        lengths: List[int] = []
+        offsets: List[int] = [0]
         for transaction in transactions:
             flat.extend(transaction)
-            lengths.append(len(transaction))
-        n = len(lengths)
-        seg_items = np.array(flat, dtype=np.int64)
-        tx_ids = np.repeat(
-            np.arange(n, dtype=np.int64), np.array(lengths, dtype=np.int64)
+            offsets.append(len(flat))
+        return cls._build(
+            np.array(flat, dtype=np.int64),
+            np.array(offsets, dtype=np.int64),
+            started,
         )
-        return cls._build(seg_items, tx_ids, n, started)
 
     def bits_for(self, item: int) -> "np.ndarray":
         """Word row of ``item``'s bitmap (all-zero when absent)."""
@@ -213,8 +186,7 @@ class PackedBitmaps:
 class PackedBitmapCache:
     """Per-process bit-matrix cache, keyed on the data a holder counts.
 
-    The numpy twin of :class:`~repro.core.vertical.TidBitmapCache`:
-    counters are rebuilt (or reset) every pass while native-pool workers
+    Counters are rebuilt (or reset) every pass while native-pool workers
     and serial ``Apriori.mine()`` outlive the pass, so the cache lives
     in the holder and hands each pass the matrices built on the first
     pass over the same range or block.  Entries pin their source object,
@@ -261,16 +233,15 @@ class PackedBitmapCache:
 class FastNumpyCounter:
     """Support counter over batched bit-matrix intersections.
 
-    Its count contract is the bitmap kernels' one, shared with
-    :class:`~repro.core.vertical.VerticalCounter` (``count_packed`` /
-    ``count_database`` through an optional :meth:`use_cache` cache), so
-    callers hand either to the same code; counts accumulate across
-    ``count_*`` calls (the CD reduction invariant).
+    Its count contract is the bitmap kernel's one (``count_packed`` /
+    ``count_database`` through an optional :meth:`use_cache` cache);
+    counts accumulate across ``count_*`` calls (the CD reduction
+    invariant).
 
     Two extra constructors serve the shared candidate plane:
     :meth:`from_matrix` wraps an existing ``(num, k)`` candidate matrix
     and :meth:`from_flat` decodes one straight from a binary candidate
-    frame (:func:`~repro.core.packed.write_candidates_into` layout) —
+    frame (:func:`~repro.core.packed.candidate_frame`) —
     both zero-copy, deferring tuple materialization until a dict-shaped
     method actually needs it, so a pool worker counting out of the
     shared segment never builds 40k tuples at all
@@ -286,12 +257,6 @@ class FastNumpyCounter:
     """
 
     def __init__(self, k: int, candidates: Sequence[Itemset] = ()):
-        if not HAVE_NUMPY:
-            raise RuntimeError(
-                "FastNumpyCounter requires numpy; use "
-                "make_counter(kernel='fast-np') which falls back to the "
-                "pure-python vertical machinery when numpy is absent"
-            )
         if k < 1:
             raise ValueError(f"candidate size must be >= 1, got {k}")
         self.k = k
@@ -332,10 +297,9 @@ class FastNumpyCounter:
     def from_flat(cls, buf) -> "FastNumpyCounter":
         """Decode a binary candidate frame into a counter — zero-copy.
 
-        ``buf`` is a buffer laid out by :func:`~repro.core.packed.
-        write_candidates_into` (e.g. a shared candidate segment's
-        ``buf``); the candidate matrix is a view into it, so the buffer
-        must outlive the counter.
+        ``buf`` holds a :func:`~repro.core.packed.candidate_frame` (e.g.
+        a shared candidate segment's ``buf``); the candidate matrix is a
+        view into it, so the buffer must outlive the counter.
         """
         num, k = _CAND_HEADER.unpack_from(buf, 0)
         matrix = np.frombuffer(

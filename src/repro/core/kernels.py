@@ -1,6 +1,6 @@
-"""Counting-kernel selection: reference, fast, fast-np and vertical.
+"""Counting-kernel selection: reference, fast and fast-np.
 
-The repository keeps four implementations of the paper's subset-counting
+The repository keeps three implementations of the paper's subset-counting
 kernel:
 
 * **reference** — :class:`repro.core.hashtree.HashTree`: per-node
@@ -20,18 +20,7 @@ kernel:
   (:class:`~repro.core.fastnp.PackedBitmaps`, reusable across passes
   via :class:`~repro.core.fastnp.PackedBitmapCache`) — no
   per-transaction or per-candidate interpreter loop.  Counts are
-  bit-identical to the reference kernel.  When numpy is absent
-  (:data:`repro.core.fastnp.HAVE_NUMPY` is false) the selector falls
-  back to the pure-python vertical machinery, which keeps the same
-  surface and the same counts; the miners that accept the kernel
-  report the fallback once, through :func:`warn_kernel_fallback`.
-* **vertical** — :class:`repro.core.vertical.VerticalCounter`:
-  Eclat-style per-item TID bitmaps intersected per candidate and
-  popcounted with CPython big integers.  No per-transaction traversal
-  at all; counts are bit-identical to the reference kernel.  Bitmaps
-  are candidate-independent, so long-lived holders (the native pool's
-  workers) reuse them across passes via
-  :class:`~repro.core.vertical.TidBitmapCache`.
+  bit-identical to the reference kernel.
 
 The two families count through two contracts, one each:
 
@@ -42,8 +31,8 @@ The two families count through two contracts, one each:
   is IDD's root-level item bitmap (Section III-C).
   :class:`~repro.core.streaming.StreamingApriori` and the simulated
   formulations count with them.
-* the **bitmap kernels** (``fast-np``, ``vertical``) build per-item
-  bitmaps once per transaction range and AND and popcount them:
+* the **bitmap kernel** (``fast-np``) builds per-item bitmaps once per
+  transaction range and ANDs and popcounts them:
   ``count_packed(packed, lo, hi, root_filter)`` over a
   :class:`~repro.core.packed.PackedDB` range (the native pool's shared
   and file-backed stores) and ``count_database(transactions,
@@ -52,8 +41,8 @@ The two families count through two contracts, one each:
 
 Every counter also answers ``counts`` / ``frequent`` / ``get_count`` /
 ``shape`` / ``reset_counts``.  Serial :class:`~repro.core.apriori.
-Apriori` runs all four kernels; the native pool counts only with the
-two bitmap kernels.  :func:`validate_kernel` checks a name against the
+Apriori` runs all three kernels; the native pool counts only with the
+bitmap kernel.  :func:`validate_kernel` checks a name against the
 set a miner allows, and :func:`make_counter` / :func:`make_cache` are
 the single decision points from a kernel name to its counter and its
 cache.
@@ -61,33 +50,29 @@ cache.
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Sequence, Union
 
-from . import fastnp
 from .fastnp import FastNumpyCounter, PackedBitmapCache
 from .hashtree import HashTree
 from .hashtree_flat import FlatHashTree
 from .items import Itemset
 from .pass2 import PairCounter
-from .vertical import TidBitmapCache, VerticalCounter
 
 __all__ = [
     "KERNELS",
     "TREE_KERNELS",
     "validate_kernel",
-    "warn_kernel_fallback",
     "make_counter",
     "make_cache",
     "Counter",
 ]
 
-KERNELS = ("reference", "fast", "fast-np", "vertical")
+KERNELS = ("reference", "fast", "fast-np")
 
 #: The kernels that count one transaction at a time (see module docstring).
 TREE_KERNELS = ("reference", "fast")
 
-Counter = Union[HashTree, FlatHashTree, PairCounter, FastNumpyCounter, VerticalCounter]
+Counter = Union[HashTree, FlatHashTree, PairCounter, FastNumpyCounter]
 
 # A triangular pass-2 counter allocates one slot per item pair in the
 # span of the candidates.  apriori_gen's C2 fills the triangle exactly
@@ -113,23 +98,6 @@ def validate_kernel(kernel: str, allowed: Sequence[str] = KERNELS) -> str:
     return kernel
 
 
-def warn_kernel_fallback(kernel: str) -> None:
-    """Warn when ``kernel`` will not count with the kernel it names.
-
-    Only ``"fast-np"`` has a fallback: without numpy it counts with the
-    vertical kernel (same counts, slower).  Coordinators call this once
-    per miner they construct; :func:`make_counter`, which every worker
-    and every pass calls, stays silent.
-    """
-    if kernel == "fast-np" and not fastnp.HAVE_NUMPY:
-        warnings.warn(
-            "kernel 'fast-np' needs numpy, which is not importable; "
-            "counting with the 'vertical' kernel instead",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 def make_counter(
     k: int,
     candidates: Sequence[Itemset],
@@ -144,9 +112,8 @@ def make_counter(
         candidates: canonical candidates of size ``k``.
         kernel: ``"reference"`` (instrumented object tree), ``"fast"``
             (flat tree; triangular pair counter for a dense C2),
-            ``"fast-np"`` (numpy batch counting over the candidate
-            matrix; vertical fallback without numpy), or ``"vertical"``
-            (TID-bitmap intersections).
+            or ``"fast-np"`` (numpy batch counting over the candidate
+            matrix).
         branching / leaf_capacity: hash tree geometry (ignored by the
             pair counter and the matrix/bitmap counters).
 
@@ -160,13 +127,7 @@ def make_counter(
         tree.insert_all(candidates)
         return tree
     if kernel == "fast-np":
-        # HAVE_NUMPY is read at call time (not import time) so tests can
-        # force the fallback path by monkeypatching the flag.
-        if fastnp.HAVE_NUMPY:
-            return FastNumpyCounter(k, candidates)
-        return VerticalCounter(k, candidates)
-    if kernel == "vertical":
-        return VerticalCounter(k, candidates)
+        return FastNumpyCounter(k, candidates)
     if k == 2 and candidates:
         counter = PairCounter(candidates)
         if counter.triangle_size * _PASS2_MIN_FILL <= len(candidates):
@@ -176,19 +137,15 @@ def make_counter(
     return tree
 
 
-def make_cache(kernel: str) -> Optional[Union[PackedBitmapCache, TidBitmapCache]]:
+def make_cache(kernel: str) -> Optional[PackedBitmapCache]:
     """The cross-pass bitmap cache of ``make_counter(kernel=kernel)``.
 
-    :class:`~repro.core.fastnp.PackedBitmapCache` for ``"fast-np"`` with
-    numpy, :class:`~repro.core.vertical.TidBitmapCache` for
-    ``"vertical"`` and for ``"fast-np"`` without numpy (the counter is
-    then a :class:`VerticalCounter`), and ``None`` for the tree kernels,
-    which build no bitmaps.  Holders that outlive one pass (a pool
-    worker, one serial ``mine()``) wire it into every counter they make.
+    A :class:`~repro.core.fastnp.PackedBitmapCache` for ``"fast-np"``,
+    and ``None`` for the tree kernels, which build no bitmaps.  Holders
+    that outlive one pass (a pool worker, one serial ``mine()``) wire it
+    into every counter they make.
     """
     validate_kernel(kernel)
     if kernel in TREE_KERNELS:
         return None
-    if kernel == "fast-np" and fastnp.HAVE_NUMPY:
-        return PackedBitmapCache()
-    return TidBitmapCache()
+    return PackedBitmapCache()

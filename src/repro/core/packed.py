@@ -14,15 +14,15 @@ is the encoding layer that removes those costs:
   over a shared-memory segment; either way the counting kernels consume
   ``(offsets, items)`` slices directly, without materializing
   per-transaction tuples.
-* a **binary candidate encoding** — one pass's ``C_k`` as a single flat
-  int32 buffer of ``len(C_k) * k`` items plus a small header, so a
-  candidate broadcast is one binary frame instead of a pickled tuple
-  list.
-* buffer codecs (:func:`write_packed_into` / :func:`packed_from_buffer`,
-  :func:`write_candidates_into` / :func:`candidates_from_bytes`) with
-  explicit little-endian headers, used by the native pool to lay the
-  store and the per-pass candidate segment out in
-  ``multiprocessing.shared_memory`` segments.
+* a **binary candidate frame** — one pass's sorted ``C_k`` matrix as
+  ``len(C_k) * k`` int32 items plus a small header, so a candidate
+  broadcast is one binary frame instead of a pickled tuple list.
+* buffer codecs (:func:`write_packed_into` / :func:`packed_from_buffer`
+  for the store, :func:`candidate_frame` for a pass's sorted candidate
+  matrix, which :meth:`~repro.core.fastnp.FastNumpyCounter.from_flat`
+  decodes zero-copy) with explicit little-endian headers, used by the
+  native pool to lay the store and the per-pass candidate segment out
+  in ``multiprocessing.shared_memory`` segments.
 
 Encode/decode is round-trip exact by construction and by test
 (``tests/core/test_packed.py``): items are validated to fit int32 at
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import struct
 from array import array
-from itertools import chain
 from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 from .items import Itemset
@@ -41,14 +40,10 @@ from .items import Itemset
 __all__ = [
     "INT32_MAX",
     "PackedDB",
-    "pack_candidates",
-    "unpack_candidates",
     "packed_nbytes",
     "write_packed_into",
     "packed_from_buffer",
-    "candidates_nbytes",
-    "write_candidates_into",
-    "candidates_from_bytes",
+    "candidate_frame",
 ]
 
 INT32_MAX = 2**31 - 1
@@ -65,6 +60,17 @@ IntBuffer = Union["array[int]", memoryview, Sequence[int]]
 # written by the coordinator decodes identically in any worker.
 _STORE_HEADER = struct.Struct("<qq")
 _CAND_HEADER = struct.Struct("<qq")
+
+
+def candidate_frame(matrix) -> bytes:
+    """One pass's ``(num, k)`` candidate matrix as a binary frame.
+
+    The rows' items, written little-endian int32 after the ``(num, k)``
+    header, are the frame body, so encoding is one ``tobytes``.
+    """
+    num, k = matrix.shape
+    body = matrix.astype("<i4", copy=False).tobytes()
+    return _CAND_HEADER.pack(num, k) + body
 
 
 def _check_item(item: int) -> int:
@@ -239,51 +245,6 @@ class PackedDB:
 
 
 # ----------------------------------------------------------------------
-# Candidate encoding: C_k as one flat int32 buffer
-# ----------------------------------------------------------------------
-
-
-def pack_candidates(candidates: Sequence[Itemset], k: int) -> "array[int]":
-    """Flatten size-``k`` candidates into one int32 buffer of ``n * k``.
-
-    This runs once per pass on the broadcast path, so the whole flatten
-    stays in C (one ``extend`` over a chain, one ``min`` for the range
-    check); per-candidate Python work happens only on the error path.
-    """
-    flat = array(_I32)
-    try:
-        flat.extend(chain.from_iterable(candidates))
-        if flat and min(flat) < 0:
-            raise OverflowError
-    except (OverflowError, TypeError):
-        for candidate in candidates:
-            for item in candidate:
-                _check_item(item)
-        raise  # pragma: no cover - the per-item scan always raises first
-    # Total-size check: catches a wrong k (and any non-compensating size
-    # mix).  Callers pack apriori_gen output, which is uniform by
-    # construction.
-    if len(flat) != k * len(candidates):
-        offender = next(c for c in candidates if len(c) != k)
-        raise ValueError(
-            f"candidate {offender!r} has size {len(offender)}, expected {k}"
-        )
-    return flat
-
-
-def unpack_candidates(flat: IntBuffer, k: int) -> List[Itemset]:
-    """Decode a flat candidate buffer back into size-``k`` tuples."""
-    if k < 1:
-        raise ValueError(f"candidate size k must be >= 1, got {k}")
-    if len(flat) % k != 0:
-        raise ValueError(
-            f"flat candidate buffer of {len(flat)} items is not a "
-            f"multiple of k={k}"
-        )
-    return [tuple(flat[i:i + k]) for i in range(0, len(flat), k)]
-
-
-# ----------------------------------------------------------------------
 # Buffer codecs (shared-memory segment layouts)
 # ----------------------------------------------------------------------
 
@@ -321,30 +282,6 @@ def packed_from_buffer(buf) -> PackedDB:
     offsets = view[lo:hi].cast(_I32)
     items = view[hi:hi + 4 * total].cast(_I32)
     return PackedDB.from_buffers(offsets, items)
-
-
-def candidates_nbytes(num_candidates: int, k: int) -> int:
-    """Bytes needed by :func:`write_candidates_into`."""
-    return _CAND_HEADER.size + 4 * num_candidates * k
-
-
-def write_candidates_into(
-    candidates: Sequence[Itemset], k: int, buf
-) -> None:
-    """Serialize one pass's candidates into a writable buffer."""
-    flat = pack_candidates(candidates, k)
-    _CAND_HEADER.pack_into(buf, 0, len(candidates), k)
-    lo = _CAND_HEADER.size
-    buf[lo:lo + 4 * len(flat)] = _as_i32_bytes(flat)
-
-
-def candidates_from_bytes(data) -> Tuple[int, List[Itemset]]:
-    """Decode ``(k, candidates)`` from a candidate buffer's bytes."""
-    num, k = _CAND_HEADER.unpack_from(data, 0)
-    flat = array(_I32)
-    lo = _CAND_HEADER.size
-    flat.frombytes(bytes(data[lo:lo + 4 * num * k]))
-    return k, unpack_candidates(flat, k)
 
 
 def _as_i32_bytes(buffer: IntBuffer) -> bytes:

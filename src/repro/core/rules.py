@@ -12,7 +12,7 @@ consequents with ``apriori_gen``, exploiting that if ``Z - h => h`` fails
 the confidence bar then so does every rule whose consequent contains
 ``h`` (confidence is anti-monotone in the consequent).
 
-**Matrix form.**  With numpy, and when every item id fits int32,
+**Matrix form.**  When every item id fits int32,
 :func:`generate_rules` runs ap-genrules on a whole item-set size at once
 rather than one item-set at a time.  Each size is one sorted int32
 matrix with its count vector.  A consequent is a set of column
@@ -22,7 +22,7 @@ survived, so each row meets exactly the consequents it would alone.
 Antecedent and consequent rows are found by the sorted-key lookup
 apriori_gen prunes with, and every rule is ordered by one ``lexsort``
 on ranks in the sorted table.  :func:`_rules_for_itemset` stays the
-numpy-free path and the reference.
+path for the other tables and the reference.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from itertools import chain, combinations
 from operator import itemgetter
 from typing import Dict, Iterator, List, Mapping, Optional
 
-from . import fastnp
+import numpy as np
+
 from .apriori import AprioriResult
 from .candidates import _find_rows, _row_keys, generate_candidates
-from .fastnp import np
 from .items import Itemset
 
 __all__ = ["AssociationRule", "generate_rules", "rules_from_result"]
@@ -96,10 +96,9 @@ def generate_rules(
         )
     if num_transactions <= 0:
         raise ValueError("num_transactions must be positive")
-    if fastnp.HAVE_NUMPY:
-        matrix_rules = _matrix_rules(frequent, num_transactions, min_confidence)
-        if matrix_rules is not None:
-            return matrix_rules
+    matrix_rules = _matrix_rules(frequent, num_transactions, min_confidence)
+    if matrix_rules is not None:
+        return matrix_rules
 
     rules: List[AssociationRule] = []
     # ap-genrules re-reads the same antecedent supports over and over:

@@ -198,10 +198,9 @@ class ParallelMiner(ABC):
             cost of running the simulation drops.  The uninstrumented
             fast path (and the pass-2 pair counter) are reserved for
             serial :class:`~repro.core.apriori.Apriori` because the cost
-            model prices the counters.  ``"vertical"`` and ``"fast-np"``
-            raise ``ValueError``: bitmap intersection and vectorized
-            batch counting perform none of the tree traversals the
-            Section IV cost model prices.
+            model prices the counters.  ``"fast-np"`` raises
+            ``ValueError``: vectorized bitmap counting performs none of
+            the tree traversals the Section IV cost model prices.
         faults: optional :class:`~repro.faults.FaultSpec` (or spec
             string) of injected processor failures, consumed by the
             cluster's per-processor failure hooks: a killed processor is

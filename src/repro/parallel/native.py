@@ -41,11 +41,10 @@ sub-ranges.  The packed store holds int32 item ids, so a database with
 an id past 2^31 - 1 raises ``ValueError`` (serial
 :class:`~repro.core.apriori.Apriori` still mines it).
 
-Workers count with one of two bitmap kernels (``kernel=``):
-``"fast-np"`` (default; numpy bit-matrices, counted straight out of the
-shared candidate frame, or ``"vertical"`` with one ``RuntimeWarning``
-when numpy is absent) or ``"vertical"`` (pure-python TID bitmaps).
-Both keep their per-block bitmaps in a cross-pass cache.
+Workers count with the ``"fast-np"`` bitmap kernel (``kernel=``, the
+one name :data:`NATIVE_KERNELS` allows): numpy bit-matrices, counted
+straight out of the shared candidate frame, with each range's bitmaps
+kept in a cross-pass cache.
 
 The pool is **fault tolerant** on every plane.  Receives are poll-based
 with a per-pass deadline; a worker that times out, dies or replies with
@@ -91,12 +90,13 @@ from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+import numpy as np
+
 from ..checkpoint import (
     CheckpointSession,
     checkpoint_meta,
     fire_coordinator_kill,
 )
-from ..core import fastnp
 from ..core.apriori import AprioriResult, PassTrace, min_support_count
 from ..core.bitmap import ItemBitmap
 from ..core.candidates import (
@@ -104,24 +104,17 @@ from ..core.candidates import (
     generate_candidates,
     itemset_matrix,
 )
+from ..core.fastnp import FastNumpyCounter, PackedBitmapCache
 from ..core.items import Itemset
-from ..core.kernels import (
-    make_cache,
-    make_counter,
-    validate_kernel,
-    warn_kernel_fallback,
-)
+from ..core.kernels import validate_kernel
 from ..core.packed import (
-    _CAND_HEADER,
     PackedDB,
-    candidates_from_bytes,
-    candidates_nbytes,
+    candidate_frame,
     packed_from_buffer,
     packed_nbytes,
-    write_candidates_into,
     write_packed_into,
 )
-from ..core.partition import bin_pack, partition_by_first_item
+from ..core.partition import bin_pack
 from ..faults import FaultEvent, FaultRecord, FaultSpec
 from ..memprof import peak_rss_bytes
 from .son import merge_candidates, mine_blocks, superset_size
@@ -149,7 +142,7 @@ _SON_FAULT_K = 2
 DATA_PLANES = ("shared", "mmap")
 
 #: The counting kernels the pool's workers run (see module docstring).
-NATIVE_KERNELS = ("fast-np", "vertical")
+NATIVE_KERNELS = ("fast-np",)
 
 
 def validate_data_plane(data_plane: str) -> str:
@@ -261,43 +254,18 @@ class PassOverhead:
 
 
 # ----------------------------------------------------------------------
-# Pass arithmetic over either candidate form
+# Pass arithmetic
 # ----------------------------------------------------------------------
-#
-# A pass's candidates reach the pool as a tuple list (the numpy-free
-# path) or as the sorted (n, k) int32 matrix the pass loop picks when
-# numpy is importable; the helpers below keep the fan-out, reduce and
-# recovery code one body for both.
-
-
-def _zero_totals(candidates):
-    """A zeroed per-candidate count vector in the pass's form."""
-    if isinstance(candidates, list):
-        return [0] * len(candidates)
-    return fastnp.np.zeros(len(candidates), dtype=fastnp.np.int64)
 
 
 def _accumulate(totals, vector, rows=None) -> None:
-    """Add ``vector`` into ``totals`` — at indices ``rows`` when given
-    (one grid row's bin), else element-wise."""
-    if isinstance(totals, list):
-        if rows is None:
-            rows = range(len(vector))
-        for j, index in enumerate(rows):
-            totals[index] += vector[j]
-        return
-    vector = fastnp.np.asarray(vector, dtype=fastnp.np.int64)
+    """Add a count ``vector`` into the int64 ``totals`` — at indices
+    ``rows`` when given (one grid row's bin), else element-wise."""
+    vector = np.asarray(vector, dtype=np.int64)
     if rows is None:
         totals += vector
     else:
         totals[rows] += vector
-
-
-def _candidate_tuples(candidates) -> List[Itemset]:
-    """The pass's candidates as tuples (for the in-process rung)."""
-    if isinstance(candidates, list):
-        return candidates
-    return list(map(tuple, candidates.tolist()))
 
 
 def _even_bounds(num_transactions: int, parts: int) -> List[Tuple[int, int]]:
@@ -330,7 +298,6 @@ def owned_rows(candidates, rows: int) -> Tuple[List, List[int]]:
     the candidates it owns and its owned-first-items bitmap as a raw
     integer.
     """
-    np = fastnp.np
     items, counts = np.unique(candidates[:, 0], return_counts=True)
     bins = bin_pack(
         {(item,): count for item, count in zip(items.tolist(), counts.tolist())},
@@ -500,25 +467,20 @@ class _SharedSegments:
                 pass
 
     def publish_candidates(self, k: int, candidates) -> str:
-        """Write one pass's candidates as a binary frame; return the name.
+        """Write one pass's candidate matrix as a frame; return the name.
 
-        ``candidates`` is a tuple list or the pass's ``(n, k)`` int32
-        matrix, whose bytes already are the frame body — both forms
-        give the same frame.  Pass ``k``'s segment is retained for the
-        pool's lifetime and *reused* when the frame being published is
-        byte-identical to what it already holds (the warm-pool re-mine
-        case) — same name back means workers keep their cached plane
-        counters.  A different frame for the same ``k`` retires the old
-        segment and publishes under a fresh name, so a segment name is
-        permanently bound to one candidate set.
+        ``candidates`` is the pass's sorted ``(n, k)`` int32 matrix
+        (:func:`~repro.core.packed.candidate_frame`).  Pass ``k``'s
+        segment is retained for the pool's lifetime and *reused* when
+        the frame being published is byte-identical to what it already
+        holds (the warm-pool re-mine case) — same name back means
+        workers keep their cached plane counters.  A different frame for
+        the same ``k`` retires the old segment and publishes under a
+        fresh name, so a segment name is permanently bound to one
+        candidate set.
         """
-        nbytes = candidates_nbytes(len(candidates), k)
-        if isinstance(candidates, list):
-            frame = bytearray(nbytes)
-            write_candidates_into(candidates, k, frame)
-        else:
-            body = candidates.astype("<i4", copy=False).tobytes()
-            frame = _CAND_HEADER.pack(len(candidates), k) + body
+        frame = candidate_frame(candidates)
+        nbytes = len(frame)
         name = self._cand_names.get(k)
         if name is not None:
             segment = self._live.get(name)
@@ -657,25 +619,21 @@ class _TallyFilter:
 def _count_unit(
     store,
     unit: _Unit,
-    k: int,
-    candidates: Optional[List[Itemset]],
-    kernel: str,
-    cache=None,
-    plane_counter=None,
+    counter: FastNumpyCounter,
     kill_after: Optional[int] = None,
 ) -> _Reply:
     """Count one unit over a packed store; the body is its bin's vector.
 
-    The bin is every candidate whose first item the unit's bitmap owns;
-    worker and coordinator select it from the same sorted candidates, so
-    they agree on bin order without ever shipping it, and the tally
-    tests each distinct first item once.  ``plane_counter`` is the
-    zero-copy fast-np path: a :class:`~repro.core.fastnp.FastNumpyCounter`
-    over *every* candidate, decoded once from the shared candidate
-    segment, whose bin is a row mask.  Otherwise the bin's tuples get a
-    fresh ``kernel`` counter wired to ``cache``, the holder's cross-pass
-    bitmap cache.  Shared by the worker loop and the parent's in-process
-    rung, so both produce identical counts.
+    ``counter`` holds *every* candidate of the pass and is wired to the
+    holder's cross-pass bitmap cache.  The bin is every candidate whose
+    first item the unit's bitmap owns, selected as a
+    :meth:`~repro.core.fastnp.FastNumpyCounter.first_item_mask` row
+    mask; worker and coordinator select it from the same sorted
+    candidates, so they agree on bin order without ever shipping it, and
+    the tally tests each distinct first item once.  Shared by the worker
+    loop (a counter decoded zero-copy from the shared candidate segment)
+    and the parent's in-process rung (one over the pass matrix), so both
+    produce identical counts.
 
     ``kill_after`` is the fault-injection hook: die (``os._exit``) after
     that many completed ring steps — a genuine mid-ring death, with the
@@ -685,24 +643,9 @@ def _count_unit(
         None if unit.bits is None
         else _TallyFilter(ItemBitmap.from_bits(unit.bits))
     )
-    owned = selected = None
-    if plane_counter is not None:
-        counter = plane_counter
-        counter.reset_counts()
-        if tally is not None:
-            selected = counter.first_item_mask(tally)
-        size = len(counter) if selected is None else int(selected.sum())
-    else:
-        owned = candidates
-        if tally is not None:
-            firsts = {c[0] for c in candidates}
-            kept = {item for item in firsts if item in tally}
-            owned = [c for c in candidates if c[0] in kept]
-        size = len(owned)
-        if size:
-            counter = make_counter(k, owned, kernel=kernel)
-            if cache is not None:
-                counter.use_cache(cache)
+    counter.reset_counts()
+    selected = None if tally is None else counter.first_item_mask(tally)
+    size = len(counter) if selected is None else int(selected.sum())
     reply = _Reply([])
     if size == 0 and kill_after is not None:
         # An empty bin still honours an injected mid-ring kill so fault
@@ -716,10 +659,7 @@ def _count_unit(
             reply.shift_s += time.perf_counter() - tick
             if kill_after is not None and step >= kill_after:
                 os._exit(_KILLED_EXIT)
-        if owned is not None:
-            counts = counter.counts()
-            reply.body = [counts[c] for c in owned]
-        elif selected is None:
+        if selected is None:
             reply.body = counter.counts_vector()
         else:
             reply.body = counter.counts_for(selected)
@@ -754,7 +694,6 @@ def _worker_main(
     conn,
     store_ref: Tuple[str, str],
     slot: int,
-    kernel: str,
     fault_events: List[FaultEvent] = (),
 ) -> None:
     """The worker loop: count (or mine) one unit per request.
@@ -787,13 +726,12 @@ def _worker_main(
 
     The loop owns one cross-pass bitmap cache; since the rings tile the
     whole store, one pass warms every range's bitmaps for all later
-    passes.  It also decodes each candidate segment at most once
+    passes.  It also decodes each candidate segment at most once into a
+    zero-copy :class:`~repro.core.fastnp.FastNumpyCounter`
     (``plane_counters``, keyed on the segment name, which the
-    coordinator binds to one candidate set for the pool's lifetime): a
-    zero-copy :class:`~repro.core.fastnp.FastNumpyCounter` under
-    fast-np, the decoded tuple list otherwise — so a warm-pool re-mine
-    re-attaches and re-decodes nothing.  Replacements start cold; no
-    cache state needs recovering.
+    coordinator binds to one candidate set for the pool's lifetime), so
+    a warm-pool re-mine re-attaches and re-decodes nothing.
+    Replacements start cold; no cache state needs recovering.
 
     ``fault_events`` are this worker's injected failures from a
     :class:`~repro.faults.FaultSpec`; each fires once.
@@ -807,11 +745,10 @@ def _worker_main(
         return None
 
     store_holder, store = _attach_store(store_ref)
-    cache = make_cache(kernel)
+    cache = PackedBitmapCache()
     counts_segment = None
     counts_name: Optional[str] = None
-    # Candidate segment name -> (pinned segment or None, plane counter
-    # or None, decoded tuples or None).
+    # Candidate segment name -> (pinned segment, plane counter).
     plane_counters: Dict[str, Tuple] = {}
     try:
         while True:
@@ -819,7 +756,7 @@ def _worker_main(
             if message is None:
                 break
             tag, seq, k, payload = message
-            plane_counter = None
+            counter = None
             attach_s = 0.0
             if tag != "mine":
                 candidates, counts_ref, bits, ring = payload
@@ -827,22 +764,15 @@ def _worker_main(
                 entry = plane_counters.get(candidates)
                 if entry is None:
                     segment = _attach_segment(candidates)
-                    if kernel == "fast-np" and fastnp.HAVE_NUMPY:
-                        # Zero-copy: the counter's candidate matrix is a
-                        # view into the segment, which stays pinned in
-                        # the entry for its lifetime.
-                        counter = fastnp.FastNumpyCounter.from_flat(
-                            segment.buf
-                        )
-                        counter.use_cache(cache)
-                        entry = (segment, counter, None)
-                    else:
-                        frame = bytes(segment.buf)
-                        segment.close()
-                        entry = (None, None, candidates_from_bytes(frame)[1])
+                    # Zero-copy: the counter's candidate matrix is a view
+                    # into the segment, which stays pinned in the entry
+                    # for its lifetime.
+                    counter = FastNumpyCounter.from_flat(segment.buf)
+                    counter.use_cache(cache)
+                    entry = (segment, counter)
                     plane_counters[candidates] = entry
                 attach_s = time.perf_counter() - tick
-                _segment, plane_counter, candidates = entry
+                counter = entry[1]
                 if counts_ref[0] != counts_name:
                     if counts_segment is not None:
                         counts_segment.close()
@@ -860,8 +790,7 @@ def _worker_main(
                 if tag == "mine":
                     min_support, max_k, ring = payload
                     reply = _Reply(mine_blocks(
-                        store, ring, min_support, kernel=kernel,
-                        max_k=max_k, cache=cache,
+                        store, ring, min_support, max_k=max_k, cache=cache,
                     ))
                     if kill is not None:  # "mid": die after the work
                         os._exit(_KILLED_EXIT)
@@ -869,8 +798,7 @@ def _worker_main(
                     # A "mid" kill dies mid-ring: after roughly half the
                     # ring steps, before any count is published.
                     reply = _count_unit(
-                        store, _Unit(0, bits, ring), k, candidates, kernel,
-                        cache, plane_counter,
+                        store, _Unit(0, bits, ring), counter,
                         max(1, len(ring) // 2) if kill is not None else None,
                     )
                     reply.attach_s = attach_s
@@ -902,15 +830,14 @@ def _worker_main(
         # goes first; plane counters pin their candidate segments the
         # same way, so each counter is dropped before its segment.
         cache.clear()
-        entry = plane_counter = counter = None
+        entry = counter = None
         while plane_counters:
             # The popped entry (and its counter) is freed right here.
             segment = plane_counters.popitem()[1][0]
-            if segment is not None:
-                try:
-                    segment.close()
-                except BufferError:  # pragma: no cover - view outlived
-                    pass
+            try:
+                segment.close()
+            except BufferError:  # pragma: no cover - view outlived
+                pass
         store = None
         if counts_segment is not None:
             counts_segment.close()
@@ -946,7 +873,6 @@ class _Pool:
     Args:
         store: the packed store; the parent keeps it for the in-process
             rung.
-        kernel: the workers' counting kernel (:data:`NATIVE_KERNELS`).
         data_plane: ``"shared"`` or ``"mmap"``.
         store_dir: mmap plane only — directory the store file is
             written into (defaults to the platform temp directory).
@@ -966,7 +892,6 @@ class _Pool:
         context,
         num_workers: int,
         store,
-        kernel: str,
         data_plane: str = "shared",
         store_dir: Optional[str] = None,
         external_store: Optional[Path] = None,
@@ -978,7 +903,6 @@ class _Pool:
     ):
         self._context = context
         self._store = store
-        self._kernel = kernel
         self._block_budget = block_budget
         self.recv_timeout = recv_timeout
         self.max_retries = max_retries
@@ -993,7 +917,7 @@ class _Pool:
         self._slots: Dict[int, _Slot] = {}
         self._segments: Optional[_SharedSegments] = None
         # The parent's own cache for the in-process rung.
-        self._inprocess_cache = make_cache(kernel)
+        self._inprocess_cache = PackedBitmapCache()
         self.fault_log: List[FaultRecord] = []
         self.pass_overheads: List[PassOverhead] = []
         try:
@@ -1069,23 +993,14 @@ class _Pool:
         ``rows_rule(num_candidates, live_workers)`` is the formulation:
         it returns G.  Returns ``(units, owned)`` where ``units`` maps
         worker id to its :class:`_Unit` and ``owned[row]`` holds the
-        ascending indices into ``candidates`` of row ``row``'s bin (the
-        reduce's scatter map; an int array for a candidate matrix, a
-        list for tuples), or ``None`` on one row, whose bin is every
-        candidate in order.  Recomputed every pass, so the grid
+        ascending int64 indices into ``candidates`` of row ``row``'s bin
+        (the reduce's scatter map), or ``None`` on one row, whose bin is
+        every candidate in order.  Recomputed every pass, so the grid
         re-packs over whatever workers survived earlier passes.
         """
         rows = rows_rule(len(candidates), len(self._slots))
         if rows == 1:
             owned, bits = [None], [None]
-        elif isinstance(candidates, list):
-            partition = partition_by_first_item(candidates, rows)
-            index = {candidate: i for i, candidate in enumerate(candidates)}
-            owned = [
-                [index[candidate] for candidate in assignment]
-                for assignment in partition.assignments
-            ]
-            bits = [bitmap.bits for bitmap in partition.filters]
         else:
             owned, bits = owned_rows(candidates, rows)
         units = {
@@ -1101,14 +1016,13 @@ class _Pool:
     def count_pass(self, k: int, candidates, rows_rule):
         """Fan one pass out over a ``rows_rule`` grid; return the totals.
 
-        ``candidates`` is a tuple list or the pass's sorted int32
-        matrix; the totals come back as a list or an int64 array to
-        match.  Summing each row's replicas is HD's along-the-row
-        reduction; rows are disjoint, so the totals cover every
+        ``candidates`` is the pass's sorted int32 matrix; the totals
+        come back as an int64 array.  Summing each row's replicas is
+        HD's along-the-row reduction; rows are disjoint, so the totals cover every
         candidate exactly once, and failed workers are recovered before
         returning, so they cover every transaction exactly once.
         """
-        totals = _zero_totals(candidates)
+        totals = np.zeros(len(candidates), dtype=np.int64)
         overhead = PassOverhead(
             k=k,
             num_candidates=len(candidates),
@@ -1192,8 +1106,8 @@ class _Pool:
                 wid, failure, "mine", _SON_FAULT_K, *jobs[wid],
                 exclude=frozenset(),
                 inprocess=lambda: mine_blocks(
-                    self._store, ring, min_support, kernel=self._kernel,
-                    max_k=max_k, cache=self._inprocess_cache,
+                    self._store, ring, min_support, max_k=max_k,
+                    cache=self._inprocess_cache,
                 ),
             ))
         merged = merge_candidates(parts)
@@ -1423,7 +1337,6 @@ class _Pool:
                     child_conn,
                     self._segments.store_ref,
                     wid,
-                    self._kernel,
                     events,
                 ),
                 daemon=True,
@@ -1436,10 +1349,9 @@ class _Pool:
 
     def _count_inprocess(self, k: int, candidates, unit: _Unit):
         """Count one unit in the parent — the ladder's bottom rung."""
-        return _count_unit(
-            self._store, unit, k, _candidate_tuples(candidates),
-            self._kernel, self._inprocess_cache,
-        ).body
+        counter = FastNumpyCounter.from_matrix(k, candidates)
+        counter.use_cache(self._inprocess_cache)
+        return _count_unit(self._store, unit, counter).body
 
     # ------------------------------------------------------------------
     # Teardown
@@ -1496,15 +1408,13 @@ class _NativeMiner:
     so that a wrapper installed on that module attribute sees every
     pass.
 
-    **Candidate form.**  When numpy is importable each pass's
-    candidates stay one lexicographically sorted ``(n, k)`` int32
-    matrix from apriori_gen to the reduce: it is
-    the shared candidate frame's body, the planner reads bins off its
-    first column, the pool sums int64 count arrays, and
-    ``candidates[counts >= min_count]`` is already the next pass's
+    **Candidate form.**  Each pass's candidates stay one
+    lexicographically sorted ``(n, k)`` int32 matrix from apriori_gen to
+    the reduce: it is the shared candidate frame's body, the planner
+    reads bins off its first column, the pool sums int64 count arrays,
+    and ``candidates[counts >= min_count]`` is already the next pass's
     F(k).  Only frequent rows become tuples, for the result and the
-    checkpoint journal.  Without numpy the same loop runs on tuple
-    lists; both forms give identical results.
+    checkpoint journal.
     """
 
     def __init__(
@@ -1548,7 +1458,6 @@ class _NativeMiner:
         self.max_k = max_k
         self.start_method = start_method
         self.kernel = validate_kernel(kernel, NATIVE_KERNELS)
-        warn_kernel_fallback(self.kernel)
         self.recv_timeout = recv_timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
@@ -1651,7 +1560,6 @@ class _NativeMiner:
             context,
             max(1, min(self.num_workers, len(db))),
             store,
-            self.kernel,
             data_plane=self.data_plane,
             store_dir=self.store_dir,
             external_store=external_store,
@@ -1698,7 +1606,6 @@ class _NativeMiner:
         self.last_pool_size = 0
         self.last_pass_overheads = []
         self.last_resume_k = 0
-        vectorized = fastnp.HAVE_NUMPY
 
         session, frequent_prev, next_k = self._open_checkpoint(
             db, min_count, result
@@ -1706,9 +1613,7 @@ class _NativeMiner:
         try:
             if next_k == 1:
                 # Pass 1 is a trivial scan; not worth process overhead.
-                frequent_prev = serial_pass_one(
-                    db, min_count, result, vectorized
-                )
+                frequent_prev = serial_pass_one(db, min_count, result)
                 if session is not None:
                     session.record(
                         1,
@@ -1722,16 +1627,15 @@ class _NativeMiner:
             k = max(2, next_k)
             if self.max_k is not None and k > self.max_k:
                 return result
-            # Every later pass runs in the form F(k-1) takes here.
-            matrix = itemset_matrix(frequent_prev) if vectorized else None
-            if matrix is not None:
-                frequent_prev = matrix
             pool = self._acquire_pool(db)
             clean = False
             try:
                 self.last_pool_size = pool.num_workers
+                # The pool's store holds int32 ids, so F(k-1) fits the
+                # int32 matrix every later pass runs in.
                 self._count_passes(
-                    pool, session, frequent_prev, k, min_count, result
+                    pool, session, itemset_matrix(frequent_prev), k,
+                    min_count, result,
                 )
                 self.fault_log = list(pool.fault_log)
                 self.last_pass_overheads = list(pool.pass_overheads)
@@ -1748,31 +1652,20 @@ class _NativeMiner:
     ) -> None:
         """Passes ``k, k+1, ...`` until F(k-1) or C(k) is empty.
 
-        ``prev`` is F(k-1) in the form the whole loop runs in: a sorted
-        int32 matrix or a sorted tuple list (see the class docstring).
+        ``prev`` is F(k-1) as a sorted int32 matrix, the form the whole
+        loop runs in (see the class docstring).
         """
-        matrix = not isinstance(prev, list)
         superset = self._superset(pool, session)
         while len(prev) and (self.max_k is None or k <= self.max_k):
             if superset is None:
                 candidates = self._generate(prev)
-            elif matrix:
+            else:
                 # Superset items come from a packed store: int32.
                 candidates = itemset_matrix(superset.get(k, []))
-            else:
-                candidates = superset.get(k, [])
             if not len(candidates):
                 break
             totals = pool.count_pass(k, candidates, self._rows)
-            if matrix:
-                prev, frequent_k = frequent_rows(candidates, totals, min_count)
-            else:
-                frequent_k = {
-                    candidates[i]: totals[i]
-                    for i in range(len(candidates))
-                    if totals[i] >= min_count
-                }
-                prev = sorted(frequent_k)
+            prev, frequent_k = frequent_rows(candidates, totals, min_count)
             result.frequent.update(frequent_k)
             result.passes.append(
                 PassTrace(
@@ -1871,15 +1764,11 @@ class NativeCountDistribution(_NativeMiner):
         max_k: optional pass cap.
         start_method: multiprocessing start method (``"fork"`` is
             fastest where available; ``None`` uses the platform default).
-        kernel: per-worker counting kernel, ``"fast-np"`` (default;
-            numpy batch counting straight out of the shared candidate
-            plane — each worker caches one zero-copy counter per
-            published candidate segment plus its block's bit-matrices,
-            and reuses both every pass; the vertical kernel, with a
-            ``RuntimeWarning``, when numpy is absent) or ``"vertical"``
-            (per-item TID bitmaps intersected per candidate; each
-            worker builds its block's bitmaps once and reuses them
-            every pass); both yield identical counts.  Any other kernel
+        kernel: per-worker counting kernel; only ``"fast-np"`` (the
+            default): numpy batch counting straight out of the shared
+            candidate plane — each worker caches one zero-copy counter
+            per published candidate segment plus its block's
+            bit-matrices, and reuses both every pass.  Any other kernel
             raises ``ValueError``.
         data_plane: ``"shared"`` (default) — packed transactions in a
             shared-memory store, binary candidate broadcast, count
@@ -1967,7 +1856,7 @@ _PASS_ONE_CHUNK = 1 << 16
 
 
 def serial_pass_one(
-    db, min_count: int, result: AprioriResult, vectorized: bool = False
+    db, min_count: int, result: AprioriResult
 ) -> List[Itemset]:
     """Serial pass 1 shared by every native miner.
 
@@ -1975,15 +1864,13 @@ def serial_pass_one(
     modes (CD, IDD, HD) count it in the parent and only fan out from
     pass 2.  ``db`` is a :class:`~repro.core.transaction.TransactionDB`
     or an already-packed :class:`~repro.core.packed.PackedDB` (e.g. an
-    attached store file), scanned through zero-copy slices in the
-    latter case — or, with ``vectorized`` (numpy present), counted by
-    ``np.unique`` over bounded chunks of its int32 item column, which
-    inserts the frequent items in item order rather than first-seen
-    order.  Appends the pass trace to ``result`` and returns the sorted
-    frequent 1-item-sets.
+    attached store file), counted in the latter case by ``np.unique``
+    over bounded chunks of its int32 item column, which inserts the
+    frequent items in item order rather than first-seen order.  Appends
+    the pass trace to ``result`` and returns the sorted frequent
+    1-item-sets.
     """
-    if vectorized and isinstance(db, PackedDB):
-        np = fastnp.np
+    if isinstance(db, PackedDB):
         column = np.asarray(db.items)
         # Running per-item totals, merged chunk by chunk: memory stays
         # proportional to the distinct items, as the Counter's does.
@@ -2007,8 +1894,7 @@ def serial_pass_one(
         )
         num_items = len(items)
     else:
-        transactions = db.slices() if isinstance(db, PackedDB) else db
-        item_counts = Counter(chain.from_iterable(transactions))
+        item_counts = Counter(chain.from_iterable(db))
         frequent_1 = {
             (item,): count
             for item, count in item_counts.items()

@@ -65,13 +65,10 @@ class NativePartitionedMiner(_NativeMiner):
         max_k: optional pass cap.
         start_method: multiprocessing start method (``None`` = platform
             default).
-        kernel: per-worker counting kernel, ``"fast-np"`` (default;
-            numpy-vectorized packed counting — workers decode the
-            candidate plane once per segment and mask it with their
-            ownership bitmaps; ``"vertical"`` with a ``RuntimeWarning``
-            when numpy is absent) or ``"vertical"`` (TID-bitmap
-            intersections; a ring walk warms every block's bitmaps for
-            all later passes); both yield identical counts.
+        kernel: per-worker counting kernel; only ``"fast-np"`` (the
+            default): workers decode the candidate plane once per
+            segment, mask it with their ownership bitmaps, and a ring
+            walk warms every block's bitmaps for all later passes.
         data_plane: ``"shared"`` (default; ring shifts are zero-copy
             reads of the shared packed store) or ``"mmap"`` (the store
             is written once to a file and every worker maps it

@@ -101,10 +101,10 @@ def make_miner(
             ``"reference"`` (instrumented object tree, their default)
             or ``"fast"`` (flat-array tree in instrumented mode;
             bit-identical counters and simulated timings).  The native
-            formulations accept ``"fast-np"`` (their default) or
-            ``"vertical"`` (bitmap kernels; bit-identical counts, no
-            traversals for a cost model to price).  ``None`` keeps the
-            formulation's default.
+            formulations accept only ``"fast-np"`` (their default; the
+            bitmap kernel, bit-identical counts, no traversals for a
+            cost model to price).  ``None`` keeps the formulation's
+            default.
         **kwargs: forwarded to the formulation's constructor (e.g.
             ``switch_threshold`` for HD, ``max_k``, ``charge_io``;
             ``data_plane`` — ``"shared"`` or the out-of-core

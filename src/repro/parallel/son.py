@@ -34,8 +34,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.apriori import min_support_count
 from ..core.candidates import generate_candidates
+from ..core.fastnp import FastNumpyCounter
 from ..core.items import Itemset
-from ..core.kernels import make_counter
 
 __all__ = ["merge_candidates", "mine_blocks", "superset_size"]
 
@@ -45,7 +45,6 @@ def mine_blocks(
     blocks: Sequence[Tuple[int, int]],
     min_support: float,
     *,
-    kernel: str = "fast-np",
     max_k: Optional[int] = None,
     cache=None,
 ) -> Dict[int, List[Itemset]]:
@@ -62,10 +61,10 @@ def mine_blocks(
     pass 1 is counted globally (and exactly) by the coordinator's
     serial scan, so locally-frequent 1-sets never leave the partition.
 
-    ``kernel`` is the pool's counting kernel, ``"fast-np"`` or
-    ``"vertical"``.  ``cache`` is the holder's cross-pass bitmap cache
-    for that kernel: phase 1 reuses the same per-range bitmaps phase 2
-    will intersect, so it warms exactly the state phase 2 needs.
+    Counting runs on the pool's ``fast-np`` kernel.  ``cache`` is the
+    holder's cross-pass :class:`~repro.core.fastnp.PackedBitmapCache`:
+    phase 1 reuses the same per-range bitmaps phase 2 will intersect, so
+    it warms exactly the state phase 2 needs.
     """
     total = sum(hi - lo for lo, hi in blocks)
     if total == 0:
@@ -88,7 +87,7 @@ def mine_blocks(
         candidates = generate_candidates(frequent_prev)
         if not candidates:
             break
-        counter = make_counter(k, candidates, kernel=kernel)
+        counter = FastNumpyCounter(k, candidates)
         if cache is not None:
             counter.use_cache(cache)
         for lo, hi in blocks:

@@ -8,19 +8,17 @@ several items would wrap.
 
 from itertools import combinations
 
-import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import fastnp
 from repro.core.apriori import Apriori
 from repro.core.candidates import (
     _row_keys,
     frequent_rows,
     generate_candidates,
 )
-
-np = pytest.importorskip("numpy")
+from repro.core.transaction import TransactionDB
 
 INT32_MAX = 2**31 - 1
 
@@ -167,7 +165,10 @@ class TestSerialMatrixPath:
         monkeypatch.setattr(apriori_module, "generate_candidates", spy)
         Apriori(0.02, kernel="fast-np").mine(small_quest_db)
         assert seen and set(seen) == {np.ndarray}
+        # An item id past int32 keeps the tuple form, and still mines.
         seen.clear()
-        monkeypatch.setattr(fastnp, "HAVE_NUMPY", False)
-        Apriori(0.02, kernel="fast-np").mine(small_quest_db)
+        huge = 2**40
+        db = TransactionDB.from_canonical([(1, 2, huge)] * 3 + [(1, 2)])
+        result = Apriori(0.5, kernel="fast-np").mine(db)
         assert seen and set(seen) == {list}
+        assert result.frequent[(1, 2, huge)] == 3

@@ -209,13 +209,15 @@ class TestKernelFacade:
             assert validate_kernel(kernel) == kernel
         with pytest.raises(ValueError, match="unknown kernel 'turbo'"):
             validate_kernel("turbo")
+        # The deleted TID-bitmap kernel is no longer a kernel name.
+        with pytest.raises(ValueError, match="unknown kernel 'vertical'"):
+            validate_kernel("vertical")
         # A known kernel outside the caller's set is refused by name.
-        allowed = ("fast-np", "vertical")
-        assert validate_kernel("vertical", allowed) == "vertical"
+        allowed = ("fast-np",)
+        assert validate_kernel("fast-np", allowed) == "fast-np"
         with pytest.raises(
             ValueError,
-            match="unsupported kernel 'fast'; expected one of: "
-                  "'fast-np', 'vertical'",
+            match="unsupported kernel 'fast'; expected one of: 'fast-np'$",
         ):
             validate_kernel("fast", allowed)
         with pytest.raises(ValueError, match="unknown kernel 'turbo'"):

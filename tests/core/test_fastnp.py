@@ -1,32 +1,26 @@
 """Property tests for the numpy-vectorized fast-np kernel.
 
-Mirrors ``tests/core/test_vertical.py``: randomized databases drive
-:class:`~repro.core.fastnp.PackedBitmaps` and
-:class:`~repro.core.fastnp.FastNumpyCounter`, asserting bit-for-bit
+Randomized databases drive :class:`~repro.core.fastnp.PackedBitmaps`
+and :class:`~repro.core.fastnp.FastNumpyCounter`, asserting bit-for-bit
 equivalence with the reference :class:`~repro.core.hashtree.HashTree` —
 including the empty-database, empty-transaction, singleton and
 duplicate-transaction edges, the range-sum (CD reduction) invariant and
 the IDD ``root_filter`` contract — plus the plane-specific surface the
 native pool relies on: zero-copy :meth:`from_flat` decoding of the
-shared candidate frame, :meth:`first_item_mask` / :meth:`counts_for`
-shard views, and the :func:`~repro.core.kernels.make_counter` /
-:func:`~repro.core.kernels.make_cache` fallback when numpy is absent
-(forced by monkeypatching ``fastnp.HAVE_NUMPY``), which the serial and
-native miners report with one ``RuntimeWarning``.  The word layout has
-its own checks: ranges on either side of a 64-transaction word boundary
-under chunks of 1-3 candidates, zero pad bits, the numpy<2 byte-table
-popcount (forced by monkeypatching ``fastnp._HAS_BITWISE_COUNT``) and a
-build whose scratch stays far below an items x transactions matrix.
+shared candidate frame and :meth:`first_item_mask` / :meth:`counts_for`
+shard views.  The word layout has its own checks: ranges on either side
+of a 64-transaction word boundary under chunks of 1-3 candidates, zero
+pad bits, and builds whose scratch stays far below an items x
+transactions matrix and, keyed chunk by chunk, below half of what
+keying the whole range at once took.
 """
 
 import random
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,18 +29,15 @@ from repro.core.apriori import Apriori
 from repro.core.bitmap import ItemBitmap
 from repro.core.fastnp import FastNumpyCounter, PackedBitmapCache, PackedBitmaps
 from repro.core.hashtree import HashTree
-from repro.core.kernels import KERNELS, make_cache, make_counter
-from repro.core.packed import (
-    PackedDB,
-    candidates_nbytes,
-    write_candidates_into,
-)
-from repro.core.vertical import TidBitmapCache, VerticalCounter
+from repro.core.kernels import KERNELS, make_counter
+from repro.core.packed import PackedDB, candidate_frame
+from repro.data.corpus import t15_i6
+from repro.data.quest import generate
 
 
 def _transactions_strategy(max_size):
-    # Same canonical shapes as the vertical suite: sorted unique items,
-    # empty transactions allowed, duplicate transactions allowed.
+    # Canonical shapes: sorted unique items, empty transactions allowed,
+    # duplicate transactions allowed.
     return st.lists(
         st.frozensets(st.integers(0, 12), max_size=8).map(
             lambda s: tuple(sorted(s))
@@ -79,9 +70,8 @@ def _oracle_counts(k, candidates, transactions, root_filter=None):
 
 
 def _flat_frame(candidates, k):
-    buf = bytearray(candidates_nbytes(len(candidates), k))
-    write_candidates_into(candidates, k, buf)
-    return buf
+    matrix = np.array(candidates, dtype=np.int32).reshape(len(candidates), k)
+    return bytearray(candidate_frame(matrix))
 
 
 class TestPackedBitmaps:
@@ -174,6 +164,28 @@ class TestPackedBitmaps:
         assert bitmaps.item_ids.size == 1000
         assert peak < bool_matrix / 2, (peak, bool_matrix)
 
+    def test_build_scratch_is_bounded_per_chunk(self):
+        # One 50k-transaction range of T15.I6 data over 1,000 items (the
+        # shape of a scan-heavy worker's range, ~750k item occurrences).
+        # Keying the whole range at once held three int64 vectors as
+        # long as the occurrences (24 bytes each).  Keyed a bounded
+        # chunk of transactions at a time, the scratch beyond the output
+        # rows is np.unique's int32 copy of the column plus one chunk's
+        # keys: under half of that.
+        packed = generate(t15_i6(50_000, seed=1, num_items=1000)).to_packed()
+        tracemalloc.start()
+        try:
+            bitmaps = PackedBitmaps.from_packed(packed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scratch = peak - bitmaps.rows.nbytes
+        assert scratch < 12 * packed.total_items, (scratch, packed.total_items)
+        assert np.array_equal(
+            bitmaps.rows,
+            PackedBitmaps.from_transactions(packed.unpack()).rows,
+        )
+
 
 class TestWordBoundaries:
     """Ranges around word edges, counted in chunks of 1-3 candidates."""
@@ -198,29 +210,6 @@ class TestWordBoundaries:
                 counter.count_packed(packed, lo, hi)
                 expected = _oracle_counts(k, candidates, transactions[lo:hi])
                 assert counter.counts() == expected, (n, k)
-
-
-class TestBytePopcount:
-    """The numpy<2 path: words viewed as bytes through a 256-entry LUT."""
-
-    @given(
-        transactions=long_transactions_strategy,
-        k=st.integers(1, 4),
-        data=st.data(),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_lut_counts_match_hashtree(self, transactions, k, data):
-        candidates = data.draw(_candidates_strategy(k))
-        expected = _oracle_counts(k, candidates, transactions)
-        packed = PackedDB.pack(transactions)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fastnp, "_HAS_BITWISE_COUNT", False)
-            via_packed = FastNumpyCounter(k, candidates)
-            via_packed.count_packed(packed)
-            via_lists = FastNumpyCounter(k, candidates)
-            via_lists.count_database(transactions)
-        assert via_packed.counts() == expected
-        assert via_lists.counts() == expected
 
 
 class TestFastNumpyEquivalence:
@@ -537,59 +526,3 @@ class TestPackedBitmapCache:
         again.use_cache(cache)
         again.count_packed(packed)
         assert again.counts() == uncached.counts()
-
-
-class TestNumpyAbsentFallback:
-    """Without numpy the facade degrades to the vertical machinery."""
-
-    def test_make_counter_falls_back(self, monkeypatch):
-        monkeypatch.setattr(fastnp, "HAVE_NUMPY", False)
-        counter = make_counter(2, [(1, 2)], kernel="fast-np")
-        assert isinstance(counter, VerticalCounter)
-
-    def test_make_cache_falls_back(self, monkeypatch):
-        monkeypatch.setattr(fastnp, "HAVE_NUMPY", False)
-        assert isinstance(make_cache("fast-np"), TidBitmapCache)
-
-    def test_direct_construction_raises(self, monkeypatch):
-        monkeypatch.setattr(fastnp, "HAVE_NUMPY", False)
-        with pytest.raises(RuntimeError, match="requires numpy"):
-            FastNumpyCounter(2, [(1, 2)])
-
-    def test_fallback_counts_match(self, monkeypatch, small_quest_db):
-        packed = small_quest_db.to_packed()
-        with_np = make_counter(2, [(1, 2), (2, 3)], kernel="fast-np")
-        with_np.count_packed(packed)
-        monkeypatch.setattr(fastnp, "HAVE_NUMPY", False)
-        without = make_counter(2, [(1, 2), (2, 3)], kernel="fast-np")
-        without.count_packed(packed)
-        assert without.counts() == with_np.counts()
-
-    def test_make_counter_stays_silent(self, monkeypatch, recwarn):
-        # Every worker calls make_counter every pass; the report belongs
-        # to the coordinator's miner constructor, once.
-        monkeypatch.setattr(fastnp, "HAVE_NUMPY", False)
-        make_counter(2, [(1, 2)], kernel="fast-np")
-        assert not recwarn.list
-
-    def test_serial_mine_reports_fallback_once(self, monkeypatch,
-                                               small_quest_db):
-        expected = Apriori(0.05, kernel="vertical").mine(small_quest_db)
-        monkeypatch.setattr(fastnp, "HAVE_NUMPY", False)
-        with pytest.warns(RuntimeWarning, match="'vertical'") as record:
-            result = Apriori(0.05, kernel="fast-np").mine(small_quest_db)
-        assert len(record) == 1
-        assert result.frequent == expected.frequent
-
-    def test_native_mine_reports_fallback_once(self, monkeypatch,
-                                               small_quest_db):
-        from repro.parallel.native import NativeCountDistribution
-
-        expected = Apriori(0.05, kernel="vertical").mine(small_quest_db)
-        monkeypatch.setattr(fastnp, "HAVE_NUMPY", False)
-        with pytest.warns(RuntimeWarning, match="'vertical'") as record:
-            result = NativeCountDistribution(
-                0.05, 2, kernel="fast-np"
-            ).mine(small_quest_db)
-        assert len(record) == 1
-        assert result.frequent == expected.frequent

@@ -157,7 +157,7 @@ class TestWriterHardening:
 class TestCountingEquivalence:
     """Counting through the mapping == counting the in-RAM store."""
 
-    @pytest.mark.parametrize("kernel", ["fast-np", "vertical"])
+    @pytest.mark.parametrize("kernel", ["fast-np"])
     def test_kernels_match_in_ram_on_quest_data(
         self, small_quest_db, tmp_path, kernel
     ):

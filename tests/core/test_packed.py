@@ -6,32 +6,30 @@ singleton-transaction, and max-item-id edges), the shared-memory buffer
 codecs, and the equivalence suite asserting that counting packed slices
 matches :class:`~repro.core.hashtree.HashTree` counts
 itemset-for-itemset on seeded Quest data for every kernel that counts
-packed stores (the two bitmap kernels).
+packed stores (the bitmap kernel).
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.apriori import Apriori
 from repro.core.candidates import generate_candidates
+from repro.core.fastnp import FastNumpyCounter
 from repro.core.hashtree import HashTree
 from repro.core.kernels import make_counter
 from repro.core.packed import (
     INT32_MAX,
     PackedDB,
-    candidates_from_bytes,
-    candidates_nbytes,
-    pack_candidates,
+    candidate_frame,
     packed_from_buffer,
     packed_nbytes,
-    unpack_candidates,
-    write_candidates_into,
     write_packed_into,
 )
 
 #: The kernels that count packed stores (``count_packed``).
-BITMAP_KERNELS = ("fast-np", "vertical")
+BITMAP_KERNELS = ("fast-np",)
 
 # Transactions here are raw item sequences (possibly empty, possibly
 # huge ids) — the packed layer is more permissive than TransactionDB's
@@ -174,26 +172,17 @@ class TestBufferCodecs:
     @settings(max_examples=100, deadline=None)
     def test_candidate_codec_round_trips(self, candidates):
         k = 3
-        buf = bytearray(candidates_nbytes(len(candidates), k))
-        write_candidates_into(candidates, k, buf)
-        decoded_k, decoded = candidates_from_bytes(bytes(buf))
-        assert decoded_k == k
-        assert decoded == list(candidates)
+        matrix = np.array(candidates, dtype=np.int32).reshape(-1, k)
+        frame = candidate_frame(matrix)
+        assert len(frame) == 16 + 4 * len(candidates) * k
+        decoded = FastNumpyCounter.from_flat(frame)
+        assert decoded.k == k
+        assert list(decoded.candidates()) == list(candidates)
 
     def test_flat_candidate_round_trip(self):
         candidates = [(1, 2), (3, 4), (5, INT32_MAX)]
-        flat = pack_candidates(candidates, 2)
-        assert unpack_candidates(flat, 2) == candidates
-
-    def test_pack_candidates_size_mismatch(self):
-        with pytest.raises(ValueError, match="size"):
-            pack_candidates([(1, 2, 3)], 2)
-
-    def test_unpack_candidates_validates(self):
-        with pytest.raises(ValueError):
-            unpack_candidates([1, 2, 3], 2)  # not a multiple of k
-        with pytest.raises(ValueError):
-            unpack_candidates([1, 2], 0)
+        frame = candidate_frame(np.array(candidates, dtype=np.int32))
+        assert list(FastNumpyCounter.from_flat(frame).candidates()) == candidates
 
 
 class TestPackedCountingEquivalence:

@@ -12,7 +12,7 @@ class TestStreamingApriori:
         with pytest.raises(ValueError):
             StreamingApriori(0.3, max_k=0)
 
-    @pytest.mark.parametrize("kernel", ["fast-np", "vertical"])
+    @pytest.mark.parametrize("kernel", ["fast-np"])
     def test_rejects_bitmap_kernels(self, kernel):
         # Streaming counts one transaction at a time: tree kernels only.
         with pytest.raises(

@@ -28,6 +28,8 @@ from repro.checkpoint import (
     JOURNAL_NAME,
     CheckpointError,
     CheckpointJournal,
+    CheckpointSession,
+    checkpoint_meta,
 )
 from repro.core.apriori import Apriori
 from repro.core.rules import generate_rules
@@ -341,6 +343,39 @@ class TestResumeGuards:
         result = miner.mine(chaos_db)
         assert miner.last_resume_k == 3
         assert result.frequent == serial.frequent
+
+    @pytest.mark.parametrize("plane", ["shared", "mmap"])
+    def test_journal_of_a_retired_kernel_resumes(
+        self, tmp_path, chaos_db, serial, plane
+    ):
+        """A journal written by a ``kernel="vertical"`` mine (a kernel
+        since deleted) resumes under ``fast-np``: the kernel is not part
+        of a journal's identity, so old journals stay usable."""
+        ckpt = str(tmp_path / "ckpt")
+        meta = checkpoint_meta(
+            algorithm="native-cd", db=chaos_db, min_support=SUPPORT,
+            min_count=serial.min_count, kernel="vertical", max_k=None,
+        )
+        session = CheckpointSession(ckpt, False, meta)
+        session.start(None)
+        try:
+            for trace in serial.passes[:2]:
+                session.record(
+                    trace.k, trace.num_candidates,
+                    serial.itemsets_of_size(trace.k),
+                )
+        finally:
+            session.close()
+        miner = _make_miner(
+            "cd", checkpoint_dir=ckpt, resume=True, data_plane=plane,
+        )
+        result = miner.mine(chaos_db)
+        assert miner.last_resume_k == 2
+        assert result.frequent == serial.frequent
+        assert [(p.k, p.num_candidates, p.num_frequent)
+                for p in result.passes] == [
+            (p.k, p.num_candidates, p.num_frequent) for p in serial.passes
+        ]
 
     def test_cross_formulation_resume(self, tmp_path, chaos_db, serial):
         """A mine checkpointed under CD may finish under IDD.

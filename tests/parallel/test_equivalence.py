@@ -45,22 +45,11 @@ def test_matches_serial_on_supermarket(supermarket_db, algorithm):
     assert result.frequent == serial.frequent
 
 
-@pytest.mark.parametrize(
-    "algorithm", ["native-cd", "native-idd", "native-hd"]
-)
-def test_vertical_kernel_matches_serial(medium_quest_db, algorithm):
-    result = mine_parallel(
-        algorithm, medium_quest_db, 0.05, 3, kernel="vertical"
-    )
-    compare_with_serial(result, medium_quest_db)
-
-
 @pytest.mark.parametrize("algorithm", ["CD", "IDD", "HD"])
 def test_simulated_formulations_reject_vertical(tiny_db, algorithm):
-    # The vertical kernel has no instrumented traversal for the cost
-    # model to price, so the simulated formulations must refuse it
-    # loudly instead of mis-pricing the run.
-    with pytest.raises(ValueError, match="vertical"):
+    # The TID-bitmap kernel was deleted; naming it must fail loudly
+    # instead of silently counting with something else.
+    with pytest.raises(ValueError, match="unknown kernel 'vertical'"):
         mine_parallel(algorithm, tiny_db, 0.3, 2, kernel="vertical")
 
 

@@ -4,11 +4,12 @@ The simulated formulations price their work off ``HashTreeStats``
 counters, so switching a formulation to ``kernel="fast"`` (the
 instrumented flat tree) must leave *everything* unchanged: frequent
 sets, per-pass subset_stats, and the simulated response time itself.
-The native pool runs neither tree; it counts with the bitmap kernels.
+The native pool runs neither tree; it counts with the bitmap kernel.
 """
 
 import pytest
 
+from repro.core.apriori import Apriori
 from repro.parallel.runner import ALGORITHMS, NATIVE_ALGORITHMS, make_miner
 
 NUM_PROCESSORS = 4
@@ -51,7 +52,7 @@ def test_make_miner_rejects_bad_kernel():
         make_miner("CD", 0.1, 2, kernel="quick")
 
 
-@pytest.mark.parametrize("kernel", ["vertical", "fast-np"])
+@pytest.mark.parametrize("kernel", ["fast-np"])
 @pytest.mark.parametrize("algorithm", SIMULATED)
 def test_simulated_constructors_reject_bitmap_kernels(algorithm, kernel):
     # Refused when the miner is built, before any pass runs: there is
@@ -70,6 +71,19 @@ def test_native_constructors_reject_tree_kernels(algorithm, kernel):
     with pytest.raises(
         ValueError,
         match=f"unsupported kernel {kernel!r}; expected one of: "
-              "'fast-np', 'vertical'",
+              "'fast-np'$",
     ):
         make_miner(algorithm, 0.3, 2, kernel=kernel)
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_every_miner_refuses_vertical(algorithm):
+    # The TID-bitmap kernel was deleted: its name is unknown to every
+    # miner, simulated or native, not merely unsupported by some.
+    with pytest.raises(ValueError, match="unknown kernel 'vertical'"):
+        make_miner(algorithm, 0.3, 2, kernel="vertical")
+
+
+def test_serial_apriori_refuses_vertical():
+    with pytest.raises(ValueError, match="unknown kernel 'vertical'"):
+        Apriori(0.3, kernel="vertical")

@@ -461,28 +461,11 @@ class TestRandomizedFailures:
             result = miner.mine(db)
             assert result.frequent == reference.frequent
 
-    def test_vertical_kernel_kill_mid_pass(self, tiny_serial):
-        """Acceptance: the vertical kernel stays bit-identical under a
-        kill-mid-pass schedule (runs on both planes via the autouse
-        ``data_plane`` fixture).  The respawned replacement starts with
-        a cold bitmap cache and must rebuild, not recover, its state."""
-        db, serial = tiny_serial
-        miner = NativeCountDistribution(
-            TINY_SUPPORT,
-            3,
-            kernel="vertical",
-            faults="kill@0:k2:mid,kill@1:k3",
-            backoff_base=0.01,
-        )
-        result = miner.mine(db)
-        assert result.frequent == serial.frequent
-        assert [r.worker for r in miner.fault_log] == [0, 1]
-        assert all(r.action == "respawned" for r in miner.fault_log)
-
     def test_fastnp_kernel_kill_mid_pass(self, tiny_serial):
         """fast-np under kill-mid-pass on both planes: the respawned
-        replacement attaches the shared candidate plane cold, decodes
-        its own counter and counts must not move."""
+        replacement starts with a cold bitmap cache, attaches the shared
+        candidate plane cold, decodes its own counter and counts must
+        not move."""
         db, serial = tiny_serial
         miner = NativeCountDistribution(
             TINY_SUPPORT,
@@ -496,24 +479,10 @@ class TestRandomizedFailures:
         assert [r.worker for r in miner.fault_log] == [0, 1]
         assert all(r.action == "respawned" for r in miner.fault_log)
 
-    def test_vertical_kernel_adoption_after_refused_spawn(self, tiny_serial):
-        """Adopted holdings get bitmaps built on first use by the
-        adopter — counts must not change."""
-        db, serial = tiny_serial
-        miner = NativeCountDistribution(
-            TINY_SUPPORT,
-            3,
-            kernel="vertical",
-            faults="kill@0:k2,refuse-spawn:9",
-            backoff_base=0.01,
-        )
-        result = miner.mine(db)
-        assert result.frequent == serial.frequent
-        assert miner.fault_log[0].action == "adopted"
-
     def test_fastnp_kernel_adoption_after_refused_spawn(self, tiny_serial):
-        """An adopter counting a dead peer's holdings reuses its own
-        already-attached candidate plane — counts must not change."""
+        """An adopter counting a dead peer's holdings builds their
+        bitmaps on first use and reuses its own already-attached
+        candidate plane — counts must not change."""
         db, serial = tiny_serial
         miner = NativeCountDistribution(
             TINY_SUPPORT,
@@ -618,9 +587,7 @@ class TestSharedSegmentLifecycle:
         from repro.parallel.native import _Pool
 
         db, _ = tiny_serial
-        pool = _Pool(
-            get_context(), 2, db.to_packed(), "fast-np", data_plane="shared"
-        )
+        pool = _Pool(get_context(), 2, db.to_packed(), data_plane="shared")
         assert pool.segment_names()  # the store segment is live
         pool.shutdown()
         assert pool.segment_names() == []

@@ -8,18 +8,19 @@ ladder, and the grid's :class:`PassOverhead` instrumentation.
 
 import glob
 
+import numpy as np
 import pytest
 
 from repro.checkpoint import CheckpointJournal
 from repro.core.apriori import Apriori
 from repro.core.bitmap import ItemBitmap
+from repro.core.candidates import itemset_matrix
+from repro.core.fastnp import FastNumpyCounter
 from repro.core.transaction import TransactionDB
 from repro.data.serialize import frequent_from_payload
 from repro.faults import FaultSpec
-from repro.core import fastnp
 from repro.parallel.native import (
     DATA_PLANES,
-    NATIVE_KERNELS,
     NativeCountDistribution,
     PassOverhead,
     WorkerError,
@@ -95,25 +96,17 @@ class TestIddIdentity:
         assert not miner.fault_log
 
     @pytest.mark.parametrize("plane", DATA_PLANES)
-    def test_vertical_kernel_matches(self, small_quest_db, quest_serial,
-                                     plane):
+    def test_fastnp_kernel_matches(self, small_quest_db, quest_serial,
+                                   plane):
+        """fast-np shards mask the shared candidate plane and stay
+        bit-identical to serial."""
         miner = NativeIntelligentDistribution(
-            SUPPORT, 3, data_plane=plane, kernel="vertical"
+            SUPPORT, 3, data_plane=plane, kernel="fast-np"
         )
         assert miner.mine(small_quest_db).frequent == quest_serial.frequent
         assert any(
             o.bitmap_build_s > 0 for o in miner.last_pass_overheads
         )
-
-    @pytest.mark.parametrize("plane", DATA_PLANES)
-    def test_fastnp_kernel_matches(self, small_quest_db, quest_serial,
-                                   plane):
-        """fast-np shards mask the shared candidate plane (or fall back
-        to vertical without numpy) and stay bit-identical to serial."""
-        miner = NativeIntelligentDistribution(
-            SUPPORT, 3, data_plane=plane, kernel="fast-np"
-        )
-        assert miner.mine(small_quest_db).frequent == quest_serial.frequent
 
     def test_max_k_caps_passes(self, small_quest_db):
         miner = NativeIntelligentDistribution(SUPPORT, 2, max_k=3)
@@ -225,10 +218,12 @@ class TestBinPackingEdges:
     def test_plan_covers_all_candidates_with_empty_bin(
         self, tiny_partition_db
     ):
-        candidates = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        candidates = itemset_matrix(
+            [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        )
         from multiprocessing import get_context
 
-        pool = _Pool(get_context(), 4, tiny_partition_db.to_packed(), "fast-np")
+        pool = _Pool(get_context(), 4, tiny_partition_db.to_packed())
         try:
             idd_rows = NativeIntelligentDistribution(TINY_SUPPORT, 4)._rows
             units, owned_idx = pool._plan(candidates, idd_rows)
@@ -238,7 +233,7 @@ class TestBinPackingEdges:
             flat = sorted(i for idx in owned_idx for i in idx)
             assert flat == list(range(len(candidates)))
             # ...and with only 3 distinct first items, one bin is empty.
-            assert any(not idx for idx in owned_idx)
+            assert any(not len(idx) for idx in owned_idx)
             # Every ring is a permutation of the same block schedule.
             bounds = _even_bounds(len(tiny_partition_db), 4)
             for unit in units.values():
@@ -253,22 +248,21 @@ class TestBinPackingEdges:
 
 
 def _count_both_paths(store, unit, k, candidates):
-    """Count one unit through every path a worker or the parent takes.
+    """Count one unit through both counters a worker or the parent uses.
 
-    Each native kernel builds a counter over the bin's tuples (the
-    in-process rung and the vertical worker); with numpy, fast-np
-    workers also mask one counter over every candidate (the shared
-    candidate plane).  Every path must give the same reply.
+    A worker decodes its counter from the shared candidate frame, the
+    parent's in-process rung wraps the pass matrix; both mask one
+    counter over every candidate.  Each must give the same reply, also
+    when reused for a second unit (the worker keeps its counter across
+    passes).
     """
-    replies = [
-        _count_unit(store, unit, k, candidates, kernel)
-        for kernel in NATIVE_KERNELS
+    matrix = itemset_matrix(candidates)
+    counters = [
+        FastNumpyCounter.from_matrix(k, matrix),
+        FastNumpyCounter(k, candidates),
     ]
-    if fastnp.HAVE_NUMPY:
-        plane = fastnp.FastNumpyCounter(k, candidates)
-        replies.append(
-            _count_unit(store, unit, k, None, "fast-np", plane_counter=plane)
-        )
+    replies = [_count_unit(store, unit, counter) for counter in counters]
+    replies.append(_count_unit(store, unit, counters[0]))
     for reply in replies[1:]:
         assert (reply.body, reply.checked, reply.skipped) == (
             replies[0].body, replies[0].checked, replies[0].skipped
@@ -384,25 +378,11 @@ class TestRecoveryLadder:
         assert len(miner.fault_log) == 2
 
     @pytest.mark.parametrize("plane", DATA_PLANES)
-    def test_vertical_kill_mid_ring(self, small_quest_db, quest_serial,
-                                    plane):
-        """Kill-mid-pass under the vertical kernel: the respawned worker
-        rebuilds its TID bitmaps from scratch and counts must not move."""
-        miner = NativeIntelligentDistribution(
-            SUPPORT, 3, data_plane=plane, kernel="vertical",
-            faults="kill@1:k3:mid",
-        )
-        result = miner.mine(small_quest_db)
-        assert result.frequent == quest_serial.frequent
-        assert [(r.k, r.worker, r.action) for r in miner.fault_log] == [
-            (3, 1, "respawned")
-        ]
-
-    @pytest.mark.parametrize("plane", DATA_PLANES)
     def test_fastnp_kill_mid_ring(self, small_quest_db, quest_serial,
                                   plane):
-        """Kill-mid-pass under fast-np: the respawned worker re-attaches
-        the shared candidate plane cold and counts must not move."""
+        """Kill-mid-pass under fast-np: the respawned worker rebuilds its
+        bit-matrices from scratch, re-attaches the shared candidate
+        plane cold, and counts must not move."""
         miner = NativeIntelligentDistribution(
             SUPPORT, 3, data_plane=plane, kernel="fast-np",
             faults="kill@1:k3:mid",
@@ -433,12 +413,13 @@ class TestRecoveryLadder:
         """
         from multiprocessing import get_context
 
-        candidates = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        tuples = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        candidates = itemset_matrix(tuples)
         for miner_cls in (NativeIntelligentDistribution,
                           NativeCountDistribution):
             rows_rule = miner_cls(TINY_SUPPORT, 2)._rows
             pool = _Pool(
-                get_context(), 2, tiny_partition_db.to_packed(), "fast-np",
+                get_context(), 2, tiny_partition_db.to_packed(),
                 recv_timeout=10.0, max_retries=0,
             )
             try:
@@ -469,7 +450,7 @@ class TestRecoveryLadder:
                     (2, 0, "repacked"),
                     (2, 1, "inprocess"),
                 ]
-                owned = [candidates[i] for i in owned_rows]
+                owned = [tuples[i] for i in owned_rows]
                 walked = [
                     set(t) for lo, hi in unit.ring
                     for t in tiny_partition_db.transactions[lo:hi]
@@ -479,9 +460,7 @@ class TestRecoveryLadder:
                 ]
                 if miner_cls is NativeIntelligentDistribution:
                     # An IDD ring walks every transaction: clean totals.
-                    assert vector == [
-                        clean[candidates.index(c)] for c in owned
-                    ]
+                    assert vector == [clean[i] for i in owned_rows]
                 assert pool.num_workers == 0
             finally:
                 pool.shutdown()
@@ -491,13 +470,14 @@ class TestRecoveryLadder:
         # After a total collapse, later passes count in the parent.
         from multiprocessing import get_context
 
-        pool = _Pool(get_context(), 2, tiny_partition_db.to_packed(), "fast-np")
+        pool = _Pool(get_context(), 2, tiny_partition_db.to_packed())
         try:
             pool.shutdown()  # empty the pool, keep the store
-            candidates = [(1, 2), (2, 3), (2, 4), (3, 4)]
+            tuples = [(1, 2), (2, 3), (2, 4), (3, 4)]
             idd_rows = NativeIntelligentDistribution(TINY_SUPPORT, 2)._rows
-            totals = pool.count_pass(2, candidates, idd_rows)
-            expected = [tiny_serial.frequent.get(c, None) for c in candidates]
+            totals = pool.count_pass(2, itemset_matrix(tuples), idd_rows)
+            assert totals.dtype == np.int64
+            expected = [tiny_serial.frequent.get(c, None) for c in tuples]
             for total, exact in zip(totals, expected):
                 if exact is not None:
                     assert total == exact

@@ -1,22 +1,22 @@
-"""The native coordinator's two candidate forms: matrix and tuple list.
+"""The native coordinator's candidate form: one sorted int32 matrix.
 
-With numpy the shared pass loop keeps each pass as one sorted int32
-matrix; without it the same loop runs on tuple lists.  Both must give
-results bit-identical to serial Apriori and byte-identical checkpoint
-journals, and the matrix helpers must agree with their tuple reference
-functions.
+The shared pass loop keeps each pass as one sorted int32 matrix from
+apriori_gen to the reduce.  It must give results bit-identical to
+serial Apriori and checkpoint journals that depend on neither the data
+plane nor the pool size, and the matrix helpers must agree with their
+tuple reference functions.
 """
 
 import glob
 from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import JOURNAL_NAME
-from repro.core import fastnp
 from repro.core.apriori import Apriori, AprioriResult
 from repro.core.partition import partition_by_first_item
 from repro.core.transaction import TransactionDB
@@ -31,8 +31,6 @@ from repro.parallel.native_idd import (
     NativeHybridDistribution,
     NativeIntelligentDistribution,
 )
-
-np = pytest.importorskip("numpy")
 
 SUPPORT = 0.02
 
@@ -72,9 +70,10 @@ def _assert_python_ints(result):
 
 
 class TestBothFormsMatchSerial:
-    @pytest.mark.parametrize("numpy_path", [True, False])
-    def test_native_cd(self, small_quest_db, serial, monkeypatch, numpy_path):
-        monkeypatch.setattr(fastnp, "HAVE_NUMPY", numpy_path)
+    """The pool's matrix form, and serial fast-np's tuple form for item
+    ids past int32, match the serial oracle."""
+
+    def test_native_cd(self, small_quest_db, serial, monkeypatch):
         seen = _spy_generate(monkeypatch, native_module)
         result = NativeCountDistribution(SUPPORT, 2, kernel="fast-np").mine(
             small_quest_db
@@ -85,13 +84,11 @@ class TestBothFormsMatchSerial:
             (p.k, p.num_candidates, p.num_frequent) for p in serial.passes
         ]
         _assert_python_ints(result)
-        assert set(seen) == {np.ndarray if numpy_path else list}
+        assert set(seen) == {np.ndarray}
 
-    @pytest.mark.parametrize("numpy_path", [True, False])
     @pytest.mark.parametrize("data_plane", ["shared", "mmap"])
-    def test_native_idd(self, small_quest_db, serial, monkeypatch, numpy_path,
+    def test_native_idd(self, small_quest_db, serial, monkeypatch,
                         data_plane):
-        monkeypatch.setattr(fastnp, "HAVE_NUMPY", numpy_path)
         seen = _spy_generate(monkeypatch, native_idd_module)
         miner = NativeIntelligentDistribution(
             SUPPORT, 2, kernel="fast-np", data_plane=data_plane
@@ -100,7 +97,7 @@ class TestBothFormsMatchSerial:
         assert result.frequent == serial.frequent
         assert miner.fault_log == []
         _assert_python_ints(result)
-        assert set(seen) == {np.ndarray if numpy_path else list}
+        assert set(seen) == {np.ndarray}
 
     @pytest.mark.parametrize(
         "cls", [NativeCountDistribution, NativeIntelligentDistribution]
@@ -125,14 +122,15 @@ class TestBothFormsMatchSerial:
             expected.frequent
         )
 
-    def test_journals_are_byte_identical(self, small_quest_db, tmp_path,
-                                         monkeypatch):
+    def test_journals_are_byte_identical(self, small_quest_db, tmp_path):
+        # A journal records what was mined, not how: the plane and the
+        # number of workers leave its bytes unchanged.
         journals = []
-        for numpy_path in (True, False):
-            monkeypatch.setattr(fastnp, "HAVE_NUMPY", numpy_path)
-            directory = tmp_path / str(numpy_path)
+        for workers, data_plane in ((2, "shared"), (3, "mmap")):
+            directory = tmp_path / data_plane
             NativeIntelligentDistribution(
-                SUPPORT, 2, checkpoint_dir=str(directory)
+                SUPPORT, workers, checkpoint_dir=str(directory),
+                data_plane=data_plane,
             ).mine(small_quest_db)
             journals.append((directory / JOURNAL_NAME).read_bytes())
         assert journals[0] == journals[1]
@@ -212,15 +210,15 @@ class TestSerialPassOne:
         st.integers(1, 6),
     )
     def test_unique_count_matches_counter(self, transactions, min_count):
-        packed = TransactionDB(transactions).to_packed()
+        db = TransactionDB(transactions)
+        packed = db.to_packed()
         results = []
-        # One chunk, then several: the chunked counts must merge exactly.
-        for vectorized, chunk in ((False, 1 << 20), (True, 1 << 20), (True, 5)):
+        # The Counter scan of a TransactionDB, then the packed column in
+        # one chunk and in several: the chunked counts must merge exactly.
+        for source, chunk in ((db, 1 << 20), (packed, 1 << 20), (packed, 5)):
             with mock.patch.object(native_module, "_PASS_ONE_CHUNK", chunk):
                 result = AprioriResult({}, 0.5, min_count, len(transactions))
-                frequent_1 = serial_pass_one(
-                    packed, min_count, result, vectorized
-                )
+                frequent_1 = serial_pass_one(source, min_count, result)
             results.append((frequent_1, result.frequent, result.passes))
         assert results[0] == results[1] == results[2]
         counts = Counter(item for t in transactions for item in t)

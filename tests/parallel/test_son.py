@@ -92,10 +92,7 @@ class TestPhaseOneKernel:
             for itemset in sorted(part.frequent):
                 if len(itemset) > 1:
                     expected.setdefault(len(itemset), []).append(itemset)
-            for kernel in ("fast-np", "vertical"):
-                assert mine_blocks(
-                    packed, [(lo, hi)], SUPPORT, kernel=kernel
-                ) == expected
+            assert mine_blocks(packed, [(lo, hi)], SUPPORT) == expected
 
     def test_empty_partition(self, quest_db):
         assert mine_blocks(quest_db.to_packed(), [(5, 5)], SUPPORT) == {}
@@ -129,7 +126,7 @@ class TestTwoPhaseEquivalence:
             result.frequent, result.num_transactions, 0.6
         ) == generate_rules(serial.frequent, serial.num_transactions, 0.6)
 
-    @pytest.mark.parametrize("kernel", ["fast-np", "vertical"])
+    @pytest.mark.parametrize("kernel", ["fast-np"])
     def test_matches_serial_under_every_kernel(
         self, quest_db, serial, kernel
     ):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.kernels import KERNELS
 from repro.core.transaction import TransactionDB
 from repro.data.io import write_dat
 
@@ -224,19 +225,22 @@ class TestKernelAndDataPlaneFlags:
     @pytest.mark.parametrize(
         "algorithm, kernel, allowed",
         [
-            ("CD", "vertical", "'reference', 'fast'"),
+            # The deleted TID-bitmap kernel is no kernel at all.
+            ("CD", "vertical", "'reference', 'fast', 'fast-np'"),
             ("IDD", "fast-np", "'reference', 'fast'"),
-            ("HD", "vertical", "'reference', 'fast'"),
-            ("native-cd", "reference", "'fast-np', 'vertical'"),
-            ("native-idd", "fast", "'fast-np', 'vertical'"),
-            ("native", "fast", "'fast-np', 'vertical'"),
+            ("HD", "vertical", "'reference', 'fast', 'fast-np'"),
+            ("native-cd", "reference", "'fast-np'"),
+            ("native-idd", "fast", "'fast-np'"),
+            ("native", "fast", "'fast-np'"),
+            ("native-hd", "vertical", "'reference', 'fast', 'fast-np'"),
         ],
     )
     def test_kernel_algorithm_mismatch_is_usage_error(
         self, dat_file, capsys, algorithm, kernel, allowed
     ):
         # Rejected before the database is even read: one usage line
-        # naming the kernels the chosen miner can run.
+        # naming the kernels the chosen miner can run (or, for a name
+        # that is no kernel, every kernel).
         with pytest.raises(SystemExit) as excinfo:
             main(["mine", str(dat_file), "--algorithm", algorithm,
                   "--kernel", kernel])
@@ -246,8 +250,20 @@ class TestKernelAndDataPlaneFlags:
         (line,) = [
             text for text in captured.err.splitlines() if "error:" in text
         ]
-        assert f"unsupported kernel {kernel!r}" in line
-        assert f"expected one of: {allowed}" in line
+        reason = "unsupported" if kernel in KERNELS else "unknown"
+        assert f"{reason} kernel {kernel!r}" in line
+        assert line.endswith(f"expected one of: {allowed}")
+
+    @pytest.mark.parametrize("command", ["mine", "serve"])
+    def test_vertical_kernel_is_usage_error(self, dat_file, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(dat_file), "--kernel", "vertical"])
+        assert excinfo.value.code == 2
+        (line,) = [
+            text for text in capsys.readouterr().err.splitlines()
+            if "error:" in text
+        ]
+        assert "unknown kernel 'vertical'" in line
 
     def test_serve_attach_kernel_mismatch_is_usage_error(
         self, tmp_path, capsys
@@ -258,14 +274,14 @@ class TestKernelAndDataPlaneFlags:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "unsupported kernel 'reference'" in err
-        assert "expected one of: 'fast-np', 'vertical'" in err
+        assert "expected one of: 'fast-np'" in err
 
     def test_native_mine_each_plane(self, dat_file, capsys):
         for plane in ("shared", "mmap"):
             exit_code = main(
                 ["mine", str(dat_file), "--min-support", "0.3",
                  "--algorithm", "native", "--processors", "2",
-                 "--data-plane", plane, "--kernel", "vertical"]
+                 "--data-plane", plane, "--kernel", "fast-np"]
             )
             assert exit_code == 0
             out = capsys.readouterr().out
@@ -359,7 +375,7 @@ class TestCheckpointFlags:
             ["mine", str(dat_file), "--min-support", "0.3",
              "--algorithm", "native", "--processors", "2",
              "--data-plane", "mmap", "--store-dir", str(store),
-             "--block-budget", "4", "--kernel", "vertical"]
+             "--block-budget", "4", "--kernel", "fast-np"]
         )
         assert exit_code == 0
         out = capsys.readouterr().out
