@@ -112,12 +112,14 @@ class Apriori:
             triangular pass-2 counter, no work counters),
             ``"reference"`` (instrumented object tree; required when the
             per-pass ``tree_stats`` feed the Section IV cost model), or
-            the bitmap kernel ``"fast-np"``, which builds the database's
-            bitmaps once per :meth:`mine` (through
-            :func:`~repro.core.kernels.make_cache`) and reuses them on
-            every pass.  All three produce identical frequent item-sets
-            and counts.  ``"fast-np"`` runs each pass in matrix form, as
-            the native coordinator does: apriori_gen over the sorted
+            the bitmap kernel ``"fast-np"``, which flattens the
+            database once per :meth:`mine` (through
+            :func:`~repro.core.kernels.make_cache`), counts pass 2 as a
+            pair triangle over the flat columns and builds the bitmaps
+            once, for every later pass.  All three produce identical
+            frequent item-sets and counts.  ``"fast-np"`` runs each
+            pass in matrix form, as the native coordinator does:
+            apriori_gen over the sorted
             int32 F(k-1) matrix, a counter over the C(k) matrix, and a
             count mask for the threshold (see
             :mod:`repro.core.candidates`); item ids past int32 keep the
@@ -156,8 +158,9 @@ class Apriori:
             matrix = itemset_matrix(frequent_prev)
             if matrix is not None:
                 frequent_prev = matrix
-        # One cache per mine: the bitmap kernels build the database's
-        # bit-matrices on pass 2 and reuse them on every later pass.
+        # One cache per mine: the bitmap kernel flattens the database
+        # once, on pass 2, builds its bit-matrix on pass 3 and reuses
+        # both on every later pass.
         cache = make_cache(self.kernel)
         k = 2
         while len(frequent_prev) and (self.max_k is None or k <= self.max_k):

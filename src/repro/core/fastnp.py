@@ -7,15 +7,18 @@ int32 matrix — exactly the binary frame the native pool's shared
 candidate plane broadcasts, so a worker can count *straight out of the
 shared segment* without ever materializing candidate tuples:
 
-* :class:`PackedBitmaps` — one pass over a :class:`~repro.core.packed.
-  PackedDB` range builds a packed presence **bit-matrix**: row ``r`` is
-  the TID bitmap of the range's ``r``-th distinct item, 64 transactions
-  per little-endian ``uint64`` word.  Each (item, transaction) bit is
-  scattered straight into its word, a bounded chunk of transactions at
-  a time, so the build neither fills an items x transactions matrix
-  nor keys the whole range at once.  The bitmaps are candidate- and
-  pass-independent, so long-lived holders reuse them across passes via
-  :class:`PackedBitmapCache`.
+* :class:`PackedBitmaps` — one pass over a transaction range's flat
+  item column builds a packed presence **bit-matrix**: row ``r`` is the
+  TID bitmap of the range's ``r``-th distinct item, 64 transactions per
+  little-endian ``uint64`` word.  Items map to rows through a dense
+  rank table indexed by id (a sorted search when the ids are sparse),
+  and each (item, transaction) bit is scattered straight into its word,
+  a bounded span of occurrences at a time, so the build neither sorts
+  the column, fills an items x transactions matrix nor keys the whole
+  range at once.  The bitmaps are candidate- and pass-independent, so
+  long-lived holders reuse them across passes via
+  :class:`PackedBitmapCache`, which keeps each source's flat columns
+  beside the bit-matrix it builds lazily.
 * :class:`FastNumpyCounter` — candidates as one ``(num, k)`` int32/64
   matrix.  Counting maps every candidate item to its bitmap row with one
   ``np.searchsorted`` over the sorted distinct-item table, ANDs the
@@ -24,24 +27,38 @@ shared segment* without ever materializing candidate tuples:
   range length), sharing the work of equal ``k-1`` prefixes
   (contiguous runs of candidates with the same prefix — the normal shape
   of a sorted apriori_gen batch — pay the prefix AND once), and reduces
-  each row with a word popcount into an int64 count vector.  No
-  per-transaction or per-candidate interpreter loop remains.
+  each row with a word popcount into an int64 count vector.
+* **The pass-2 pair triangle.**  A size-2 candidate set that fills at
+  least ``_PASS2_MIN_FILL`` of the triangle over its items (apriori_gen's
+  C(2) fills all of it) is counted without bitmaps: the items of each
+  transaction are ranked within that universe, every ranked pair
+  ``a < b`` is enumerated as the triangle key ``offset[a] + b``
+  (:class:`~repro.core.pass2.PairCounter`'s layout) a bounded chunk of
+  pairs at a time, and the keys are scatter-added into the triangle.
+  For C(2) the triangle *is* the slot-order count vector; other pair
+  sets read their slots out of it.  So pass 2 never asks for a
+  bit-matrix, and the first one is built at pass 3.
 
-Counts are bit-identical to :class:`~repro.core.hashtree.HashTree` on
-every input (property-tested in ``tests/core/test_fastnp.py``): a
-candidate's AND row has bit ``t`` set for exactly the transactions whose
-item set contains all its items — the tree's superset test.
+No per-transaction or per-candidate interpreter loop remains.  Counts
+are bit-identical to :class:`~repro.core.hashtree.HashTree` on every
+input (property-tested in ``tests/core/test_fastnp.py``): a candidate's
+AND row has bit ``t`` set for exactly the transactions whose item set
+contains all its items — the tree's superset test — and a canonical
+(sorted, duplicate-free) transaction yields each ranked pair once.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
+from itertools import chain
 from typing import (
     Container,
     Dict,
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -49,7 +66,7 @@ from typing import (
 
 from .hashtree import TreeShape
 from .items import Itemset
-from .packed import _CAND_HEADER
+from .packed import _CAND_HEADER, INT32_MAX
 from .transaction import TransactionDB
 
 import numpy as np
@@ -60,6 +77,15 @@ __all__ = [
     "FastNumpyCounter",
 ]
 
+# A triangular pass-2 counter holds one slot per item pair in the span
+# of the candidates.  apriori_gen's C2 fills the triangle exactly (one
+# candidate per slot); a memory-partitioned chunk or an externally
+# filtered pair set (SON's phase-2 union) may not.  Below this fill the
+# triangle wastes memory without buying speed, so the fast kernel counts
+# such a set with the flat tree (kernels.make_counter) and this one
+# with bitmap ANDs.
+_PASS2_MIN_FILL = 1 / 3
+
 # Bytes of bitmap rows one counting chunk gathers: a chunk holds
 # ``max(1, _CHUNK_BYTES // row_nbytes)`` candidates, so its transient
 # row buffers fit a core's L2 cache however long the range is, while a
@@ -69,10 +95,20 @@ __all__ = [
 # KiB chunks, 0.29-0.32 s with 1-4 MiB and 0.37-0.42 s with 8 MiB.
 _CHUNK_BYTES = 512 << 10
 
-# Transactions one build chunk scatters: the chunk's int64 keys and bits
-# (8 bytes each per item occurrence) are about 1 MB each on T15-shaped
-# data however long the range.
-_BUILD_CHUNK = 1 << 13
+# Item occurrences one build or triangle span maps at a time (a longer
+# transaction is a span of its own).  The build keeps about 20 bytes of
+# keys and bits per occurrence of a span, the triangle about 40 bytes
+# of ranks and row bounds.  On the same Xeon, one 50k-transaction range
+# of T15 data (750k occurrences) took 20-26 ms to build at every span
+# from 2**14 to 2**17 (best of 7); only the scratch grows with it.
+_SPAN = 1 << 15
+
+# Pairs one triangle step expands at a time, about 32 bytes each of
+# keys and positions; a transaction with more pairs is split between
+# its triangle rows.  On the range above (5.5M pairs) 2**15 to 2**17
+# pairs counted pass 2 in 54-60 ms alike, while the tracemalloc peak
+# rose from 2.8 to 5.3 MB.
+_PAIR_CHUNK = 1 << 16
 
 # Little-endian, so a word row's bytes are the little-bit-order bitmap
 # on any host.
@@ -86,6 +122,56 @@ def _popcount_rows(acc) -> np.ndarray:
     fewer than 2**31 transactions (packed offsets are int32).
     """
     return np.bitwise_count(acc).sum(axis=1, dtype=np.uint32)
+
+
+def _spans(offsets) -> Iterator[Tuple[int, int]]:
+    """Consecutive transaction spans ``[lo, hi)`` of about ``_SPAN``
+    occurrences each, tiling ``offsets``' transactions in order."""
+    n = offsets.size - 1
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(offsets, offsets[lo] + _SPAN, "right")) - 1
+        hi = min(max(hi, lo + 1), n)
+        yield lo, hi
+        lo = hi
+
+
+def _search_ranks(ids, chunk) -> np.ndarray:
+    pos = np.searchsorted(ids, chunk)
+    np.minimum(pos, ids.size - 1, out=pos)
+    pos[ids[pos] != chunk] = -1
+    return pos
+
+
+def _ranker(items, ids=None):
+    """Sorted distinct ids and the id -> rank map of a flat item column.
+
+    ``ids`` defaults to the column's own distinct ids (the bit-matrix
+    rows); the triangle passes its candidates' item universe instead.
+    The returned ``rank(chunk)`` maps a slice of the column to each
+    item's position in ``ids``, ``-1`` for an item not among them.
+
+    When the column's ids are non-negative and the largest is below its
+    length, ``rank`` is one gather from a dense int32 table indexed by
+    id (at most 4 bytes per occurrence it maps), and the column's
+    distinct ids come from a bool table instead of a sort.  Otherwise —
+    packed ids reach 2**31 - 1 and serial ones 2**63 - 1 — it is a
+    sorted search over ``ids``.
+    """
+    dense = items.size > 0 and items.min() >= 0 and items.max() < items.size
+    if not dense:
+        if ids is None:
+            ids = np.unique(items)
+        return ids, partial(_search_ranks, ids)
+    top = int(items.max()) + 1
+    if ids is None:
+        seen = np.zeros(top, dtype=bool)
+        seen[items] = True
+        ids = np.flatnonzero(seen).astype(items.dtype, copy=False)
+    table = np.full(top, -1, dtype=np.int32)
+    known = ids[:np.searchsorted(ids, top)]  # the column holds no others
+    table[known] = np.arange(known.size, dtype=np.int32)
+    return ids, table.__getitem__
 
 
 class PackedBitmaps:
@@ -111,27 +197,29 @@ class PackedBitmaps:
         self.build_s = build_s
 
     @classmethod
-    def _build(cls, items, offsets, started: float) -> "PackedBitmaps":
+    def from_columns(cls, items, offsets) -> "PackedBitmaps":
         """Assemble the bit-matrix from a flat item column.
 
-        Transaction ``t`` holds ``items[offsets[t]:offsets[t + 1]]``.
-        Every (item, transaction) pair ORs its bit straight into its
-        word of the flat row array, keyed ``row * nwords + (t >> 6)``;
-        ``np.bitwise_or.at`` is unbuffered, so the pairs that share a
-        word all land.  Pairs are keyed ``_BUILD_CHUNK`` transactions at
-        a time, so the int64 key scratch is bounded by one chunk's
-        occurrences.
+        Transaction ``t`` holds ``items[offsets[t]:offsets[t + 1]]``
+        (``offsets`` int64, starting at 0).  Every (item, transaction)
+        pair ORs its bit straight into its word of the flat row array,
+        keyed ``row * nwords + (t >> 6)``; ``np.bitwise_or.at`` is
+        unbuffered, so the pairs that share a word all land.  Pairs are
+        keyed one ``_spans`` span at a time, so the int64 key scratch is
+        bounded by one span's occurrences.
         """
+        started = time.perf_counter()
         n = offsets.size - 1
         nwords = (n + 63) >> 6
-        item_ids = np.unique(items)
+        item_ids, rank = _ranker(items)
         words = np.zeros(item_ids.size * nwords, dtype=_WORD)
-        for lo in range(0, n, _BUILD_CHUNK):
-            hi = min(lo + _BUILD_CHUNK, n)
+        for lo, hi in _spans(offsets):
             tx_ids = np.repeat(
                 np.arange(lo, hi, dtype=np.int64), np.diff(offsets[lo:hi + 1])
             )
-            key = np.searchsorted(item_ids, items[offsets[lo]:offsets[hi]])
+            key = rank(items[offsets[lo]:offsets[hi]]).astype(
+                np.int64, copy=False
+            )
             key *= nwords
             key += tx_ids >> 6
             tx_ids &= 63
@@ -151,29 +239,14 @@ class PackedBitmaps:
         and shared-memory ``memoryview``-backed stores (the views are
         read, never retained).
         """
-        started = time.perf_counter()
-        hi = max(lo, len(packed) if hi is None else hi)
-        offsets = np.asarray(packed.offsets)[lo:hi + 1].astype(np.int64)
-        items = np.asarray(packed.items)[offsets[0]:offsets[-1]]
-        offsets -= offsets[0]
-        return cls._build(items, offsets, started)
+        return _Columns.of_packed(packed, lo, hi).bitmaps()
 
     @classmethod
     def from_transactions(
         cls, transactions: Iterable[Sequence[int]]
     ) -> "PackedBitmaps":
         """Build bitmaps from an iterable of item sequences."""
-        started = time.perf_counter()
-        flat: List[int] = []
-        offsets: List[int] = [0]
-        for transaction in transactions:
-            flat.extend(transaction)
-            offsets.append(len(flat))
-        return cls._build(
-            np.array(flat, dtype=np.int64),
-            np.array(offsets, dtype=np.int64),
-            started,
-        )
+        return _Columns.of_transactions(transactions).bitmaps()
 
     def bits_for(self, item: int) -> "np.ndarray":
         """Word row of ``item``'s bitmap (all-zero when absent)."""
@@ -183,51 +256,127 @@ class PackedBitmaps:
         return np.zeros(self.rows.shape[1], dtype=self.rows.dtype)
 
 
+class _Columns:
+    """One transaction source as flat columns, plus its bit-matrix.
+
+    Transaction ``t`` is ``items[offsets[t]:offsets[t + 1]]``, with
+    ``offsets`` int64 from 0.  The bit-matrix is built on the first
+    :meth:`bitmaps` call and kept, so a cached source is flattened once
+    and built at most once.
+    """
+
+    __slots__ = ("items", "offsets", "_bitmaps")
+
+    def __init__(self, items, offsets):
+        self.items = items
+        self.offsets = offsets
+        self._bitmaps: Optional[PackedBitmaps] = None
+
+    @classmethod
+    def of_packed(cls, packed, lo: int = 0, hi: Optional[int] = None):
+        """Transactions ``[lo, hi)`` of a packed store; the item column
+        is a zero-copy view of the store's."""
+        hi = max(lo, len(packed) if hi is None else hi)
+        offsets = np.asarray(packed.offsets)[lo:hi + 1].astype(np.int64)
+        items = np.asarray(packed.items)[offsets[0]:offsets[-1]]
+        offsets -= offsets[0]
+        return cls(items, offsets)
+
+    @classmethod
+    def of_transactions(cls, transactions: Iterable[Sequence[int]]):
+        """Flatten item sequences; the column is int32 where ids fit."""
+        if iter(transactions) is transactions:
+            transactions = list(transactions)  # a one-shot iterator
+        lengths = np.fromiter(map(len, transactions), dtype=np.int64)
+        offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        items = np.fromiter(
+            chain.from_iterable(transactions), dtype=np.int64,
+            count=int(offsets[-1]),
+        )
+        if items.size and 0 <= items.min() and items.max() <= INT32_MAX:
+            items = items.astype(np.int32)
+        return cls(items, offsets)
+
+    def bitmaps(self) -> PackedBitmaps:
+        if self._bitmaps is None:
+            self._bitmaps = PackedBitmaps.from_columns(
+                self.items, self.offsets
+            )
+        return self._bitmaps
+
+
 class PackedBitmapCache:
-    """Per-process bit-matrix cache, keyed on the data a holder counts.
+    """Per-process cache of flat columns and bit-matrices, keyed on the
+    data a holder counts.
 
     Counters are rebuilt (or reset) every pass while native-pool workers
     and serial ``Apriori.mine()`` outlive the pass, so the cache lives
-    in the holder and hands each pass the matrices built on the first
-    pass over the same range or block.  Entries pin their source object,
-    so the ``id()`` keys cannot be recycled while an entry is alive.
+    in the holder and hands each pass the columns flattened, and the
+    bit-matrices built, on the first pass that needed them over the same
+    range or block.  Entries pin their source object, so the ``id()``
+    keys cannot be recycled while an entry is alive.
     """
 
     def __init__(self) -> None:
-        self._packed: Dict[Tuple[int, int, int],
-                           Tuple[object, PackedBitmaps]] = {}
-        self._blocks: Dict[int, Tuple[object, PackedBitmaps]] = {}
+        self._entries: Dict[tuple, Tuple[object, _Columns]] = {}
 
-    def for_packed(
-        self, packed, lo: int = 0, hi: Optional[int] = None
-    ) -> PackedBitmaps:
-        """Bitmaps for packed range ``[lo, hi)``, built at most once."""
-        if hi is None:
-            hi = len(packed)
-        key = (id(packed), lo, hi)
-        entry = self._packed.get(key)
-        if entry is None or entry[0] is not packed:
-            entry = (packed, PackedBitmaps.from_packed(packed, lo, hi))
-            self._packed[key] = entry
+    def _columns(self, source, key: tuple, make) -> _Columns:
+        entry = self._entries.get(key)
+        if entry is None or entry[0] is not source:
+            entry = (source, make())
+            self._entries[key] = entry
         return entry[1]
 
-    def for_block(self, block: Sequence[Sequence[int]]) -> PackedBitmaps:
-        """Bitmaps for a transaction block, built at most once.
+    def columns_for_packed(
+        self, packed, lo: int = 0, hi: Optional[int] = None
+    ) -> _Columns:
+        """Columns of packed range ``[lo, hi)``, sliced at most once."""
+        if hi is None:
+            hi = len(packed)
+        return self._columns(
+            packed, (id(packed), lo, hi),
+            lambda: _Columns.of_packed(packed, lo, hi),
+        )
+
+    def columns_for_block(self, block: Sequence[Sequence[int]]) -> _Columns:
+        """Columns of a transaction block, flattened at most once.
 
         ``block`` must re-iterate the same transactions (a list, tuple
         or :class:`~repro.core.transaction.TransactionDB`); counters
         never cache a one-shot iterator.
         """
-        key = id(block)
-        entry = self._blocks.get(key)
-        if entry is None or entry[0] is not block:
-            entry = (block, PackedBitmaps.from_transactions(block))
-            self._blocks[key] = entry
-        return entry[1]
+        return self._columns(
+            block, (id(block),), lambda: _Columns.of_transactions(block)
+        )
+
+    def for_packed(
+        self, packed, lo: int = 0, hi: Optional[int] = None
+    ) -> PackedBitmaps:
+        """Bitmaps for packed range ``[lo, hi)``, built at most once."""
+        return self.columns_for_packed(packed, lo, hi).bitmaps()
+
+    def for_block(self, block: Sequence[Sequence[int]]) -> PackedBitmaps:
+        """Bitmaps for a transaction block, built at most once."""
+        return self.columns_for_block(block).bitmaps()
 
     def clear(self) -> None:
-        self._packed.clear()
-        self._blocks.clear()
+        self._entries.clear()
+
+
+class _Triangle(NamedTuple):
+    """A size-2 candidate set laid out as a pair triangle.
+
+    ``ids`` is the sorted item universe of the candidates, the pair of
+    ranks ``a < b`` lives at ``head[a] + b`` of a ``size``-slot
+    triangle, and candidate ``i`` at slot ``slots[i]`` — ``None`` when
+    the slots are ``0 .. size - 1`` in order, as for apriori_gen's C(2).
+    """
+
+    ids: np.ndarray
+    head: np.ndarray
+    slots: Optional[np.ndarray]
+    size: int
 
 
 class FastNumpyCounter:
@@ -249,11 +398,21 @@ class FastNumpyCounter:
     :meth:`first_item_mask` / :meth:`counts_for` give IDD shards their
     ownership view of the shared matrix).
 
+    A size-2 set that fills at least ``_PASS2_MIN_FILL`` of the
+    triangle over its items is counted as a pair triangle instead of by
+    bitmap ANDs (see the module docstring).  That path requires
+    canonical transactions — sorted and duplicate-free, the contract
+    :class:`~repro.core.hashtree.HashTree` and
+    :class:`~repro.core.pass2.PairCounter` state too — so that every
+    pair comes out ranked ``a < b`` exactly once.
+
     Attributes:
         build_s: seconds building (or fetching from the cache) the
-            bit-matrices across all ``count_packed`` /
+            bit-matrices, or on the triangle path flattening and ranking
+            the item columns, across all ``count_packed`` /
             ``count_database`` calls.
-        intersect_s: seconds gathering, ANDing and popcounting.
+        intersect_s: seconds gathering, ANDing and popcounting, or
+            enumerating and adding up the triangle's pairs.
     """
 
     def __init__(self, k: int, candidates: Sequence[Itemset] = ()):
@@ -265,6 +424,8 @@ class FastNumpyCounter:
         self._matrix = None
         self._counts = np.zeros(0, dtype=np.int64)
         self._cache: Optional[PackedBitmapCache] = None
+        self._pairs: Optional[_Triangle] = None
+        self._planned = False
         self.build_s = 0.0
         self.intersect_s = 0.0
         self.insert_all(candidates)
@@ -355,6 +516,7 @@ class FastNumpyCounter:
             index[candidate] = len(self._tuples)
             self._tuples.append(candidate)
             self._matrix = None  # rebuilt from tuples on the next count
+            self._planned = False
 
     def insert_all(self, candidates: Iterable[Itemset]) -> None:
         for candidate in candidates:
@@ -465,19 +627,20 @@ class FastNumpyCounter:
         finally:
             self.intersect_s += time.perf_counter() - started
 
+    def _selection(self, root_filter):
+        """The candidates ``root_filter`` keeps, as a bool mask (None: all)."""
+        if root_filter is None or isinstance(root_filter, np.ndarray):
+            return root_filter
+        return self.first_item_mask(root_filter)
+
     def _count_batches(self, bitmaps: PackedBitmaps, root_filter) -> None:
         matrix = self._ensure_matrix()
         num = matrix.shape[0]
         if num == 0 or bitmaps.num_transactions == 0:
             return
-        selected = None
-        if root_filter is not None:
-            if isinstance(root_filter, np.ndarray):
-                selected = root_filter
-            else:
-                selected = self.first_item_mask(root_filter)
-            if not selected.any():
-                return
+        selected = self._selection(root_filter)
+        if selected is not None and not selected.any():
+            return
         item_ids = bitmaps.item_ids
         if item_ids.size == 0:
             return  # no item present in the range: every count is +0
@@ -521,6 +684,104 @@ class FastNumpyCounter:
                 acc &= rows[gathered[:, k - 1]]
             counts[chunk] += _popcount_rows(acc)
 
+    def _triangle(self) -> Optional[_Triangle]:
+        """This size-2 set as a pair triangle; None to count by ANDs."""
+        if not self._planned:
+            self._planned = True
+            self._pairs = None
+            matrix = self._ensure_matrix()
+            num = matrix.shape[0]
+            if self.k == 2 and num:
+                ids, rank = _ranker(matrix.ravel())
+                size = ids.size * (ids.size - 1) // 2
+                if size * _PASS2_MIN_FILL <= num:
+                    a = np.arange(ids.size, dtype=np.int64)
+                    head = a * (ids.size - 1) - a * (a + 1) // 2 - 1
+                    ranks = rank(matrix)
+                    slots = head[ranks[:, 0]] + ranks[:, 1]
+                    if np.array_equal(slots, np.arange(size)):
+                        slots = None
+                    self._pairs = _Triangle(ids, head, slots, size)
+        return self._pairs
+
+    def _count_pairs(self, columns: _Columns, tri: _Triangle,
+                     selected) -> None:
+        """Add every ranked pair of the columns' transactions.
+
+        Span by span, the items are ranked within the candidates'
+        universe and the rest dropped (charged to ``build_s``).  Kept
+        item ``p`` then opens its transaction's triangle row: it pairs
+        with the kept items ``p + 1`` up to its transaction's end.  The
+        rows are expanded into triangle keys ``_PAIR_CHUNK`` pairs at a
+        time, splitting a long transaction between rows, and the keys
+        are added into the triangle unbuffered (``np.add.at``, which
+        needs no triangle-sized temporary per chunk), charged to
+        ``intersect_s``.
+        """
+        items, offsets = columns.items, columns.offsets
+        clock = time.perf_counter
+        tick = clock()
+        counted = np.zeros(tri.size, dtype=np.int64)
+        _, rank = _ranker(items, tri.ids)
+        for lo, hi in _spans(offsets):
+            base = offsets[lo]
+            ranks = rank(items[base:offsets[hi]])
+            kept = ranks >= 0
+            ranks = ranks[kept]
+            # Kept items before each occurrence; read at the offsets, it
+            # gives where each transaction's kept items end.
+            before = np.zeros(kept.size + 1, dtype=np.int64)
+            np.cumsum(kept, out=before[1:])
+            ends = before[offsets[lo:hi + 1] - base]
+            widths = np.repeat(ends[1:], np.diff(ends))
+            widths -= np.arange(1, ranks.size + 1)
+            upto = np.cumsum(widths)
+            heads = tri.head[ranks]
+            tock = clock()
+            self.build_s += tock - tick
+            tick = tock
+            p0 = 0
+            while p0 < ranks.size:
+                done = upto[p0 - 1] if p0 else 0
+                p1 = int(np.searchsorted(upto, done + _PAIR_CHUNK, "right"))
+                p1 = max(p1, p0 + 1)
+                width = widths[p0:p1]
+                total = int(upto[p1 - 1] - done)
+                if total:
+                    keys = np.repeat(heads[p0:p1], width)
+                    # Pair j of the chunk, in row p, pairs p with kept
+                    # item p + 1 + j - start[p].
+                    start = upto[p0:p1] - width - done
+                    second = np.arange(p0 + 1, p1 + 1) - start
+                    second = np.repeat(second, width)
+                    second += np.arange(total)
+                    keys += ranks[second]
+                    np.add.at(counted, keys, 1)
+                p0 = p1
+            tock = clock()
+            self.intersect_s += tock - tick
+            tick = tock
+        if tri.slots is not None:
+            counted = counted[tri.slots]
+        counts = self._ensure_counts()
+        if selected is None:
+            counts += counted
+        else:
+            counts[selected] += counted[selected]
+        self.intersect_s += clock() - tick
+
+    def _count_columns(self, columns: _Columns, root_filter) -> None:
+        tri = self._triangle()
+        if tri is not None:
+            selected = self._selection(root_filter)
+            if selected is None or selected.any():
+                self._count_pairs(columns, tri, selected)
+            return
+        started = time.perf_counter()
+        bitmaps = columns.bitmaps()
+        self.build_s += time.perf_counter() - started
+        self.count_bitmaps(bitmaps, root_filter)
+
     def count_packed(
         self,
         packed,
@@ -529,31 +790,29 @@ class FastNumpyCounter:
         root_filter=None,
     ) -> None:
         """Count transactions ``[lo, hi)`` of a packed columnar store."""
-        if hi is None:
-            hi = len(packed)
         started = time.perf_counter()
         if self._cache is not None:
-            bitmaps = self._cache.for_packed(packed, lo, hi)
+            columns = self._cache.columns_for_packed(packed, lo, hi)
         else:
-            bitmaps = PackedBitmaps.from_packed(packed, lo, hi)
+            columns = _Columns.of_packed(packed, lo, hi)
         self.build_s += time.perf_counter() - started
-        self.count_bitmaps(bitmaps, root_filter)
+        self._count_columns(columns, root_filter)
 
     def count_database(
         self,
         transactions: Iterable[Sequence[int]],
         root_filter=None,
     ) -> None:
-        """Build (or fetch) bit-matrices for ``transactions`` and count."""
+        """Flatten (or fetch) ``transactions``' columns and count them."""
         started = time.perf_counter()
         if self._cache is not None and isinstance(
             transactions, (list, tuple, TransactionDB)
         ):
-            bitmaps = self._cache.for_block(transactions)
+            columns = self._cache.columns_for_block(transactions)
         else:
-            bitmaps = PackedBitmaps.from_transactions(transactions)
+            columns = _Columns.of_transactions(transactions)
         self.build_s += time.perf_counter() - started
-        self.count_bitmaps(bitmaps, root_filter)
+        self._count_columns(columns, root_filter)
 
     # ------------------------------------------------------------------
     # Count-table manipulation

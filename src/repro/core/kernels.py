@@ -19,8 +19,10 @@ kernel:
   numpy batch operations over packed per-item bit-matrices
   (:class:`~repro.core.fastnp.PackedBitmaps`, reusable across passes
   via :class:`~repro.core.fastnp.PackedBitmapCache`) — no
-  per-transaction or per-candidate interpreter loop.  Counts are
-  bit-identical to the reference kernel.
+  per-transaction or per-candidate interpreter loop.  A pass-2 set
+  dense enough for ``PairCounter`` is counted instead as a vectorized
+  pair triangle over the flat item columns, with no bitmaps.  Counts
+  are bit-identical to the reference kernel.
 
 The two families count through two contracts, one each:
 
@@ -31,13 +33,15 @@ The two families count through two contracts, one each:
   is IDD's root-level item bitmap (Section III-C).
   :class:`~repro.core.streaming.StreamingApriori` and the simulated
   formulations count with them.
-* the **bitmap kernel** (``fast-np``) builds per-item bitmaps once per
-  transaction range and ANDs and popcounts them:
-  ``count_packed(packed, lo, hi, root_filter)`` over a
+* the **bitmap kernel** (``fast-np``) counts a whole transaction range
+  at once — pass 2's pair triangle off its flat item columns, later
+  passes by ANDing and popcounting per-item bitmaps built once per
+  range: ``count_packed(packed, lo, hi, root_filter)`` over a
   :class:`~repro.core.packed.PackedDB` range (the native pool's shared
   and file-backed stores) and ``count_database(transactions,
-  root_filter)``, both fetching bitmaps through the cross-pass cache
-  :func:`make_cache` pairs with the kernel (``use_cache``).
+  root_filter)``, both fetching the columns and bitmaps through the
+  cross-pass cache :func:`make_cache` pairs with the kernel
+  (``use_cache``).
 
 Every counter also answers ``counts`` / ``frequent`` / ``get_count`` /
 ``shape`` / ``reset_counts``.  Serial :class:`~repro.core.apriori.
@@ -52,7 +56,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from .fastnp import FastNumpyCounter, PackedBitmapCache
+from .fastnp import _PASS2_MIN_FILL, FastNumpyCounter, PackedBitmapCache
 from .hashtree import HashTree
 from .hashtree_flat import FlatHashTree
 from .items import Itemset
@@ -73,13 +77,6 @@ KERNELS = ("reference", "fast", "fast-np")
 TREE_KERNELS = ("reference", "fast")
 
 Counter = Union[HashTree, FlatHashTree, PairCounter, FastNumpyCounter]
-
-# A triangular pass-2 counter allocates one slot per item pair in the
-# span of the candidates.  apriori_gen's C2 fills the triangle exactly
-# (one candidate per slot); a memory-partitioned chunk or an externally
-# filtered pair set may not.  Below this fill ratio the triangle wastes
-# memory without buying speed, so make_counter falls back to the flat tree.
-_PASS2_MIN_FILL = 1 / 3
 
 
 def validate_kernel(kernel: str, allowed: Sequence[str] = KERNELS) -> str:
@@ -138,7 +135,7 @@ def make_counter(
 
 
 def make_cache(kernel: str) -> Optional[PackedBitmapCache]:
-    """The cross-pass bitmap cache of ``make_counter(kernel=kernel)``.
+    """The cross-pass column/bitmap cache of ``make_counter(kernel=kernel)``.
 
     A :class:`~repro.core.fastnp.PackedBitmapCache` for ``"fast-np"``,
     and ``None`` for the tree kernels, which build no bitmaps.  Holders

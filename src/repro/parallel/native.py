@@ -201,10 +201,12 @@ class PassOverhead:
     like ``shift_s``):
 
     * ``bitmap_build_s`` — seconds building (or fetching from the
-      per-worker cache) the TID bitmaps; near-zero from the second
-      pass on, which is the cross-pass reuse showing up in the data;
+      per-worker cache) the TID bitmaps, or at pass 2 ranking the item
+      columns for the pair triangle; the bitmaps are built at pass 3,
+      and the build is near-zero from pass 4 on, which is the
+      cross-pass reuse showing up in the data;
     * ``intersect_s`` — seconds intersecting candidate bitmaps and
-      popcounting.
+      popcounting, or at pass 2 adding up the triangle's pairs.
 
     The shared candidate plane fills the last two:
 

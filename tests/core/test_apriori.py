@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.apriori import Apriori, min_support_count
+from repro.core import fastnp
 from repro.core.fastnp import PackedBitmaps
 from repro.core.transaction import TransactionDB
 from tests.conftest import brute_force_frequent
@@ -155,7 +156,9 @@ class TestAprioriProperties:
 
 
 class TestBitmapBuildsPerMine:
-    """The bitmap kernel builds the database's bitmaps once per mine()."""
+    """The bitmap kernel flattens the database once per mine() and
+    builds its bitmaps once, at pass 3: pass 2 counts a pair triangle
+    over the flat columns and needs no bitmaps."""
 
     @pytest.mark.parametrize(
         "kernel, builds",
@@ -166,16 +169,22 @@ class TestBitmapBuildsPerMine:
         self, monkeypatch, small_quest_db, kernel, builds
     ):
         expected = Apriori(0.05, kernel="reference").mine(small_quest_db)
-        calls = []
+        flattened, built = [], []
 
-        def spy(transactions, _build=PackedBitmaps.from_transactions):
-            calls.append(transactions)
-            return _build(transactions)
+        def flatten(transactions, _flatten=fastnp._Columns.of_transactions):
+            flattened.append(transactions)
+            return _flatten(transactions)
+
+        def build(items, offsets, _build=PackedBitmaps.from_columns):
+            built.append(items.size)
+            return _build(items, offsets)
 
         monkeypatch.setattr(
-            PackedBitmaps, "from_transactions", staticmethod(spy)
+            fastnp._Columns, "of_transactions", staticmethod(flatten)
         )
+        monkeypatch.setattr(PackedBitmaps, "from_columns", staticmethod(build))
         result = Apriori(0.05, kernel=kernel).mine(small_quest_db)
         assert len(result.passes) >= 4  # pass 1 plus 3+ counting passes
-        assert len(calls) == builds
+        assert len(flattened) == builds
+        assert len(built) == builds
         assert result.frequent == expected.frequent

@@ -11,13 +11,18 @@ shared candidate frame and :meth:`first_item_mask` / :meth:`counts_for`
 shard views.  The word layout has its own checks: ranges on either side
 of a 64-transaction word boundary under chunks of 1-3 candidates, zero
 pad bits, and builds whose scratch stays far below an items x
-transactions matrix and, keyed chunk by chunk, below half of what
-keying the whole range at once took.
+transactions matrix and, ranked through the dense id table and keyed
+span by span, at a few bytes per occurrence.  Pass 2's pair triangle
+is checked against the tree through both count contracts, on both
+sides of its fill guard and of the rank table's id guard, with spans
+and pair chunks shrunk to a few items, and with its pair scratch
+bounded on one 3,000-item transaction.
 """
 
 import random
 import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +35,7 @@ from repro.core.bitmap import ItemBitmap
 from repro.core.fastnp import FastNumpyCounter, PackedBitmapCache, PackedBitmaps
 from repro.core.hashtree import HashTree
 from repro.core.kernels import KERNELS, make_counter
-from repro.core.packed import PackedDB, candidate_frame
+from repro.core.packed import INT32_MAX, PackedDB, candidate_frame
 from repro.data.corpus import t15_i6
 from repro.data.quest import generate
 
@@ -168,10 +173,10 @@ class TestPackedBitmaps:
         # One 50k-transaction range of T15.I6 data over 1,000 items (the
         # shape of a scan-heavy worker's range, ~750k item occurrences).
         # Keying the whole range at once held three int64 vectors as
-        # long as the occurrences (24 bytes each).  Keyed a bounded
-        # chunk of transactions at a time, the scratch beyond the output
-        # rows is np.unique's int32 copy of the column plus one chunk's
-        # keys: under half of that.
+        # long as the occurrences (24 bytes each); keyed chunk by chunk
+        # behind np.unique's sorted copy of the column, 6-7 bytes.
+        # Ranked through a table of one int32 per id and keyed one span
+        # at a time, the scratch beyond the output rows is about 2.
         packed = generate(t15_i6(50_000, seed=1, num_items=1000)).to_packed()
         tracemalloc.start()
         try:
@@ -180,7 +185,7 @@ class TestPackedBitmaps:
         finally:
             tracemalloc.stop()
         scratch = peak - bitmaps.rows.nbytes
-        assert scratch < 12 * packed.total_items, (scratch, packed.total_items)
+        assert scratch < 4 * packed.total_items, (scratch, packed.total_items)
         assert np.array_equal(
             bitmaps.rows,
             PackedBitmaps.from_transactions(packed.unpack()).rows,
@@ -526,3 +531,208 @@ class TestPackedBitmapCache:
         again.use_cache(cache)
         again.count_packed(packed)
         assert again.counts() == uncached.counts()
+
+
+def _all_pairs(items):
+    return list(combinations(sorted(items), 2))
+
+
+def _owned_counts(candidates, transactions, roots):
+    """HashTree counts, zeroed for candidates whose first item is not
+    among ``roots`` — the IDD contract (the tree's own root filter
+    prunes by hash bucket, so it can count a colliding candidate)."""
+    full = _oracle_counts(2, candidates, transactions)
+    if roots is None:
+        return full
+    return {c: n if c[0] in roots else 0 for c, n in full.items()}
+
+
+@st.composite
+def _pair_sets(draw, universe_ids=st.integers(0, 15)):
+    """A size-2 candidate set on either side of the triangle's fill guard.
+
+    Returns ``(candidates, dense)``: ``dense`` pair sets fill at least
+    ``_PASS2_MIN_FILL`` of the triangle over their own items.
+    """
+    universe = sorted(draw(st.sets(universe_ids, min_size=2, max_size=9)))
+    pairs = _all_pairs(universe)
+    chosen = sorted(draw(st.sets(st.sampled_from(pairs), min_size=1)))
+    used = {item for pair in chosen for item in pair}
+    size = len(used) * (len(used) - 1) // 2
+    return chosen, size * fastnp._PASS2_MIN_FILL <= len(chosen)
+
+
+def _counts_through_both_contracts(candidates, transactions, lo, hi,
+                                   root_filter=None):
+    """Counts of ``transactions[lo:hi]`` via count_packed and via
+    count_database, each with a container and a mask root filter."""
+    packed = PackedDB.pack(transactions)
+    results = []
+    for count in (
+        lambda c, rf: c.count_packed(packed, lo, hi, root_filter=rf),
+        lambda c, rf: c.count_database(transactions[lo:hi], root_filter=rf),
+    ):
+        counter = FastNumpyCounter(2, candidates)
+        mask = None
+        if root_filter is not None:
+            mask = counter.first_item_mask(root_filter)
+        count(counter, mask)
+        results.append(counter.counts())
+        if root_filter is not None:
+            via_set = FastNumpyCounter(2, candidates)
+            count(via_set, root_filter)
+            results.append(via_set.counts())
+    return results
+
+
+class TestPairTriangle:
+    """Pass 2 as a pair triangle: HashTree-identical on both contracts."""
+
+    def test_one_fill_guard_for_both_pass2_counters(self):
+        # kernels.make_counter's PairCounter choice and the fast-np
+        # triangle read the same guard: 2 pairs over 4 items fill 2 of
+        # their 6 slots (1/3: a triangle), 3 pairs over 6 items fill 3
+        # of 15 (not).
+        from repro.core import kernels
+        from repro.core.pass2 import PairCounter
+
+        assert kernels._PASS2_MIN_FILL is fastnp._PASS2_MIN_FILL
+        on = [(0, 1), (2, 3)]
+        off = [(0, 3), (5, 9), (6, 8)]
+        assert FastNumpyCounter(2, on)._triangle() is not None
+        assert FastNumpyCounter(2, off)._triangle() is None
+        assert isinstance(make_counter(2, on, kernel="fast"), PairCounter)
+        assert not isinstance(make_counter(2, off, kernel="fast"), PairCounter)
+        assert FastNumpyCounter(3, [(0, 1, 2)])._triangle() is None
+
+    def test_apriori_gen_c2_is_the_slot_order_vector(self):
+        counter = FastNumpyCounter(2, _all_pairs([2, 5, 7, 11]))
+        assert counter._triangle().slots is None
+        shuffled = [(5, 7), (2, 5)] + _all_pairs([2, 7, 11])
+        assert FastNumpyCounter(2, shuffled)._triangle().slots is not None
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ranges_match_hashtree(self, n, data):
+        # Items reach past the candidates' universe (0-15) and every
+        # range sits inside a longer store, with empty transactions.
+        transactions = data.draw(
+            st.lists(
+                st.frozensets(st.integers(0, 20), max_size=9).map(
+                    lambda s: tuple(sorted(s))
+                ),
+                min_size=n, max_size=n + 6,
+            )
+        )
+        lo = data.draw(st.integers(0, len(transactions) - n))
+        candidates, dense = data.draw(_pair_sets())
+        roots = data.draw(st.none() | st.sets(st.integers(0, 15)))
+        expected = _owned_counts(candidates, transactions[lo:lo + n], roots)
+        triangle = FastNumpyCounter(2, candidates)._triangle()
+        assert (triangle is not None) == dense
+        for counts in _counts_through_both_contracts(
+            candidates, transactions, lo, lo + n, roots
+        ):
+            assert counts == expected
+
+    @pytest.mark.parametrize(
+        "span, pair_chunk", [(1, 1), (2, 3), (5, 2), (9, 7), (40, 1000)]
+    )
+    @given(
+        transactions=long_transactions_strategy,
+        pairs=_pair_sets(st.integers(0, 12)),
+        roots=st.none() | st.sets(st.integers(0, 12)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_spans_and_pair_chunks_split_anywhere(
+        self, span, pair_chunk, transactions, pairs, roots
+    ):
+        # Spans of a few occurrences and chunks of a few pairs split
+        # transactions between spans and rows between chunks.
+        candidates, _ = pairs
+        expected = _owned_counts(candidates, transactions, roots)
+        n = len(transactions)
+        with mock.patch.object(fastnp, "_SPAN", span), \
+                mock.patch.object(fastnp, "_PAIR_CHUNK", pair_chunk):
+            results = _counts_through_both_contracts(
+                candidates, transactions, 0, n, roots
+            )
+        for counts in results:
+            assert counts == expected
+
+    @pytest.mark.parametrize("big", [2**31 - 1, 2**40])
+    def test_ids_past_the_dense_table(self, big):
+        # One id far past the column's length takes the sorted search;
+        # 2**31 - 1 is the largest a packed store holds, 2**40 only
+        # serial columns (int64).
+        rng = random.Random(big)
+        universe = [3, 8, 12, big]
+        population = universe + [1, 5, big - 1]
+        transactions = [
+            tuple(sorted(rng.sample(population, rng.randint(0, 6))))
+            for _ in range(70)
+        ]
+        candidates = _all_pairs(universe)
+        expected = _oracle_counts(2, candidates, transactions)
+        via_db = FastNumpyCounter(2, candidates)
+        via_db.count_database(transactions)
+        assert via_db.counts() == expected
+        if big <= INT32_MAX:
+            via_packed = FastNumpyCounter(2, candidates)
+            via_packed.count_packed(PackedDB.pack(transactions))
+            assert via_packed.counts() == expected
+        # A dense table over the same shape: ids shifted below the
+        # column's length count identically.
+        low = {item: i for i, item in enumerate(sorted(population))}
+        dense = FastNumpyCounter(
+            2, [tuple(low[i] for i in c) for c in candidates]
+        )
+        dense.count_database([tuple(low[i] for i in t) for t in transactions])
+        assert dense.counts_vector() == via_db.counts_vector()
+
+    def test_rank_map_agrees_on_both_sides_of_the_table_guard(self):
+        column = np.array(
+            [0, 3, 3, 7, 2, 9, 9, 9, 1, 4, 6, 11], dtype=np.int32
+        )
+        ids = np.array([1, 3, 4, 9, 20])
+        expected = [
+            int(np.searchsorted(ids, x)) if x in ids else -1
+            for x in column.tolist()
+        ]
+        _, dense = fastnp._ranker(column, ids)
+        assert column.max() < column.size  # the table side
+        assert dense(column).tolist() == expected
+        sparse_column = column.astype(np.int64) * 2**36
+        _, sparse = fastnp._ranker(sparse_column, ids * 2**36)
+        assert sparse(sparse_column).tolist() == expected
+        own_ids, _ = fastnp._ranker(column)
+        assert own_ids.tolist() == sorted(set(column.tolist()))
+        assert own_ids.dtype == column.dtype
+
+    def test_long_transaction_pair_scratch_is_split(self):
+        # One 3,000-item transaction holding a 1,000-item universe has
+        # 499,500 pairs.  Expanded at once, their keys and positions
+        # would take ~32 bytes each (~16 MB); split between triangle
+        # rows into _PAIR_CHUNK-pair chunks they take a few MB at most.
+        long_tx = tuple(range(0, 6000, 2))
+        universe = long_tx[::3]
+        transactions = [(0, 6), long_tx, (), (2, 4, 6)]
+        candidates = np.array(_all_pairs(universe), dtype=np.int32)
+        packed = PackedDB.pack(transactions)
+        counter = FastNumpyCounter.from_matrix(2, candidates)
+        counter.count_packed(packed, 0, 0)  # plan the triangle, size counts
+        triangle_nbytes = 8 * len(candidates)
+        tracemalloc.start()
+        try:
+            counter.count_packed(packed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scratch = peak - triangle_nbytes
+        assert scratch < 48 * fastnp._PAIR_CHUNK, scratch
+        counts = counter.counts_array()
+        # Every pair once in the long transaction; (0, 6), slot 0, is
+        # also the first transaction; (2, 4, 6) holds one universe item.
+        assert counts[0] == 2
+        assert counts.sum() == len(candidates) + 1

@@ -45,14 +45,6 @@ def test_matches_serial_on_supermarket(supermarket_db, algorithm):
     assert result.frequent == serial.frequent
 
 
-@pytest.mark.parametrize("algorithm", ["CD", "IDD", "HD"])
-def test_simulated_formulations_reject_vertical(tiny_db, algorithm):
-    # The TID-bitmap kernel was deleted; naming it must fail loudly
-    # instead of silently counting with something else.
-    with pytest.raises(ValueError, match="unknown kernel 'vertical'"):
-        mine_parallel(algorithm, tiny_db, 0.3, 2, kernel="vertical")
-
-
 @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
 def test_max_k_matches_serial_cap(medium_quest_db, algorithm):
     result = mine_parallel(algorithm, medium_quest_db, 0.05, 4, max_k=2)
