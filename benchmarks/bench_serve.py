@@ -12,9 +12,13 @@ clients speak — and lands the numbers in ``BENCH_serve.json``:
   background re-mine and its atomic generation swap; the bench asserts
   the swap landed (generation advanced) with **zero** failed queries.
 * ``serve.model.num_rules`` — model size context for the latencies.
+* ``serve.model.build_s`` — the median of ``BUILDS``
+  ``RuleIndex.from_result`` builds (rules, then index) of the bench's
+  mined result: what each re-mine pays after mining.
 
-The nightly workflow gates ``serve.*.qps`` with ``--worse lower`` and
-``serve.*.p99_ms`` with the default ``--worse higher`` via
+The nightly workflow gates ``serve.*.qps`` with ``--worse lower``,
+``serve.*.p99_ms`` with the default ``--worse higher`` and
+``serve.model.build_s`` at the default +25% via
 ``check_regression.py``.  Set ``REPRO_BENCH_TINY=1`` (the PR-time smoke
 leg) for a seconds-scale run over a smaller database and fewer
 requests — same code path, not gate-worthy numbers.
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import os
 import random
+import statistics
 import threading
 import time
 from typing import Dict, List, Tuple
@@ -33,7 +38,7 @@ from benchmarks._util import REPO_ROOT, record_bench_medians
 from repro.core.apriori import Apriori
 from repro.data.corpus import t15_i6, t5_i2
 from repro.data.quest import generate
-from repro.serve import CallableSource, RuleClient, RuleServer
+from repro.serve import CallableSource, RuleClient, RuleIndex, RuleServer
 
 BENCH_SERVE_JSON = REPO_ROOT / "BENCH_serve.json"
 
@@ -51,6 +56,8 @@ else:
     REQUESTS_PER_CLIENT = 1500
 
 MIN_CONFIDENCE = 0.3
+#: Model builds timed for ``serve.model.build_s``.
+BUILDS = 5
 
 
 def _percentile(samples: List[float], q: float) -> float:
@@ -108,9 +115,20 @@ def _wave_medians(prefix: str, latencies: List[float], wall: float) -> Dict[str,
     }
 
 
+def _build_seconds(result) -> float:
+    """Median seconds of one ``RuleIndex.from_result`` over ``BUILDS`` builds."""
+    samples = []
+    for _ in range(BUILDS):
+        start = time.perf_counter()
+        RuleIndex.from_result(result, MIN_CONFIDENCE)
+        samples.append(time.perf_counter() - start)
+    return statistics.median(samples)
+
+
 def test_serve_load_and_swap():
     db = generate(CONFIG)
     source = CallableSource(lambda: Apriori(MIN_SUPPORT).mine(db), "bench")
+    build_s = _build_seconds(Apriori(MIN_SUPPORT).mine(db))
     # Query mix: prefixes of real transactions — baskets that actually
     # hit the index, like a recommender fed live carts would see.
     baskets = [
@@ -127,6 +145,7 @@ def test_serve_load_and_swap():
             "empty-index walks, not serving"
         )
         medians["serve.model.num_rules"] = float(num_rules)
+        medians["serve.model.build_s"] = build_s
 
         # Cold: the very first wave against the just-built model.
         cold_latencies, cold_wall = _client_load(
@@ -177,7 +196,7 @@ def test_serve_load_and_swap():
     record_bench_medians(medians, path=BENCH_SERVE_JSON)
     print(
         f"\nserve bench ({'tiny' if TINY else 'full'}): "
-        f"{num_rules} rules, {CLIENTS} clients"
+        f"{num_rules} rules built in {build_s * 1e3:.1f} ms, {CLIENTS} clients"
     )
     for phase in ("cold", "warm", "swap"):
         print(

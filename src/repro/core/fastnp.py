@@ -371,12 +371,14 @@ class _Triangle(NamedTuple):
     ranks ``a < b`` lives at ``head[a] + b`` of a ``size``-slot
     triangle, and candidate ``i`` at slot ``slots[i]`` — ``None`` when
     the slots are ``0 .. size - 1`` in order, as for apriori_gen's C(2).
+    ``firsts[i]`` is the rank of candidate ``i``'s first item.
     """
 
     ids: np.ndarray
     head: np.ndarray
     slots: Optional[np.ndarray]
     size: int
+    firsts: np.ndarray
 
 
 class FastNumpyCounter:
@@ -615,11 +617,16 @@ class FastNumpyCounter:
     ) -> None:
         """Accumulate each candidate's AND-popcount over ``bitmaps``.
 
-        ``root_filter`` keeps the hash-tree contract — only candidates
-        whose first item passes are counted; it may be any container or
-        a precomputed :meth:`first_item_mask` bool array (the IDD shard
-        path, which tests ownership once per pass, not once per ring
-        step).
+        ``root_filter`` keeps the first-item contract: exactly the
+        candidates whose first item passes are counted.  It may be any
+        container or a precomputed :meth:`first_item_mask` bool array
+        (the IDD shard path, which tests ownership once per pass, not
+        once per ring step).  :class:`~repro.core.hashtree.HashTree`'s
+        root filter prunes traversal starts instead, so it can also
+        count a stored candidate whose first item fails; the two agree
+        on candidate sets whose first items all pass, which is what an
+        IDD processor's tree holds (see
+        :meth:`~repro.core.hashtree.HashTree.count_transaction`).
         """
         started = time.perf_counter()
         try:
@@ -701,7 +708,7 @@ class FastNumpyCounter:
                     slots = head[ranks[:, 0]] + ranks[:, 1]
                     if np.array_equal(slots, np.arange(size)):
                         slots = None
-                    self._pairs = _Triangle(ids, head, slots, size)
+                    self._pairs = _Triangle(ids, head, slots, size, ranks[:, 0])
         return self._pairs
 
     def _count_pairs(self, columns: _Columns, tri: _Triangle,
@@ -711,18 +718,25 @@ class FastNumpyCounter:
         Span by span, the items are ranked within the candidates'
         universe and the rest dropped (charged to ``build_s``).  Kept
         item ``p`` then opens its transaction's triangle row: it pairs
-        with the kept items ``p + 1`` up to its transaction's end.  The
-        rows are expanded into triangle keys ``_PAIR_CHUNK`` pairs at a
-        time, splitting a long transaction between rows, and the keys
-        are added into the triangle unbuffered (``np.add.at``, which
-        needs no triangle-sized temporary per chunk), charged to
-        ``intersect_s``.
+        with the kept items ``p + 1`` up to its transaction's end.
+        Under a ``selected`` mask a row opens only on an owned first
+        item, one that starts a selected candidate; every other row gets
+        width 0, so an IDD or HD worker expands its bin's share of the
+        pairs, not the whole database's.  The rows are expanded into
+        triangle keys ``_PAIR_CHUNK`` pairs at a time, splitting a long
+        transaction between rows, and the keys are added into the
+        triangle unbuffered (``np.add.at``, which needs no
+        triangle-sized temporary per chunk), charged to ``intersect_s``.
         """
         items, offsets = columns.items, columns.offsets
         clock = time.perf_counter
         tick = clock()
         counted = np.zeros(tri.size, dtype=np.int64)
         _, rank = _ranker(items, tri.ids)
+        owned = None
+        if selected is not None:
+            owned = np.zeros(tri.ids.size, dtype=bool)
+            owned[tri.firsts[selected]] = True
         for lo, hi in _spans(offsets):
             base = offsets[lo]
             ranks = rank(items[base:offsets[hi]])
@@ -735,6 +749,8 @@ class FastNumpyCounter:
             ends = before[offsets[lo:hi + 1] - base]
             widths = np.repeat(ends[1:], np.diff(ends))
             widths -= np.arange(1, ranks.size + 1)
+            if owned is not None:
+                widths *= owned[ranks]
             upto = np.cumsum(widths)
             heads = tri.head[ranks]
             tock = clock()

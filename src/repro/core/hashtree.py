@@ -29,7 +29,9 @@ measurement of Figure 11.
 
 The optional ``root_filter`` argument of :meth:`HashTree.count_transaction`
 implements IDD's bitmap pruning (Figure 8): at the root level only, items
-for which the local processor owns no candidates are skipped.
+for which the local processor owns no candidates are skipped.  It prunes
+traversal starts, not candidates; :meth:`HashTree.count_transaction`
+states the contract and why IDD's trees never see the difference.
 """
 
 from __future__ import annotations
@@ -311,6 +313,20 @@ class HashTree:
                 *root level only*; items not in the filter never start a
                 traversal.  This is IDD's first-item bitmap (Figure 8).
                 ``None`` disables filtering (serial Apriori, CD, DD).
+
+        The filter prunes traversal starts, not candidates: a leaf
+        reached through an item that passes checks every candidate it
+        stores, so a candidate whose first item fails is still counted
+        when its hash path meets a passing item's (branching 4,
+        ``root_filter={0}``: transaction (0, 1, 2, 3, 4, 14) counts
+        (4, 14), as 4 hashes with 0).  Only a tree that is a single leaf
+        tests each candidate's first item.  The bitmap kernel's filter
+        (:meth:`~repro.core.fastnp.FastNumpyCounter.count_bitmaps`)
+        counts exactly the candidates whose first item passes.  The two
+        agree whenever every stored candidate's first item passes, and
+        that is IDD's case: each processor's tree holds only its own
+        candidates (``parallel/intelligent_dd.py``), and its filter is
+        their first items.
         """
         stats = self.stats
         stats.transactions_processed += 1

@@ -23,14 +23,21 @@ Antecedent and consequent rows are found by the sorted-key lookup
 apriori_gen prunes with, and every rule is ordered by one ``lexsort``
 on ranks in the sorted table.  :func:`_rules_for_itemset` stays the
 path for the other tables and the reference.
+
+**Columnar output.**  :func:`generate_rules` returns a
+:class:`RuleTable`: the rules as columns of antecedent and consequent
+ranks, supports, confidences and counts.  It reads as an immutable
+sequence of :class:`AssociationRule`, built only for the rows a caller
+indexes or iterates; the serve index reads the columns directly.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, combinations
-from operator import itemgetter
-from typing import Dict, Iterator, List, Mapping, Optional
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, overload
 
 import numpy as np
 
@@ -38,7 +45,7 @@ from .apriori import AprioriResult
 from .candidates import _find_rows, _row_keys, generate_candidates
 from .items import Itemset
 
-__all__ = ["AssociationRule", "generate_rules", "rules_from_result"]
+__all__ = ["AssociationRule", "RuleColumns", "RuleTable", "generate_rules", "rules_from_result"]
 
 
 @dataclass(frozen=True)
@@ -68,11 +75,113 @@ class AssociationRule:
         )
 
 
+class RuleColumns(NamedTuple):
+    """One array per rule field, a row per rule.
+
+    ``antecedent`` and ``consequent`` are int64 ranks into the table's
+    ``itemsets``; ``support`` and ``confidence`` are float64, ``count``
+    is int64.
+    """
+
+    antecedent: np.ndarray
+    consequent: np.ndarray
+    support: np.ndarray
+    confidence: np.ndarray
+    count: np.ndarray
+
+
+class RuleTable(Sequence[AssociationRule]):
+    """An immutable sequence of rules, kept as :class:`RuleColumns`.
+
+    Rows are in :func:`generate_rules` order: descending confidence,
+    then descending support, then antecedent and consequent.  An
+    :class:`AssociationRule`, with plain ``float`` / ``int`` fields and
+    ``itemsets``' own tuples, is built only for the rows a caller
+    indexes or iterates; a slice is a list.  The table compares equal
+    to any sequence of the same rules in the same order.
+
+    ``itemsets`` is sorted, so comparing two ranks compares their
+    item-sets; on the matrix path it is the frequent table's own sorted
+    item-sets.
+    """
+
+    __slots__ = ("itemsets", "columns")
+
+    def __init__(self, itemsets: Sequence[Itemset], columns: RuleColumns):
+        self.itemsets = itemsets
+        self.columns = columns
+
+    @classmethod
+    def from_rules(cls, rules: Iterable[AssociationRule]) -> RuleTable:
+        """The table of ``rules``, sorted into :func:`generate_rules` order."""
+        rules = list(rules)
+        itemsets = sorted(
+            {r.antecedent for r in rules} | {r.consequent for r in rules}
+        )
+        rank = {itemset: i for i, itemset in enumerate(itemsets)}
+        columns = RuleColumns(
+            np.array([rank[r.antecedent] for r in rules], dtype=np.int64),
+            np.array([rank[r.consequent] for r in rules], dtype=np.int64),
+            np.array([r.support for r in rules], dtype=np.float64),
+            np.array([r.confidence for r in rules], dtype=np.float64),
+            np.array([r.count for r in rules], dtype=np.int64),
+        )
+        order = np.lexsort((
+            columns.consequent, columns.antecedent,
+            -columns.support, -columns.confidence,
+        ))
+        return cls(itemsets, RuleColumns(*(column[order] for column in columns)))
+
+    def _build(self, rows) -> Iterator[AssociationRule]:
+        """The rules of ``rows`` (a slice), built from the columns."""
+        itemsets = self.itemsets
+        for x, y, support, confidence, count in zip(
+            *(column[rows].tolist() for column in self.columns)
+        ):
+            yield AssociationRule(
+                itemsets[x], itemsets[y], support, confidence, count
+            )
+
+    def __len__(self) -> int:
+        return len(self.columns.antecedent)
+
+    def __iter__(self) -> Iterator[AssociationRule]:
+        return self._build(slice(None))
+
+    @overload
+    def __getitem__(self, index: int) -> AssociationRule: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[AssociationRule]: ...
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self._build(index))
+        row = operator.index(index)
+        if row < 0:
+            row += len(self)
+        if not 0 <= row < len(self):
+            raise IndexError("rule index out of range")
+        return next(self._build(slice(row, row + 1)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"RuleTable({list(self)!r})"
+
+
 def generate_rules(
     frequent: Mapping[Itemset, int],
     num_transactions: int,
     min_confidence: float,
-) -> List[AssociationRule]:
+) -> RuleTable:
     """Derive all rules meeting ``min_confidence`` from frequent item-sets.
 
     Args:
@@ -83,8 +192,8 @@ def generate_rules(
         min_confidence: threshold in (0, 1].
 
     Returns:
-        Rules sorted by descending confidence, then descending support,
-        then antecedent/consequent for determinism.
+        A :class:`RuleTable`: rules sorted by descending confidence, then
+        descending support, then antecedent/consequent for determinism.
 
     Raises:
         KeyError: if ``frequent`` is not downward closed; the key is a
@@ -120,10 +229,7 @@ def generate_rules(
                 support_memo,
             )
         )
-    rules.sort(
-        key=lambda r: (-r.confidence, -r.support, r.antecedent, r.consequent)
-    )
-    return rules
+    return RuleTable.from_rules(rules)
 
 
 def _rules_for_itemset(
@@ -188,7 +294,7 @@ def _matrix_rules(
     frequent: Mapping[Itemset, int],
     num_transactions: int,
     min_confidence: float,
-) -> Optional[List[AssociationRule]]:
+) -> Optional[RuleTable]:
     """ap-genrules on the table's per-size int32 matrices (see the module doc).
 
     Returns ``None``, for the tuple path to run instead, unless every
@@ -198,9 +304,9 @@ def _matrix_rules(
     """
     # A rank is an item-set's position in the sorted table: comparing
     # ranks compares the tuples, and indexes the table's own objects.
-    ordered = sorted(frequent.items(), key=itemgetter(0))
+    ordered = sorted(frequent.items(), key=operator.itemgetter(0))
     if not ordered:
-        return []
+        return RuleTable.from_rules(())
     itemsets, counts = zip(*ordered)
     sizes = np.fromiter(map(len, itemsets), np.int64, len(itemsets))
     try:
@@ -227,27 +333,21 @@ def _matrix_rules(
         if k > 1:
             found.extend(_level_rules(levels, k, count_vec, min_confidence))
     if not found:
-        return []
+        return RuleTable.from_rules(())
     antecedents, consequents, joints, confidences = (
         np.concatenate(column) for column in zip(*found)
     )
     np.minimum(confidences, 1.0, out=confidences)
-    supports = [count / num_transactions for count in counts]
-    order = np.lexsort((
-        consequents,
-        antecedents,
-        -np.array(supports)[joints],
-        -confidences,
+    # One Python float per item-set, as the tuple path computes it.
+    supports = np.array([count / num_transactions for count in counts])[joints]
+    order = np.lexsort((consequents, antecedents, -supports, -confidences))
+    return RuleTable(itemsets, RuleColumns(
+        antecedents[order],
+        consequents[order],
+        supports[order],
+        confidences[order],
+        count_vec[joints[order]],
     ))
-    return [
-        AssociationRule(itemsets[x], itemsets[y], supports[z], conf, counts[z])
-        for x, y, z, conf in zip(
-            antecedents[order].tolist(),
-            consequents[order].tolist(),
-            joints[order].tolist(),
-            confidences[order].tolist(),
-        )
-    ]
 
 
 def _level_rules(levels, k, count_vec, min_confidence):
@@ -310,7 +410,7 @@ def _ranks_of(levels, size, rows, columns):
 
 def rules_from_result(
     result: AprioriResult, min_confidence: float
-) -> List[AssociationRule]:
+) -> RuleTable:
     """Convenience wrapper: derive rules straight from an Apriori result."""
     return generate_rules(
         result.frequent, result.num_transactions, min_confidence

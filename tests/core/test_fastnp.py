@@ -26,7 +26,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import fastnp
@@ -286,13 +286,47 @@ class TestFastNumpyEquivalence:
     @settings(max_examples=100, deadline=None)
     def test_root_filter_contract(self, transactions, candidates, roots):
         # IDD ownership: owned candidates get full counts, the rest
-        # stay untouched — exactly the hash-tree contract.
+        # stay untouched — the first-item contract.
         counter = FastNumpyCounter(2, candidates)
         counter.count_database(transactions, root_filter=roots)
         full = _oracle_counts(2, candidates, transactions)
         for candidate, count in counter.counts().items():
             expected = full[candidate] if candidate[0] in roots else 0
             assert count == expected
+
+    def test_root_filters_differ_on_unowned_candidates(self):
+        # (4, 14)'s first item is not owned, but 4 hashes with the owned
+        # 0, so the tree's traversal from 0 reaches its leaf and counts
+        # it; the counter's first-item filter does not.
+        candidates = [(0, 1), (0, 2), (4, 14)]
+        transaction = [(0, 1, 2, 3, 4, 14)]
+        tree = _oracle_counts(2, candidates, transaction, {0})
+        counter = FastNumpyCounter(2, candidates)
+        counter.count_database(transaction, root_filter={0})
+        assert tree == {(0, 1): 1, (0, 2): 1, (4, 14): 1}
+        assert counter.counts() == {(0, 1): 1, (0, 2): 1, (4, 14): 0}
+
+    @given(
+        transactions=transactions_strategy,
+        candidates=st.sampled_from([2, 3]).flatmap(_candidates_strategy),
+        roots=st.sets(st.integers(0, 12)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_root_filters_agree_on_owned_only_candidates(
+        self, transactions, candidates, roots
+    ):
+        # The tree's root filter prunes traversal starts, the counter's
+        # prunes first items.  On a set whose first items are all owned
+        # (an IDD processor's own tree) both count every candidate in
+        # full.
+        owned = [c for c in candidates if c[0] in roots]
+        if not owned:
+            return
+        k = len(owned[0])
+        counter = FastNumpyCounter(k, owned)
+        counter.count_database(transactions, root_filter=roots)
+        filtered = _oracle_counts(k, owned, transactions, roots)
+        assert counter.counts() == filtered == _oracle_counts(k, owned, transactions)
 
     @given(
         transactions=transactions_strategy,
@@ -660,6 +694,52 @@ class TestPairTriangle:
             )
         for counts in results:
             assert counts == expected
+
+    @given(
+        transactions=long_transactions_strategy,
+        pairs=_pair_sets(st.integers(0, 12)),
+        roots=st.sets(st.integers(0, 12)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_unowned_rows_reach_no_scatter_add(self, transactions, pairs, roots):
+        # Under a first-item mask only rows that open on an owned first
+        # item are expanded: every key added into the triangle pairs an
+        # owned first item, and the counts are still the bin's.
+        candidates, dense = pairs
+        assume(dense)
+        added = []
+
+        class Add:
+            def at(self, target, keys, value):
+                added.append(keys.copy())
+                np.add.at(target, keys, value)
+
+        class Numpy:
+            add = Add()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        expected = _owned_counts(candidates, transactions, roots)
+        packed = PackedDB.pack(transactions)
+        for count in (
+            lambda c, rf: c.count_packed(packed, root_filter=rf),
+            lambda c, rf: c.count_database(transactions, root_filter=rf),
+        ):
+            counter = FastNumpyCounter(2, candidates)
+            tri = counter._triangle()
+            n = tri.ids.size
+            allowed = {
+                int(tri.head[a]) + b
+                for a in range(n) if int(tri.ids[a]) in roots
+                for b in range(a + 1, n)
+            }
+            added.clear()
+            with mock.patch.object(fastnp, "np", Numpy()):
+                count(counter, counter.first_item_mask(roots))
+            keys = set(np.concatenate(added).tolist()) if added else set()
+            assert keys <= allowed
+            assert counter.counts() == expected
 
     @pytest.mark.parametrize("big", [2**31 - 1, 2**40])
     def test_ids_past_the_dense_table(self, big):

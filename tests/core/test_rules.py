@@ -1,5 +1,6 @@
 """Tests for association-rule generation."""
 
+import json
 import random
 from collections import Counter
 from contextlib import contextmanager, nullcontext
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core import rules as rules_module
 from repro.core.apriori import Apriori
-from repro.core.rules import generate_rules, rules_from_result
+from repro.core.rules import AssociationRule, RuleTable, generate_rules, rules_from_result
 from repro.core.transaction import TransactionDB
 
 INT32_MAX = 2**31 - 1
@@ -275,6 +276,69 @@ def closed_tables(draw):
     return table, num_transactions, confidence, mined
 
 
+@pytest.fixture(params=["matrix", "tuple"])
+def path(request):
+    """Each of generate_rules' two paths, as a context manager."""
+    return nullcontext if request.param == "matrix" else tuple_path
+
+
+class TestRuleTable:
+    """The sequence contract of generate_rules' RuleTable, on both paths."""
+
+    def rules(self, path, supermarket_db):
+        result = Apriori(0.2).mine(supermarket_db)
+        with path():
+            rules = generate_rules(result.frequent, result.num_transactions, 0.3)
+        assert isinstance(rules, RuleTable)
+        assert len(rules) > 3
+        return rules
+
+    def test_equals_a_list_either_way_round(self, path, supermarket_db):
+        rules = self.rules(path, supermarket_db)
+        as_list = list(rules)
+        assert rules == as_list and as_list == rules
+        assert not rules != as_list
+        assert rules == tuple(as_list)
+        assert rules != as_list[:-1] and as_list[:-1] != rules
+        assert rules != as_list[::-1]
+        assert rules != "not rules" and rules != 3
+
+    def test_indexing_slicing_and_len(self, path, supermarket_db):
+        rules = self.rules(path, supermarket_db)
+        as_list = list(rules)
+        assert len(rules) == len(as_list)
+        for i in range(-len(as_list), len(as_list)):
+            assert rules[i] == as_list[i]
+        for bad in (len(as_list), -len(as_list) - 1):
+            with pytest.raises(IndexError):
+                rules[bad]
+        for part in (slice(None), slice(1, 3), slice(-2, None), slice(None, None, -2),
+                     slice(5, 1)):
+            assert type(rules[part]) is list
+            assert rules[part] == as_list[part]
+        assert list(reversed(rules)) == as_list[::-1]
+        assert rules.index(as_list[2]) == 2 and as_list[2] in rules
+
+    def test_fields_are_plain_python_values(self, path, supermarket_db):
+        for rule in self.rules(path, supermarket_db):
+            assert type(rule) is AssociationRule
+            assert type(rule.antecedent) is tuple and type(rule.consequent) is tuple
+            assert all(type(i) is int for i in rule.antecedent + rule.consequent)
+            assert type(rule.support) is float and type(rule.confidence) is float
+            assert type(rule.count) is int
+            json.dumps([rule.antecedent, rule.consequent, rule.support,
+                        rule.confidence, rule.count])
+
+    def test_from_rules_sorts_into_generate_rules_order(self, path, supermarket_db):
+        rules = self.rules(path, supermarket_db)
+        shuffled = list(rules)
+        random.Random(7).shuffle(shuffled)
+        table = RuleTable.from_rules(shuffled)
+        assert table == rules
+        assert list(table.itemsets) == sorted(table.itemsets)
+        assert RuleTable.from_rules([]) == [] and len(RuleTable.from_rules([])) == 0
+
+
 class TestMatrixPath:
     @settings(max_examples=200, deadline=None)
     @given(closed_tables())
@@ -286,6 +350,7 @@ class TestMatrixPath:
         def spy(*args):
             rules = original(*args)
             ran_matrix.append(rules is not None)
+            assert rules is None or isinstance(rules, RuleTable)
             return rules
 
         with pytest.MonkeyPatch.context() as patch:
