@@ -5,27 +5,26 @@ medians in ``BENCH_native.json`` at the repo root:
 
 * **Data planes** (``test_data_plane_comparison``) — the shared-memory
   plane at 1/2/4 workers under the vectorized ``fast-np`` kernel, run
-  through the warm-pool context manager (spawn cost paid once; warm
-  re-mines also reuse the read-only candidate-plane segments, so
-  ``cand_build_s`` / ``cand_attach_s`` collapse).  Records the cold
-  wall, the warm median wall, the median **per-pass coordinator
-  overhead** (broadcasting candidates + reducing count vectors,
+  through the warm-pool context manager (spawn cost paid once; every
+  worker generates its own candidates from the F(k-1) each pass
+  ships).  Records the cold wall, the warm median wall, the median
+  **per-pass coordinator overhead** (shipping F(k-1), reducing count
+  vectors and merging each row's frequent candidates,
   :class:`~repro.parallel.native.PassOverhead`; nightly gates
   ``native.shared.*.coord_pass_s`` at +25%), and the wall-clock
   speedup against the serial fast-kernel baseline measured in the same
   run.  The pool must beat serial outright —
   ``native.shared.w4.speedup_vs_serial > 1.0`` — because the fast-np
-  kernel removes the per-transaction interpreter loop and the shared
-  candidate plane removes the per-worker, per-pass candidate rebuild.
+  kernel removes the per-transaction interpreter loop and candidate
+  generation runs on the workers, in parallel.
   The mmap plane is measured only under its block budget, by the
   out-of-core section below.
 * **CD vs IDD** (``test_cd_vs_idd_partitioning``) — the paper's memory
   argument on the real pool: the largest candidate bin any worker
-  built (compared against the full candidate set CD replicates), the
-  first-item prune rate, wall-clock, and speedup.  Measured through
-  the same warm-pool + fast-np shared-candidate-plane pattern as the
-  CD sections (the worker masks the one decoded plane counter per
-  shard), and gated
+  generated (compared against the full candidate set CD replicates),
+  the first-item prune rate, wall-clock, and speedup.  Measured through
+  the same warm-pool + fast-np pattern as the CD sections (each worker
+  generates and counts only its own first-item bin), and gated
   ``native.idd.w4.speedup_vs_serial > 1.0`` — the formulation that
   bounds candidate memory must also beat serial, not trade it away.
 * **Out-of-core mmap plane** (``test_mmap_out_of_core``) — the same
@@ -41,6 +40,11 @@ medians in ``BENCH_native.json`` at the repo root:
 Every ``…speedup_vs_serial`` key divides the serial fast-kernel median
 wall by the configuration's median wall: above 1.0 means faster than
 serial, higher is better.
+
+The pool sections time ``WARM_ROUNDS`` warm mines per configuration:
+with 3, back-to-back runs of the same code moved
+``native.shared.w2.coord_pass_s`` by +28% and ``w4`` by -30% on a
+2-vCPU VM, across the nightly gate's 25%.
 
 Set ``REPRO_BENCH_TINY=1`` (CI's bench smoke step) to run a
 seconds-scale workload that exercises the full measurement path without
@@ -66,15 +70,18 @@ BENCH_NATIVE_JSON = REPO_ROOT / "BENCH_native.json"
 TINY = os.environ.get("REPRO_BENCH_TINY") == "1"
 
 # Full mode: 8000 transactions and ~40k pass-2 candidates, large
-# enough that per-candidate work dominates the coordinator's pass loop
-# and per-transaction counting dominates the workers' — the regime both
-# the shared candidate plane and the bitmap kernels exist for.
-# Tiny mode: the same passes on a small db, for CI smoke under
-# pytest-timeout.
+# enough that per-candidate work dominates candidate generation and
+# per-transaction counting dominates the workers' — the regime both
+# worker-side generation and the bitmap kernels exist for.  ROUNDS
+# serial mines give the baseline, WARM_ROUNDS warm mines each pool
+# configuration.  Tiny mode: the same passes on a small db, for CI
+# smoke under pytest-timeout.
 if TINY:
     NUM_TRANSACTIONS, NUM_ITEMS, MIN_SUPPORT, ROUNDS = 120, 80, 0.05, 1
+    WARM_ROUNDS = 1
 else:
     NUM_TRANSACTIONS, NUM_ITEMS, MIN_SUPPORT, ROUNDS = 8000, 600, 0.005, 3
+    WARM_ROUNDS = 25
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -125,12 +132,12 @@ def serial_baseline(db):
 def _measure(db, data_plane: str, num_workers: int, **miner_kwargs):
     """Warm-pool medians for one plane/worker-count configuration.
 
-    One cold mine (spawn + packing + first candidate-plane publish),
-    then ROUNDS warm re-mines reusing the pool and the candidate-plane
-    segments.  Returns ``(wall_s,
-    coord_pass_s, cold_wall_s, cand_attach_s, frequent)`` where the
-    first two are warm medians and ``cand_attach_s`` is the slowest
-    warm attach (should be ~0: every segment is already decoded).
+    One cold mine (spawn + packing), then WARM_ROUNDS warm re-mines
+    reusing the pool.  Returns ``(wall_s, coord_pass_s, cold_wall_s,
+    cand_attach_s, frequent)`` where the first two are warm medians and
+    ``cand_attach_s`` is the median of each warm mine's slowest frame
+    attach (should be ~0: F(k-1) is a small frame and the count region
+    is already attached).
     Extra keyword arguments (``store_dir``, ``block_budget``, …) pass
     through to the miner.
     """
@@ -143,7 +150,7 @@ def _measure(db, data_plane: str, num_workers: int, **miner_kwargs):
         result = miner.mine(db)
         cold_wall = time.perf_counter() - start
         frequent = result.frequent
-        for _ in range(ROUNDS):
+        for _ in range(WARM_ROUNDS):
             start = time.perf_counter()
             result = miner.mine(db)
             walls.append(time.perf_counter() - start)
@@ -179,7 +186,7 @@ def test_data_plane_comparison(db, serial_baseline):
         ] = serial_wall / wall
         # Identical results across worker counts.
         assert frequent == serial_frequent
-        # Warm re-mines reuse the already-attached candidate plane.
+        # A warm mine's frames attach in no time.
         if not TINY:
             assert attach < 0.05
         print(
@@ -194,8 +201,8 @@ def test_data_plane_comparison(db, serial_baseline):
         assert speedup > 1.0, (
             f"fast-np native pool at 4 workers is {speedup:.2f}x the "
             "serial fast kernel (need > 1.0x: the vectorized kernel + "
-            "shared candidate plane must beat serial outright, not "
-            "just scale)"
+            "worker-side candidate generation must beat serial "
+            "outright, not just scale)"
         )
 
 
@@ -216,12 +223,9 @@ def test_cd_vs_idd_partitioning(db, serial_baseline):
     full_candidates = 0
     for num_workers in WORKER_COUNTS:
         # Warm-pool pattern, exactly like the CD sections: spawn once,
-        # measure warm re-mines on the fast-np shared candidate plane
-        # (the worker-side `_count_unit` plane path — one decoded
-        # plane counter + a first-item row mask per shard instead of a
-        # per-pass shard rebuild).  The old cold-miner-per-round
-        # measurement repaid spawn + packing every round, which is why
-        # the `native.idd.w*` speedups sat at 0.57-0.63.
+        # measure warm re-mines in which each worker generates and
+        # counts only its own first-item bin.  A cold miner per round
+        # would repay spawn + packing every round.
         walls = []
         with NativeIntelligentDistribution(
             MIN_SUPPORT, num_workers, kernel="fast-np", max_k=3
@@ -230,7 +234,7 @@ def test_cd_vs_idd_partitioning(db, serial_baseline):
             result = miner.mine(db)
             cold_wall = time.perf_counter() - start
             frequent = result.frequent
-            for _ in range(ROUNDS):
+            for _ in range(WARM_ROUNDS):
                 start = time.perf_counter()
                 result = miner.mine(db)
                 walls.append(time.perf_counter() - start)
@@ -284,7 +288,7 @@ def test_cd_vs_idd_partitioning(db, serial_baseline):
         assert speedup > 1.0, (
             f"fast-np IDD pool at 4 workers is {speedup:.2f}x the "
             "serial fast kernel (need > 1.0x: with the warm pool and "
-            "the shared candidate plane the partitioned formulation "
+            "worker-side bin generation the partitioned formulation "
             "must beat serial too, not just bound memory)"
         )
 

@@ -18,18 +18,25 @@ starting with each item, computable *without materializing the
 candidates on every processor*.
 
 **Matrix form.**  A pass's item-sets can also be held as
-one lexicographically sorted ``(n, k)`` int32 matrix — the layout of
-the native pool's shared candidate frame.  :func:`generate_candidates`
-accepts F(k-1) in that form and returns C(k) in it, row for row and in
-the same order as the tuple path; :func:`frequent_rows` thresholds a
-count vector against it with one mask.  Only frequent rows ever become
-tuples.
+one lexicographically sorted ``(n, k)`` int32 matrix — the form the
+native pool ships F(k-1) in.  :func:`generate_candidates` accepts F(k-1)
+in that form and returns C(k) in it, row for row and in the same order
+as the tuple path; :func:`frequent_rows` thresholds a count vector
+against it with one mask.  Only frequent rows ever become tuples.
+
+**Owned bins.**  ``generate_candidates(prev, owned=...)`` returns only
+the candidates whose first item ``owned`` holds — an IDD processor's
+bin, generated without the rest of C(k) (Section III-C).  Only owned
+rows open joins; the prune still looks up all of F(k-1).
+:func:`join_weights` gives each first item's join size before the
+prune, so bins can be planned from F(k-1) alone, and
+:func:`select_owned` cuts the same bin out of a given candidate matrix.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Container, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -40,6 +47,8 @@ __all__ = [
     "generate_candidates_2",
     "frequent_rows",
     "itemset_matrix",
+    "join_weights",
+    "select_owned",
     "first_item_histogram",
     "count_candidates_per_first_item",
 ]
@@ -50,7 +59,7 @@ __all__ = [
 _JOIN_CHUNK = 1 << 16
 
 
-def generate_candidates(frequent_prev):
+def generate_candidates(frequent_prev, owned: Optional[Container[int]] = None):
     """Run apriori_gen: produce size-k candidates from frequent (k-1)-sets.
 
     Args:
@@ -59,6 +68,10 @@ def generate_candidates(frequent_prev):
             or, in matrix form, a numpy ``(n, k-1)`` integer matrix of
             distinct canonical rows in lexicographic order, with items
             in ``[0, 2**31)``.
+        owned: optional container of first items.  When given, only the
+            candidates whose first item it holds are returned — exactly
+            those rows of the full result, in the same order.  Each
+            distinct first item that opens a join is tested once.
 
     Returns:
         Sorted list of canonical size-k candidates that pass the subset
@@ -67,9 +80,11 @@ def generate_candidates(frequent_prev):
 
     >>> generate_candidates([(1, 2), (1, 3), (2, 3), (2, 4)])
     [(1, 2, 3)]
+    >>> generate_candidates([(1,), (2,), (3,)], owned={2})
+    [(2, 3)]
     """
     if isinstance(frequent_prev, np.ndarray):
-        return _generate_matrix(frequent_prev)
+        return _generate_matrix(frequent_prev, owned)
     frequent_set: Set[Itemset] = set(frequent_prev)
     if not frequent_set:
         return []
@@ -77,10 +92,21 @@ def generate_candidates(frequent_prev):
     if len(sizes) != 1:
         raise ValueError(f"frequent item-sets have mixed sizes: {sorted(sizes)}")
     (k_prev,) = sizes
+    opens: Dict[int, bool] = {}
+
+    def is_owned(first: int) -> bool:
+        if owned is None:
+            return True
+        if first not in opens:
+            opens[first] = first in owned
+        return opens[first]
 
     if k_prev == 1:
         items = sorted(f[0] for f in frequent_set)
-        return [(a, b) for i, a in enumerate(items) for b in items[i + 1:]]
+        return [
+            (a, b) for i, a in enumerate(items[:-1]) if is_owned(a)
+            for b in items[i + 1:]
+        ]
 
     # Join step: group by (k-2)-prefix; within a group, sorted last items
     # combine pairwise.
@@ -90,6 +116,8 @@ def generate_candidates(frequent_prev):
 
     candidates: List[Itemset] = []
     for prefix_items, lasts in groups.items():
+        if len(lasts) < 2 or not is_owned(prefix_items[0]):
+            continue
         lasts.sort()
         for i, a in enumerate(lasts):
             for b in lasts[i + 1:]:
@@ -114,21 +142,10 @@ def _all_subsets_frequent(candidate: Itemset, frequent_set: Set[Itemset]) -> boo
     return True
 
 
-def _generate_matrix(prev) -> "np.ndarray":
-    """apriori_gen over a sorted ``(n, k-1)`` matrix (see the module doc).
-
-    Rows sharing their first k-2 items form contiguous groups, and row
-    ``i`` joins every later row of its group, so the pairs come out in
-    (left, right) order — already the sorted order of the joined rows.
-    The join runs in chunks of at most ``_JOIN_CHUNK`` pairs (a single
-    left row may exceed it), each pruned by exact sorted-key lookup
-    before the next is built.
-    """
-    prev = np.ascontiguousarray(prev, dtype=np.int32)
+def _partners(prev) -> "np.ndarray":
+    """``partners[i]``: the later rows of row ``i``'s prefix group, which
+    apriori_gen joins it with (at k = 2, every later row)."""
     n, width = prev.shape
-    k = width + 1
-    if n < 2:
-        return np.empty((0, k), dtype=np.int32)
     if width == 1:
         group_end = np.full(n, n, dtype=np.int64)
     else:
@@ -137,8 +154,78 @@ def _generate_matrix(prev) -> "np.ndarray":
         starts = np.flatnonzero(new_group)
         ends = np.append(starts[1:], n)
         group_end = np.repeat(ends, ends - starts)
+    return group_end - np.arange(1, n + 1)
+
+
+def _owned_mask(firsts, owned: Container[int], tested=None) -> "np.ndarray":
+    """Bool mask of the sorted ``firsts`` that ``owned`` holds.
+
+    Each distinct item is tested once — only those where ``tested`` is
+    true, when given; the rest are not owned — so a tallying container
+    sees one test per first item, not one per row.
+    """
+    items, starts = np.unique(firsts, return_index=True)
+    allowed = np.zeros(items.size, dtype=bool)
+    to_test = range(items.size)
+    if tested is not None:
+        to_test = np.flatnonzero(np.logical_or.reduceat(tested, starts))
+    for j in to_test:
+        allowed[j] = int(items[j]) in owned
+    return np.repeat(allowed, np.diff(np.append(starts, firsts.size)))
+
+
+def join_weights(prev) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Each first item's share of apriori_gen's join over F(k-1).
+
+    ``prev`` is F(k-1) as a sorted ``(n, k-1)`` matrix.  Returns
+    ``(items, weights)``: the ascending first items whose rows open a
+    join, and for each the number of joined rows before the prune —
+    the sum of ``g (g - 1) / 2`` over its prefix groups of ``g`` rows,
+    or at k = 2 the number of later items.  The prune only removes
+    rows, so a weight bounds its item's candidate count, and equals it
+    at k = 2, where nothing is pruned.
+    """
+    if not len(prev):
+        return prev[:, 0], np.empty(0, dtype=np.int64)
+    items, starts = np.unique(prev[:, 0], return_index=True)
+    weights = np.add.reduceat(_partners(prev), starts)
+    keep = weights > 0
+    return items[keep], weights[keep]
+
+
+def select_owned(candidates, owned: Optional[Container[int]]):
+    """The rows of a sorted candidate matrix whose first item is owned.
+
+    ``owned=None`` owns every row.  The owned bin of a given candidate
+    set, such as SON's phase-2 superset, in the same order as
+    :func:`generate_candidates` gives an owned bin.
+    """
+    if owned is None or not len(candidates):
+        return candidates
+    return candidates[_owned_mask(candidates[:, 0], owned)]
+
+
+def _generate_matrix(prev, owned=None) -> "np.ndarray":
+    """apriori_gen over a sorted ``(n, k-1)`` matrix (see the module doc).
+
+    Rows sharing their first k-2 items form contiguous groups, and row
+    ``i`` joins every later row of its group, so the pairs come out in
+    (left, right) order — already the sorted order of the joined rows.
+    Under ``owned`` a row whose first item is not owned opens no join,
+    which leaves exactly the owned rows of the full result.  The join
+    runs in chunks of at most ``_JOIN_CHUNK`` pairs (a single left row
+    may exceed it), each pruned by exact sorted-key lookup before the
+    next is built.
+    """
+    prev = np.ascontiguousarray(prev, dtype=np.int32)
+    n, width = prev.shape
+    k = width + 1
+    if n < 2:
+        return np.empty((0, k), dtype=np.int32)
     # partners[i]: the later rows of row i's group, which it joins.
-    partners = group_end - np.arange(1, n + 1)
+    partners = _partners(prev)
+    if owned is not None:
+        partners *= _owned_mask(prev[:, 0], owned, partners > 0)
     pairs_through = np.cumsum(partners)
     keys = _row_keys(prev, range(width)) if k > 2 else None
     chunks = []

@@ -3,9 +3,8 @@
 The hash-tree kernels walk every transaction through the candidate tree
 in the interpreter.  This module removes that loop with :mod:`numpy`
 batch operations, which also lets the candidate set live as one flat
-int32 matrix — exactly the binary frame the native pool's shared
-candidate plane broadcasts, so a worker can count *straight out of the
-shared segment* without ever materializing candidate tuples:
+int32 matrix — exactly the bin a native pool worker generates, so it
+counts without ever materializing candidate tuples:
 
 * :class:`PackedBitmaps` — one pass over a transaction range's flat
   item column builds a packed presence **bit-matrix**: row ``r`` is the
@@ -29,15 +28,17 @@ shared segment* without ever materializing candidate tuples:
   of a sorted apriori_gen batch — pay the prefix AND once), and reduces
   each row with a word popcount into an int64 count vector.
 * **The pass-2 pair triangle.**  A size-2 candidate set that fills at
-  least ``_PASS2_MIN_FILL`` of the triangle over its items (apriori_gen's
-  C(2) fills all of it) is counted without bitmaps: the items of each
-  transaction are ranked within that universe, every ranked pair
-  ``a < b`` is enumerated as the triangle key ``offset[a] + b``
-  (:class:`~repro.core.pass2.PairCounter`'s layout) a bounded chunk of
-  pairs at a time, and the keys are scatter-added into the triangle.
-  For C(2) the triangle *is* the slot-order count vector; other pair
-  sets read their slots out of it.  So pass 2 never asks for a
-  bit-matrix, and the first one is built at pass 3.
+  least ``_PASS2_MIN_FILL`` of the triangle rows its first items open
+  (apriori_gen's C(2) fills all of them, and so does a bin of it: the
+  rows of its owned first items) is counted without bitmaps: the items
+  of each transaction are ranked within the candidates' universe, every
+  ranked pair ``a < b`` whose row ``a`` is open is enumerated as the
+  triangle key ``offset[a] + b`` (:class:`~repro.core.pass2.PairCounter`'s
+  layout) a bounded chunk of pairs at a time, and the keys are
+  scatter-added into the triangle.  For C(2) the triangle *is* the
+  slot-order count vector; other pair sets read their slots out of it.
+  So pass 2 never asks for a bit-matrix, and the first one is built at
+  pass 3.
 
 No per-transaction or per-candidate interpreter loop remains.  Counts
 are bit-identical to :class:`~repro.core.hashtree.HashTree` on every
@@ -66,7 +67,7 @@ from typing import (
 
 from .hashtree import TreeShape
 from .items import Itemset
-from .packed import _CAND_HEADER, INT32_MAX
+from .packed import INT32_MAX
 from .transaction import TransactionDB
 
 import numpy as np
@@ -79,11 +80,12 @@ __all__ = [
 
 # A triangular pass-2 counter holds one slot per item pair in the span
 # of the candidates.  apriori_gen's C2 fills the triangle exactly (one
-# candidate per slot); a memory-partitioned chunk or an externally
-# filtered pair set (SON's phase-2 union) may not.  Below this fill the
-# triangle wastes memory without buying speed, so the fast kernel counts
-# such a set with the flat tree (kernels.make_counter) and this one
-# with bitmap ANDs.
+# candidate per slot), and a first-item bin of it fills the rows of its
+# first items; a memory-partitioned chunk or an externally filtered pair
+# set (SON's phase-2 union) may not.  Below this fill the triangle
+# wastes memory without buying speed, so the fast kernel counts such a
+# set with the flat tree (kernels.make_counter) and this one, weighing
+# only the rows its first items open, with bitmap ANDs.
 _PASS2_MIN_FILL = 1 / 3
 
 # Bytes of bitmap rows one counting chunk gathers: a chunk holds
@@ -371,7 +373,8 @@ class _Triangle(NamedTuple):
     ranks ``a < b`` lives at ``head[a] + b`` of a ``size``-slot
     triangle, and candidate ``i`` at slot ``slots[i]`` — ``None`` when
     the slots are ``0 .. size - 1`` in order, as for apriori_gen's C(2).
-    ``firsts[i]`` is the rank of candidate ``i``'s first item.
+    ``firsts[i]`` is the rank of candidate ``i``'s first item, so only
+    the rows ``firsts`` names are ever expanded.
     """
 
     ids: np.ndarray
@@ -389,20 +392,15 @@ class FastNumpyCounter:
     counts accumulate across ``count_*`` calls (the CD reduction
     invariant).
 
-    Two extra constructors serve the shared candidate plane:
     :meth:`from_matrix` wraps an existing ``(num, k)`` candidate matrix
-    and :meth:`from_flat` decodes one straight from a binary candidate
-    frame (:func:`~repro.core.packed.candidate_frame`) —
-    both zero-copy, deferring tuple materialization until a dict-shaped
-    method actually needs it, so a pool worker counting out of the
-    shared segment never builds 40k tuples at all
-    (:meth:`counts_vector` returns the plane-order vector directly, and
-    :meth:`first_item_mask` / :meth:`counts_for` give IDD shards their
-    ownership view of the shared matrix).
+    zero-copy, deferring tuple materialization until a dict-shaped
+    method actually needs it, so a pool worker counting its generated
+    bin never builds 40k tuples at all (:meth:`counts_array` returns
+    the slot-order vector directly).
 
     A size-2 set that fills at least ``_PASS2_MIN_FILL`` of the
-    triangle over its items is counted as a pair triangle instead of by
-    bitmap ANDs (see the module docstring).  That path requires
+    triangle rows its first items open is counted as a pair triangle
+    instead of by bitmap ANDs (see the module docstring).  That path requires
     canonical transactions — sorted and duplicate-free, the contract
     :class:`~repro.core.hashtree.HashTree` and
     :class:`~repro.core.pass2.PairCounter` state too — so that every
@@ -432,17 +430,12 @@ class FastNumpyCounter:
         self.intersect_s = 0.0
         self.insert_all(candidates)
 
-    # ------------------------------------------------------------------
-    # Plane constructors
-    # ------------------------------------------------------------------
-
     @classmethod
     def from_matrix(cls, k: int, matrix) -> "FastNumpyCounter":
         """Wrap an existing ``(num, k)`` candidate matrix — zero-copy.
 
         Rows must be canonical (sorted, distinct-item) candidates; their
-        order defines slot order.  The matrix (typically a view into a
-        shared candidate segment) must outlive the counter.
+        order defines slot order.
         """
         if matrix.ndim != 2 or matrix.shape[1] != k:
             raise ValueError(
@@ -455,21 +448,6 @@ class FastNumpyCounter:
         counter._matrix = matrix
         counter._counts = np.zeros(matrix.shape[0], dtype=np.int64)
         return counter
-
-    @classmethod
-    def from_flat(cls, buf) -> "FastNumpyCounter":
-        """Decode a binary candidate frame into a counter — zero-copy.
-
-        ``buf`` holds a :func:`~repro.core.packed.candidate_frame` (e.g.
-        a shared candidate segment's ``buf``); the candidate matrix is a
-        view into it, so the buffer must outlive the counter.
-        """
-        num, k = _CAND_HEADER.unpack_from(buf, 0)
-        matrix = np.frombuffer(
-            buf, dtype=np.dtype("<i4"), count=num * k,
-            offset=_CAND_HEADER.size,
-        ).reshape(num, k)
-        return cls.from_matrix(k, matrix)
 
     # ------------------------------------------------------------------
     # Candidate storage
@@ -561,22 +539,9 @@ class FastNumpyCounter:
             for i in np.flatnonzero(counts >= min_count)
         }
 
-    def counts_vector(self) -> List[int]:
-        """All counts in slot (candidate-list) order — no tuples built."""
-        return self._ensure_counts().tolist()
-
     def counts_array(self):
         """The live int64 count array, in slot order (not a copy)."""
         return self._ensure_counts()
-
-    def counts_for(self, mask) -> List[int]:
-        """Counts of the candidates selected by a bool ``mask``, in order.
-
-        With a :meth:`first_item_mask` this is an IDD shard's count
-        vector: slot order restricted to owned candidates equals the
-        coordinator's sorted-shard order.
-        """
-        return self._ensure_counts()[mask].tolist()
 
     def first_item_mask(self, container: Container[int]):
         """Bool mask of candidates whose first item is in ``container``.
@@ -618,10 +583,8 @@ class FastNumpyCounter:
         """Accumulate each candidate's AND-popcount over ``bitmaps``.
 
         ``root_filter`` keeps the first-item contract: exactly the
-        candidates whose first item passes are counted.  It may be any
-        container or a precomputed :meth:`first_item_mask` bool array
-        (the IDD shard path, which tests ownership once per pass, not
-        once per ring step).  :class:`~repro.core.hashtree.HashTree`'s
+        candidates whose first item the container holds are counted.
+        :class:`~repro.core.hashtree.HashTree`'s
         root filter prunes traversal starts instead, so it can also
         count a stored candidate whose first item fails; the two agree
         on candidate sets whose first items all pass, which is what an
@@ -636,8 +599,8 @@ class FastNumpyCounter:
 
     def _selection(self, root_filter):
         """The candidates ``root_filter`` keeps, as a bool mask (None: all)."""
-        if root_filter is None or isinstance(root_filter, np.ndarray):
-            return root_filter
+        if root_filter is None:
+            return None
         return self.first_item_mask(root_filter)
 
     def _count_batches(self, bitmaps: PackedBitmaps, root_filter) -> None:
@@ -700,11 +663,16 @@ class FastNumpyCounter:
             num = matrix.shape[0]
             if self.k == 2 and num:
                 ids, rank = _ranker(matrix.ravel())
-                size = ids.size * (ids.size - 1) // 2
-                if size * _PASS2_MIN_FILL <= num:
+                ranks = rank(matrix)
+                # The fill is weighed over the rows the first items
+                # open: a first-item bin of C(2) fills all of its rows.
+                opened = np.zeros(ids.size, dtype=bool)
+                opened[ranks[:, 0]] = True
+                rows = int(np.arange(ids.size - 1, -1, -1)[opened].sum())
+                if rows * _PASS2_MIN_FILL <= num:
+                    size = ids.size * (ids.size - 1) // 2
                     a = np.arange(ids.size, dtype=np.int64)
                     head = a * (ids.size - 1) - a * (a + 1) // 2 - 1
-                    ranks = rank(matrix)
                     slots = head[ranks[:, 0]] + ranks[:, 1]
                     if np.array_equal(slots, np.arange(size)):
                         slots = None
@@ -719,10 +687,10 @@ class FastNumpyCounter:
         universe and the rest dropped (charged to ``build_s``).  Kept
         item ``p`` then opens its transaction's triangle row: it pairs
         with the kept items ``p + 1`` up to its transaction's end.
-        Under a ``selected`` mask a row opens only on an owned first
-        item, one that starts a selected candidate; every other row gets
-        width 0, so an IDD or HD worker expands its bin's share of the
-        pairs, not the whole database's.  The rows are expanded into
+        A row opens only on a first item, one that starts a (``selected``)
+        candidate; every other row gets width 0, so an IDD or HD worker
+        counting its bin expands the bin's share of the pairs, not the
+        whole database's.  The rows are expanded into
         triangle keys ``_PAIR_CHUNK`` pairs at a time, splitting a long
         transaction between rows, and the keys are added into the
         triangle unbuffered (``np.add.at``, which needs no
@@ -733,10 +701,10 @@ class FastNumpyCounter:
         tick = clock()
         counted = np.zeros(tri.size, dtype=np.int64)
         _, rank = _ranker(items, tri.ids)
-        owned = None
-        if selected is not None:
-            owned = np.zeros(tri.ids.size, dtype=bool)
-            owned[tri.firsts[selected]] = True
+        owned = np.zeros(tri.ids.size, dtype=bool)
+        owned[tri.firsts if selected is None else tri.firsts[selected]] = True
+        if owned[:-1].all():
+            owned = None  # every row that has a pair opens
         for lo, hi in _spans(offsets):
             base = offsets[lo]
             ranks = rank(items[base:offsets[hi]])

@@ -1,4 +1,4 @@
-"""Packed columnar transaction store and binary candidate encoding.
+"""Packed columnar transaction store and its buffer codecs.
 
 The paper's communication argument for Count Distribution is that only
 O(|C_k|) counts move per pass — but a naive multiprocessing port pays
@@ -14,15 +14,9 @@ is the encoding layer that removes those costs:
   over a shared-memory segment; either way the counting kernels consume
   ``(offsets, items)`` slices directly, without materializing
   per-transaction tuples.
-* a **binary candidate frame** — one pass's sorted ``C_k`` matrix as
-  ``len(C_k) * k`` int32 items plus a small header, so a candidate
-  broadcast is one binary frame instead of a pickled tuple list.
-* buffer codecs (:func:`write_packed_into` / :func:`packed_from_buffer`
-  for the store, :func:`candidate_frame` for a pass's sorted candidate
-  matrix, which :meth:`~repro.core.fastnp.FastNumpyCounter.from_flat`
-  decodes zero-copy) with explicit little-endian headers, used by the
-  native pool to lay the store and the per-pass candidate segment out
-  in ``multiprocessing.shared_memory`` segments.
+* buffer codecs (:func:`write_packed_into` / :func:`packed_from_buffer`)
+  with an explicit little-endian header, used by the native pool to lay
+  the store out in a ``multiprocessing.shared_memory`` segment.
 
 Encode/decode is round-trip exact by construction and by test
 (``tests/core/test_packed.py``): items are validated to fit int32 at
@@ -43,7 +37,6 @@ __all__ = [
     "packed_nbytes",
     "write_packed_into",
     "packed_from_buffer",
-    "candidate_frame",
 ]
 
 INT32_MAX = 2**31 - 1
@@ -55,22 +48,9 @@ _I32 = next(tc for tc in ("i", "l", "q") if array(tc).itemsize == 4)
 IntBuffer = Union["array[int]", memoryview, Sequence[int]]
 
 # Store layout: <n: int64> <total: int64> <offsets: int32[n + 1]> <items:
-# int32[total]>.  Candidate layout: <num: int64> <k: int64> <flat:
-# int32[num * k]>.  Headers are explicit little-endian so a buffer
+# int32[total]>.  The header is explicit little-endian so a buffer
 # written by the coordinator decodes identically in any worker.
 _STORE_HEADER = struct.Struct("<qq")
-_CAND_HEADER = struct.Struct("<qq")
-
-
-def candidate_frame(matrix) -> bytes:
-    """One pass's ``(num, k)`` candidate matrix as a binary frame.
-
-    The rows' items, written little-endian int32 after the ``(num, k)``
-    header, are the frame body, so encoding is one ``tobytes``.
-    """
-    num, k = matrix.shape
-    body = matrix.astype("<i4", copy=False).tobytes()
-    return _CAND_HEADER.pack(num, k) + body
 
 
 def _check_item(item: int) -> int:

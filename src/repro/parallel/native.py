@@ -17,12 +17,29 @@ pass plans (Section III-D's G x P/G grid):
   database as a ring of blocks under its owned-first-items filter;
 * **HD** picks G per pass with :func:`repro.parallel.hybrid.choose_grid`.
 
+**Workers run apriori_gen.**  Each pass the coordinator ships F(k-1),
+the previous pass's frequent item-sets as one sorted int32 matrix, and
+plans the grid from it alone: each first item is weighed by its join
+size before the prune (:func:`~repro.core.candidates.join_weights`) and
+the weights are bin-packed over the G rows.  A row's *bin* is the
+candidates whose first item it owns.  Every worker generates only its
+own row's bin (``generate_candidates(F(k-1), owned=...)``, as an IDD
+processor keeps only its first items' candidates, Section III-C) and
+counts it over its ring; on one row (CD) that bin is all of C_k, which
+every worker generates, as every processor of the paper does.  The
+coordinator sums each row's count vectors, thresholds them, and asks
+one worker of the row for that row's frequent candidates (a one-column
+row, as under IDD, thresholds its complete counts itself and returns
+them in its pass reply), so it never holds C_k.  SON phase 2 ships its
+superset's C_k in the same frame, flagged as given, and a worker selects
+its bin's rows from it.
+
 Workers hold no per-worker transaction state: each pass hands every
 worker a :class:`_Unit` (grid row, ownership bitmap, ring of ``(lo,
-hi)`` ranges), so any worker, a replacement or the parent can count any
-unit, and the next pass re-plans the grid over whatever workers live.
-SON phase 1 (``two_phase=True``) is a ``mine`` request on the same
-fan-out: each worker mines its one-row ring locally.
+hi)`` ranges), so any worker, a replacement or the parent can derive
+and count any unit, and the next pass re-plans the grid over whatever
+workers live.  SON phase 1 (``two_phase=True``) is a ``mine`` request
+on the same fan-out: each worker mines its one-row ring locally.
 
 Two data planes move the bits (``data_plane=``):
 
@@ -33,33 +50,38 @@ Two data planes move the bits (``data_plane=``):
   ``store_dir``, or an attached store's own file) that workers map
   read-only: the minable database is bounded by disk, not RAM.
 
-On both, each pass's candidates are one binary frame in a shared
-candidate segment and each worker writes its count vector into its own
-slot of a shared int64 region; the pipes carry only small control
-frames.  With ``block_budget`` a ring walks each block in bounded
-sub-ranges.  The packed store holds int32 item ids, so a database with
-an id past 2^31 - 1 raises ``ValueError`` (serial
-:class:`~repro.core.apriori.Apriori` still mines it).
+On both, each worker writes its count vector into its own slot of a
+shared int64 region; the pipes carry F(k-1), the frequent rows that
+come back, and small control frames.  With ``block_budget`` a ring
+walks each block in bounded sub-ranges.  The packed store holds int32
+item ids, so a database with an id past 2^31 - 1 raises ``ValueError``
+(serial :class:`~repro.core.apriori.Apriori` still mines it).
 
 Workers count with the ``"fast-np"`` bitmap kernel (``kernel=``, the
 one name :data:`NATIVE_KERNELS` allows): numpy bit-matrices, counted
-straight out of the shared candidate frame, with each range's bitmaps
+straight out of the generated bin matrix, with each range's bitmaps
 kept in a cross-pass cache.
 
-The pool is **fault tolerant** on every plane.  Receives are poll-based
-with a per-pass deadline; a worker that times out, dies or replies with
-a malformed record is declared failed and its unit walks a fixed ladder:
+The pool is **fault tolerant** on every plane.  A worker announces
+itself with a ready frame once it has attached the store, and a new or
+replacement worker gets no work before that frame (or is given up on
+after ``_START_TIMEOUT``), so the per-pass deadline times the pass, not
+an interpreter start.  Receives are poll-based with that deadline; a
+worker that times out, dies or replies with a malformed record is
+declared failed and its unit walks a fixed ladder:
 
 1. **respawn** — a replacement (bounded retries, exponential backoff)
-   recounts the unit;
+   derives and recounts the unit;
 2. **adopt** — a surviving worker counts it as an extra request (count
    passes only; SON phase 1 goes straight to the next rung);
-3. **in-process** — the parent counts it; a survivor that dies while
-   adopting is dropped as ``"repacked"``, and once no worker is left
+3. **in-process** — the parent derives and counts it; a survivor that
+   dies while adopting (or while returning a row's frequent
+   candidates) is dropped as ``"repacked"``, and once no worker is left
    mining continues fully in-process.
 
-Every rung recounts from scratch, so results are bit-identical to
-serial :class:`~repro.core.apriori.Apriori` whatever fails.  Frames
+Every rung re-derives the unit's bin from the pass frame and recounts
+from scratch, so results are bit-identical to serial
+:class:`~repro.core.apriori.Apriori` whatever fails.  Frames
 carry an echoed sequence number (a slow worker's late reply is
 discarded, never mistaken for the current one), same-pass failures
 never adopt each other's units, and a worker-side exception comes back
@@ -81,7 +103,6 @@ import os
 import secrets
 import tempfile
 import time
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -103,13 +124,18 @@ from ..core.candidates import (
     frequent_rows,
     generate_candidates,
     itemset_matrix,
+    join_weights,
+    select_owned,
 )
+# Workers derive their bins through this binding; the coordinator's
+# in-process rung goes through the miner's ``_generate``, which looks
+# ``generate_candidates`` up on its own module.
+from ..core.candidates import generate_candidates as _apriori_gen
 from ..core.fastnp import FastNumpyCounter, PackedBitmapCache
 from ..core.items import Itemset
 from ..core.kernels import validate_kernel
 from ..core.packed import (
     PackedDB,
-    candidate_frame,
     packed_from_buffer,
     packed_nbytes,
     write_packed_into,
@@ -138,6 +164,15 @@ _KILLED_EXIT = 17
 # declared for pass 2 — the earliest pass a spec can name — fire there
 # under a two-phase mine.  Each event still fires exactly once.
 _SON_FAULT_K = 2
+
+# A worker's first frame: it has attached the store and takes work.
+_READY = ("ready", None, None)
+
+# Seconds a new or replacement worker has to send its ready frame.  An
+# interpreter start under the ``spawn`` method (importing this module
+# alone took 0.24-0.29 s on a 2-vCPU VM) stays out of the per-pass
+# ``recv_timeout``, which then times the pass only.
+_START_TIMEOUT = 10.0
 
 DATA_PLANES = ("shared", "mmap")
 
@@ -173,13 +208,15 @@ class WorkerError(RuntimeError):
 class PassOverhead:
     """Coordinator-side timing decomposition of one pool pass.
 
-    ``broadcast_s`` is the time the coordinator spends making candidates
-    available to the workers (one binary segment write plus P tiny
-    frames); ``reduce_s`` is the time spent decoding replies and summing
-    count vectors; ``wait_s`` is the time blocked waiting on worker
-    replies — i.e. worker compute, not coordinator overhead.  The
-    data-plane benchmark (``benchmarks/bench_native.py``) records
-    ``broadcast_s + reduce_s`` per plane.
+    ``broadcast_s`` is the time the coordinator spends sending the pass
+    frame (F(k-1) and each worker's unit) and the follow-up requests for
+    each row's frequent candidates; ``reduce_s`` is the time spent
+    decoding replies, summing and thresholding count vectors and merging
+    the rows' frequent candidates; ``wait_s`` is the time blocked
+    waiting on worker replies, the follow-ups' included — i.e. worker
+    compute, not coordinator overhead.  The data-plane benchmark
+    (``benchmarks/bench_native.py``) records ``broadcast_s + reduce_s``
+    per plane.
 
     The grid categories:
 
@@ -187,15 +224,15 @@ class PassOverhead:
       for the pass (the critical path through the G shift steps); zero
       on one-row (CD) passes, whose ring is a worker's own block;
     * ``max_bin_candidates`` — the largest candidate bin any single
-      worker counted: |C_k| on one-row passes, where every worker holds
-      the whole set; with G rows it shrinks about G-fold — the paper's
-      single-candidate-set-per-node memory argument;
+      worker generated and counted: |C_k| on one-row passes, where every
+      worker holds the whole set; with G rows it shrinks about G-fold —
+      the paper's single-candidate-set-per-node memory argument;
     * ``prune_checked`` / ``prune_skipped`` — first-item ownership
-      tests against the row's bitmap (each worker tests every distinct
-      candidate first item once) and the number that failed, i.e. the
-      first items whose candidates the worker skipped (:attr:`prune_rate`
-      is the hit rate); zero on one-row passes, which own every
-      candidate.
+      tests against the row's bitmap (each worker tests once every
+      distinct first item of F(k-1) that opens a join) and the number
+      that failed, i.e. the first items whose joins the worker skipped
+      (:attr:`prune_rate` is the hit rate); zero on one-row passes,
+      which own every candidate.
 
     Two more are the *max* across workers (critical-path semantics,
     like ``shift_s``):
@@ -208,15 +245,14 @@ class PassOverhead:
     * ``intersect_s`` — seconds intersecting candidate bitmaps and
       popcounting, or at pass 2 adding up the triangle's pairs.
 
-    The shared candidate plane fills the last two:
+    Worker-side candidate generation fills the last two, also maxima:
 
-    * ``cand_build_s`` — coordinator seconds encoding the pass's
-      candidates into (or recognizing them already present in) the
-      shared candidate segment — once per pass, not per worker;
-    * ``cand_attach_s`` — the slowest worker's seconds attaching and
-      decoding the candidate segment; near-zero when the worker's
-      cached plane counter for that segment is reused, e.g. every
-      warm-pool re-mine.
+    * ``cand_build_s`` — the slowest worker's seconds deriving its bin
+      from the pass frame (apriori_gen over F(k-1) restricted to its
+      owned first items, or the selection of a given C_k's rows);
+    * ``cand_attach_s`` — the slowest worker's seconds receiving and
+      decoding the pass frame, plus attaching the count region when it
+      was re-allocated.
 
     ``peak_rss_bytes`` is the memory-observability column: the largest
     peak resident set size any process touched while the pass ran — the
@@ -260,16 +296,6 @@ class PassOverhead:
 # ----------------------------------------------------------------------
 
 
-def _accumulate(totals, vector, rows=None) -> None:
-    """Add a count ``vector`` into the int64 ``totals`` — at indices
-    ``rows`` when given (one grid row's bin), else element-wise."""
-    vector = np.asarray(vector, dtype=np.int64)
-    if rows is None:
-        totals += vector
-    else:
-        totals[rows] += vector
-
-
 def _even_bounds(num_transactions: int, parts: int) -> List[Tuple[int, int]]:
     """Split ``[0, num_transactions)`` into ``parts`` contiguous ranges.
 
@@ -286,32 +312,6 @@ def _even_bounds(num_transactions: int, parts: int) -> List[Tuple[int, int]]:
         bounds.append((lo, hi))
         lo = hi
     return bounds
-
-
-def owned_rows(candidates, rows: int) -> Tuple[List, List[int]]:
-    """Bin a sorted candidate matrix's rows over ``rows`` grid rows.
-
-    The matrix twin of :func:`~repro.core.partition.partition_by_first_item`
-    feeding :meth:`_Pool._plan`: the same per-first-item weights go
-    through the same :func:`~repro.core.partition.bin_pack`, so the bins
-    match it exactly.  Sorted rows keep each first item's candidates in
-    one contiguous run, read off the first column.  Returns
-    ``(owned_idx, bits)``: per grid row, the ascending int64 indices of
-    the candidates it owns and its owned-first-items bitmap as a raw
-    integer.
-    """
-    items, counts = np.unique(candidates[:, 0], return_counts=True)
-    bins = bin_pack(
-        {(item,): count for item, count in zip(items.tolist(), counts.tolist())},
-        rows,
-    )
-    row_of_item = np.empty(len(items), dtype=np.int64)
-    for row, keys in enumerate(bins):
-        row_of_item[np.searchsorted(items, [key[0] for key in keys])] = row
-    row_of_candidate = np.repeat(row_of_item, counts)
-    owned_idx = [np.flatnonzero(row_of_candidate == row) for row in range(rows)]
-    bits = [ItemBitmap(key[0] for key in keys).bits for keys in bins]
-    return owned_idx, bits
 
 
 # ----------------------------------------------------------------------
@@ -373,7 +373,7 @@ def _attach_store(store_ref: Tuple[str, str]):
 
 
 class _SharedSegments:
-    """Coordinator-owned shared segments: store, counts, candidates.
+    """Coordinator-owned shared segments: the store and the count region.
 
     * **store** — the packed transaction database, written exactly once:
       into a shared-memory segment by default, or — when ``store_dir``
@@ -383,19 +383,9 @@ class _SharedSegments:
       through (:func:`_attach_store`), and :meth:`close` removes it.
     * **counts** — ``num_slots`` int64 regions of ``counts_capacity``
       entries each; worker ``w`` writes its pass vector at slot ``w``.
-      Grown (power-of-two) when a pass's candidate count exceeds the
-      capacity; the outgrown segment is unlinked immediately.
-    * **candidates** — one segment per *pass number* holding that pass's
-      binary candidate frame, retained for the pool's lifetime: workers
-      key their cached plane counters on the segment name, and a
-      warm-pool re-mine that republishes byte-identical candidates for
-      pass ``k`` gets pass ``k``'s existing segment (and therefore every
-      worker's cached counter) back instead of a fresh one.  A pass
-      whose candidates *differ* from what its segment holds gets a new
-      segment and the stale one is unlinked — a name never refers to two
-      different candidate sets.  The retained planes cost one frame per
-      pass (``16 + 4 * num * k`` bytes, a few MB at bench scale) on top
-      of the store.
+      Grown (power-of-two) when a pass's largest planned bin weight —
+      an upper bound on any bin's size — exceeds the capacity; the
+      outgrown segment is unlinked immediately.
 
     Every created segment is tracked in ``_live`` and :meth:`close`
     unlinks whatever remains — exactly once, idempotently — so both the
@@ -415,7 +405,6 @@ class _SharedSegments:
         self.num_slots = num_slots
         self.counts_capacity = 0
         self._counts_name: Optional[str] = None
-        self._cand_names: Dict[int, str] = {}
         self._store_path: Optional[Path] = None
         try:
             if external_path is not None:
@@ -468,38 +457,6 @@ class _SharedSegments:
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
 
-    def publish_candidates(self, k: int, candidates) -> str:
-        """Write one pass's candidate matrix as a frame; return the name.
-
-        ``candidates`` is the pass's sorted ``(n, k)`` int32 matrix
-        (:func:`~repro.core.packed.candidate_frame`).  Pass ``k``'s
-        segment is retained for the pool's lifetime and *reused* when
-        the frame being published is byte-identical to what it already
-        holds (the warm-pool re-mine case) — same name back means
-        workers keep their cached plane counters.  A different frame for
-        the same ``k`` retires the old segment and publishes under a
-        fresh name, so a segment name is permanently bound to one
-        candidate set.
-        """
-        frame = candidate_frame(candidates)
-        nbytes = len(frame)
-        name = self._cand_names.get(k)
-        if name is not None:
-            segment = self._live.get(name)
-            # The header (num, k) makes frames of different candidate
-            # counts differ in their first bytes, so the prefix compare
-            # is exact even though segment sizes are page-rounded.  A
-            # bytes copy compares in one memcmp; comparing the
-            # memoryview directly walks it byte by byte.
-            if segment is not None and bytes(segment.buf[:nbytes]) == frame:
-                return name
-            self._unlink(name)
-            del self._cand_names[k]
-        segment = self._create(f"c{k}", nbytes)
-        segment.buf[:nbytes] = frame
-        self._cand_names[k] = segment.name
-        return segment.name
-
     def ensure_counts(self, num_candidates: int) -> Tuple[str, int]:
         """Return ``(name, capacity)`` of a count region fitting the pass."""
         if self._counts_name is None or num_candidates > self.counts_capacity:
@@ -513,13 +470,15 @@ class _SharedSegments:
             self.counts_capacity = capacity
         return self._counts_name, self.counts_capacity
 
-    def read_counts(self, slot: int, expected: int) -> "array[int]":
+    def read_counts(self, slot: int, expected: int):
         """Copy worker ``slot``'s count vector out of the shared region."""
         segment = self._live[self._counts_name]
         base = 8 * slot * self.counts_capacity
-        vector = array("q")
-        vector.frombytes(bytes(segment.buf[base:base + 8 * expected]))
-        return vector
+        # The view is dropped as soon as the copy exists, so no export
+        # of the segment's buffer outlives the call.
+        return np.frombuffer(
+            segment.buf, dtype="<i8", count=expected, offset=base
+        ).astype(np.int64)
 
     def close(self) -> None:
         """Unlink every live segment; idempotent (exactly-once unlink)."""
@@ -528,7 +487,6 @@ class _SharedSegments:
         self._closed = True
         for name in list(self._live):
             self._unlink(name)
-        self._cand_names.clear()
         self._counts_name = None
         if self._store_path is not None:
             # The mmap plane's store file is coordinator-owned too;
@@ -539,8 +497,52 @@ class _SharedSegments:
 
 
 # ----------------------------------------------------------------------
-# Counting shared by workers and the parent's in-process rung
+# Bins and counting shared by workers and the parent's in-process rung
 # ----------------------------------------------------------------------
+
+
+class _Frame(NamedTuple):
+    """One pass's frame: what every bin of the pass is derived from.
+
+    ``matrix`` is F(k-1), the previous pass's frequent item-sets as a
+    sorted int32 matrix, from which a bin is generated; or, when
+    ``given`` (SON phase 2), the pass's candidates themselves, from
+    which a bin is selected.  ``ident`` numbers the pool's frames, so a
+    worker knows which of its derived bins belong to the frame at hand.
+    """
+
+    ident: int
+    k: int
+    matrix: np.ndarray
+    given: bool
+
+
+def _first_item_bins(frame: _Frame, rows_rule, live_workers: int):
+    """Plan a pass's grid rows and their first-item bins from its frame.
+
+    Each first item is weighed by its join size before the prune
+    (:func:`~repro.core.candidates.join_weights`; by its exact count for
+    a given C_k), ``rows_rule(weight, live_workers)`` — the formulation
+    — picks G from the total weight, and the weights are bin-packed over
+    the G rows with :func:`~repro.core.partition.bin_pack`.  Returns
+    ``(bits, load)``: ``bits[row]`` is row ``row``'s ownership bitmap as
+    a raw integer (``None`` on one row, whose bin is all of C_k), and
+    ``load`` the largest row weight — an upper bound on any bin's size,
+    zero when no first item opens a join.
+    """
+    if frame.given:
+        items, weights = np.unique(frame.matrix[:, 0], return_counts=True)
+    else:
+        items, weights = join_weights(frame.matrix)
+    weight = int(weights.sum())
+    rows = rows_rule(weight, live_workers)
+    if rows == 1:
+        return [None], weight
+    weight_of = dict(zip(items.tolist(), weights.tolist()))
+    bins = bin_pack({(item,): w for item, w in weight_of.items()}, rows)
+    bits = [ItemBitmap(key[0] for key in keys).bits for keys in bins]
+    load = max(sum(weight_of[key[0]] for key in keys) for keys in bins)
+    return bits, load
 
 
 class _Unit(NamedTuple):
@@ -548,7 +550,7 @@ class _Unit(NamedTuple):
 
     ``bits`` is the row's owned-first-items bitmap as a raw integer (the
     wire form), or ``None`` on a one-row grid, whose single bin holds
-    every candidate and is counted with no root filter.  ``ring`` is
+    every candidate and is derived with no ownership test.  ``ring`` is
     the ordered ``(lo, hi)`` schedule of transaction ranges the worker
     walks — its own block first, then each ring predecessor's.
     """
@@ -563,18 +565,24 @@ class _Reply:
     """One worker reply: the result of a request and what it cost.
 
     ``body`` is the count vector (``adopt`` replies), the number of
-    counts written to the worker's shared slot (``pass`` requests), or
-    the local frequent sets of a ``mine`` request.
-    The rest are the worker's measurements, folded into the pass's
-    :class:`PassOverhead` by :func:`_charge`.
+    counts written to the worker's shared slot (``pass`` requests), the
+    local frequent sets of a ``mine`` request, or the frequent rows of
+    each bin a ``rows`` request names.  ``size`` is the counted bin's
+    number of candidates, and ``rows`` its frequent candidates when the
+    request carried a threshold.  The rest are the worker's
+    measurements, folded into the pass's :class:`PassOverhead` by
+    :func:`_charge`.
     """
 
     body: object
+    size: int = 0
+    rows: Optional[np.ndarray] = None
     shift_s: float = 0.0
     checked: int = 0
     skipped: int = 0
     build_s: float = 0.0
     intersect_s: float = 0.0
+    cand_s: float = 0.0
     attach_s: float = 0.0
     peak_rss: int = 0
 
@@ -590,12 +598,13 @@ def _charge(overhead: PassOverhead, reply: _Reply) -> None:
     overhead.prune_skipped += reply.skipped
     overhead.bitmap_build_s = max(overhead.bitmap_build_s, reply.build_s)
     overhead.intersect_s = max(overhead.intersect_s, reply.intersect_s)
+    overhead.cand_build_s = max(overhead.cand_build_s, reply.cand_s)
     overhead.cand_attach_s = max(overhead.cand_attach_s, reply.attach_s)
     overhead.peak_rss_bytes = max(overhead.peak_rss_bytes, reply.peak_rss)
 
 
 class _TallyFilter:
-    """A root filter that counts its own membership tests.
+    """A first-item ownership test that counts its own membership tests.
 
     Wraps the owned-first-items :class:`~repro.core.bitmap.ItemBitmap`
     so the worker can report how many first items it tested
@@ -618,78 +627,90 @@ class _TallyFilter:
         return False
 
 
+def _derive_bin(frame: _Frame, bits: Optional[int], generate, reply: _Reply):
+    """The bin of ownership ``bits`` (``None``: all of C_k) in ``frame``.
+
+    Generated from F(k-1) by ``generate`` (apriori_gen with ``owned``),
+    or selected from a given C_k, so worker and coordinator derive the
+    same rows in the same order — the full C_k's order — without ever
+    shipping them.  Records the derivation's seconds and ownership
+    tallies in ``reply``.
+    """
+    tick = time.perf_counter()
+    tally = None if bits is None else _TallyFilter(ItemBitmap.from_bits(bits))
+    if frame.given:
+        candidates = select_owned(frame.matrix, tally)
+    else:
+        candidates = generate(frame.matrix, owned=tally)
+    reply.cand_s += time.perf_counter() - tick
+    if tally is not None:
+        reply.checked += tally.checked
+        reply.skipped += tally.skipped
+    return candidates
+
+
 def _count_unit(
     store,
     unit: _Unit,
-    counter: FastNumpyCounter,
+    candidates,
+    cache: PackedBitmapCache,
+    reply: _Reply,
     kill_after: Optional[int] = None,
 ) -> _Reply:
-    """Count one unit over a packed store; the body is its bin's vector.
+    """Count a unit's bin over its ring; ``reply.body`` is the vector.
 
-    ``counter`` holds *every* candidate of the pass and is wired to the
-    holder's cross-pass bitmap cache.  The bin is every candidate whose
-    first item the unit's bitmap owns, selected as a
-    :meth:`~repro.core.fastnp.FastNumpyCounter.first_item_mask` row
-    mask; worker and coordinator select it from the same sorted
-    candidates, so they agree on bin order without ever shipping it, and
-    the tally tests each distinct first item once.  Shared by the worker
-    loop (a counter decoded zero-copy from the shared candidate segment)
-    and the parent's in-process rung (one over the pass matrix), so both
-    produce identical counts.
+    ``candidates`` is the unit's bin as derived by :func:`_derive_bin`;
+    the counter holds that bin alone and is wired to the holder's
+    cross-pass bitmap cache.  Shared by the worker loop and the
+    parent's in-process rung, so both produce identical counts.
 
     ``kill_after`` is the fault-injection hook: die (``os._exit``) after
     that many completed ring steps — a genuine mid-ring death, with the
     count vector never published anywhere.
     """
-    tally = (
-        None if unit.bits is None
-        else _TallyFilter(ItemBitmap.from_bits(unit.bits))
-    )
-    counter.reset_counts()
-    selected = None if tally is None else counter.first_item_mask(tally)
-    size = len(counter) if selected is None else int(selected.sum())
-    reply = _Reply([])
-    if size == 0 and kill_after is not None:
+    reply.size = len(candidates)
+    reply.body = np.zeros(0, dtype=np.int64)
+    if not len(candidates) and kill_after is not None:
         # An empty bin still honours an injected mid-ring kill so fault
         # schedules stay deterministic regardless of bin packing.
         os._exit(_KILLED_EXIT)
-    if size:
-        build_0, intersect_0 = counter.build_s, counter.intersect_s
+    if len(candidates):
+        counter = FastNumpyCounter.from_matrix(candidates.shape[1], candidates)
+        counter.use_cache(cache)
         for step, (lo, hi) in enumerate(unit.ring, 1):
             tick = time.perf_counter()
-            counter.count_packed(store, lo, hi, selected)
+            counter.count_packed(store, lo, hi)
             reply.shift_s += time.perf_counter() - tick
             if kill_after is not None and step >= kill_after:
                 os._exit(_KILLED_EXIT)
-        if selected is None:
-            reply.body = counter.counts_vector()
-        else:
-            reply.body = counter.counts_for(selected)
-        reply.build_s = counter.build_s - build_0
-        reply.intersect_s = counter.intersect_s - intersect_0
-    if tally is None:  # one-row units record no shift and no prune
+        reply.body = counter.counts_array()
+        reply.build_s = counter.build_s
+        reply.intersect_s = counter.intersect_s
+    if unit.bits is None:  # one-row units record no shift
         reply.shift_s = 0.0
-    else:
-        reply.checked, reply.skipped = tally.checked, tally.skipped
     return reply
 
 
 def _recv_command(conn):
     """Receive the next request frame, or ``None`` when the parent died.
 
-    A forked worker inherits a copy of its *own* pipe's parent end, so
-    ``conn.recv()`` alone can never see EOF after the coordinator is
-    SIGKILLed — every worker would orphan forever, pinning the shared
-    store (and, through it, the resource tracker).  Waiting on the
-    parent-death sentinel alongside the command pipe turns coordinator
-    death into the same orderly shutdown as an explicit ``None`` frame.
+    Returns ``(message, seconds)``, the seconds spent reading and
+    decoding the frame once it was there.  A forked worker inherits a
+    copy of its *own* pipe's parent end, so ``conn.recv()`` alone can
+    never see EOF after the coordinator is SIGKILLed — every worker
+    would orphan forever, pinning the shared store (and, through it, the
+    resource tracker).  Waiting on the parent-death sentinel alongside
+    the command pipe turns coordinator death into the same orderly
+    shutdown as an explicit ``None`` frame.
     """
     parent = parent_process()
     if parent is not None:
         ready = _connection_wait([conn, parent.sentinel])
         if conn not in ready:
-            return None
-    return conn.recv()
+            return None, 0.0
+    tick = time.perf_counter()
+    message = conn.recv()
+    return message, time.perf_counter() - tick
 
 
 def _worker_main(
@@ -698,28 +719,36 @@ def _worker_main(
     slot: int,
     fault_events: List[FaultEvent] = (),
 ) -> None:
-    """The worker loop: count (or mine) one unit per request.
+    """The worker loop: derive and count (or mine) one unit per request.
 
     The worker attaches the packed store by ``store_ref`` (an ``("shm",
-    name)`` segment or an ``("mmap", path)`` file mapping) and writes
-    its pass vectors into count slot ``slot``.
+    name)`` segment or an ``("mmap", path)`` file mapping), then sends
+    the ready frame ``_READY`` — the pool sends it no work before — and
+    writes its pass vectors into count slot ``slot``.
 
     Request frames (parent -> worker), all ``(tag, seq, k, payload)``:
 
-    * ``"pass"`` — count this worker's own unit;
-    * ``"adopt"`` — count a dead peer's unit on its behalf (recovery);
-      the reply always carries the vector inline, so it cannot collide
-      with this worker's own count slot;
+    * ``"pass"`` — derive and count this worker's own unit;
+    * ``"adopt"`` — derive and count a dead peer's unit on its behalf
+      (recovery); the reply always carries the vector inline, so it
+      cannot collide with this worker's own count slot;
+    * ``"rows"`` — return the frequent candidates of bins of the
+      current frame: the payload lists ``(bits, keep)`` pairs, ``keep``
+      the bin's frequent mask as ``np.packbits`` bytes.  A bin this
+      worker has not derived yet is derived from the frame first;
     * ``"mine"`` — SON phase 1: mine the payload's ``ring`` locally as
       one partition at partition-scaled support
       (:func:`repro.parallel.son.mine_blocks`); ``k`` is
       ``_SON_FAULT_K``, the key its injected faults fire under;
     * ``None`` — shut down.
 
-    A count payload is ``(candidates, counts, bits, ring)``:
-    ``candidates`` is the pass's shared candidate segment name and
-    ``counts`` the ``(name, capacity)`` of the shared count region.  A
-    mine payload is ``(min_support, max_k, ring)``.
+    A count payload is ``(frame, counts, bits, ring, threshold)``:
+    ``frame`` is the pass's :class:`_Frame`, ``counts`` the ``(name,
+    capacity)`` of the shared count region, and ``threshold`` the
+    pass's minimum count when the unit's grid row has one column (IDD):
+    its counts are then complete, and the reply carries the bin's
+    frequent rows, so the row needs no ``rows`` follow-up.  A mine
+    payload is ``(min_support, max_k, ring)``.
 
     Every reply echoes the request's ``seq`` — ``("ok", seq,``
     :class:`_Reply` ``)`` or ``("error", seq, message)`` when the work
@@ -728,15 +757,13 @@ def _worker_main(
 
     The loop owns one cross-pass bitmap cache; since the rings tile the
     whole store, one pass warms every range's bitmaps for all later
-    passes.  It also decodes each candidate segment at most once into a
-    zero-copy :class:`~repro.core.fastnp.FastNumpyCounter`
-    (``plane_counters``, keyed on the segment name, which the
-    coordinator binds to one candidate set for the pool's lifetime), so
-    a warm-pool re-mine re-attaches and re-decodes nothing.
-    Replacements start cold; no cache state needs recovering.
+    passes.  It keeps the bins it derived from the current frame, so a
+    ``rows`` follow-up or an adoption of a bin it already holds derives
+    nothing.  Replacements start cold; no cache state needs recovering.
 
     ``fault_events`` are this worker's injected failures from a
-    :class:`~repro.faults.FaultSpec`; each fires once.
+    :class:`~repro.faults.FaultSpec`; each fires once, on the first
+    count or mine request of its pass (never on a ``rows`` follow-up).
     """
     pending = list(fault_events)
 
@@ -750,36 +777,44 @@ def _worker_main(
     cache = PackedBitmapCache()
     counts_segment = None
     counts_name: Optional[str] = None
-    # Candidate segment name -> (pinned segment, plane counter).
-    plane_counters: Dict[str, Tuple] = {}
+    frame: Optional[_Frame] = None
+    # The current frame's derived bins, by ownership bits.
+    bins: Dict[Optional[int], np.ndarray] = {}
+    conn.send(_READY)
     try:
         while True:
-            message = _recv_command(conn)
+            message, attach_s = _recv_command(conn)
             if message is None:
                 break
             tag, seq, k, payload = message
-            counter = None
-            attach_s = 0.0
+            if tag == "rows":
+                try:
+                    body = []
+                    for bits, keep in payload:
+                        if bits not in bins:
+                            bins[bits] = _derive_bin(
+                                frame, bits, _apriori_gen, _Reply(None)
+                            )
+                        rows = bins[bits]
+                        mask = np.unpackbits(keep, count=len(rows))
+                        body.append(rows[mask.view(bool)])
+                except Exception as exc:  # surfaced, never swallowed
+                    conn.send(("error", seq, f"{type(exc).__name__}: {exc}"))
+                    continue
+                conn.send(("ok", seq, _Reply(body)))
+                continue
             if tag != "mine":
-                candidates, counts_ref, bits, ring = payload
-                tick = time.perf_counter()
-                entry = plane_counters.get(candidates)
-                if entry is None:
-                    segment = _attach_segment(candidates)
-                    # Zero-copy: the counter's candidate matrix is a view
-                    # into the segment, which stays pinned in the entry
-                    # for its lifetime.
-                    counter = FastNumpyCounter.from_flat(segment.buf)
-                    counter.use_cache(cache)
-                    entry = (segment, counter)
-                    plane_counters[candidates] = entry
-                attach_s = time.perf_counter() - tick
-                counter = entry[1]
+                received, counts_ref, bits, ring, threshold = payload
+                if frame is None or received.ident != frame.ident:
+                    bins = {}
+                frame = received
                 if counts_ref[0] != counts_name:
+                    tick = time.perf_counter()
                     if counts_segment is not None:
                         counts_segment.close()
                     counts_name = counts_ref[0]
                     counts_segment = _attach_segment(counts_name)
+                    attach_s += time.perf_counter() - tick
             kill = take("kill", k)
             if kill is not None and kill.when == "before":
                 os._exit(_KILLED_EXIT)
@@ -797,13 +832,17 @@ def _worker_main(
                     if kill is not None:  # "mid": die after the work
                         os._exit(_KILLED_EXIT)
                 else:
+                    reply = _Reply(None, attach_s=attach_s)
+                    if bits not in bins:
+                        bins[bits] = _derive_bin(frame, bits, _apriori_gen, reply)
                     # A "mid" kill dies mid-ring: after roughly half the
                     # ring steps, before any count is published.
-                    reply = _count_unit(
-                        store, _Unit(0, bits, ring), counter,
+                    _count_unit(
+                        store, _Unit(0, bits, ring), bins[bits], cache, reply,
                         max(1, len(ring) // 2) if kill is not None else None,
                     )
-                    reply.attach_s = attach_s
+                    if threshold is not None:
+                        reply.rows = bins[bits][reply.body >= threshold]
             except Exception as exc:  # surfaced, never swallowed
                 conn.send(("error", seq, f"{type(exc).__name__}: {exc}"))
                 continue
@@ -813,9 +852,13 @@ def _worker_main(
                 reply.body = None if tag == "mine" else reply.body[:-1]
             if tag == "pass":
                 vector = reply.body
+                if len(vector) > counts_ref[1]:
+                    conn.send(("error", seq, f"bin of {len(vector)} overflows "
+                               f"a count slot of {counts_ref[1]}"))
+                    continue
                 base = 8 * slot * counts_ref[1]
                 counts_segment.buf[base:base + 8 * len(vector)] = (
-                    array("q", vector).tobytes()
+                    vector.astype("<i8", copy=False).tobytes()
                 )
                 reply.body = len(vector)
             reply.peak_rss = peak_rss_bytes()
@@ -829,17 +872,8 @@ def _worker_main(
         # exported memoryviews (the PackedDB's buffers) are alive, and
         # interpreter-shutdown finalization order is not guaranteed to
         # free them first.  The bitmap cache pins the store too, so it
-        # goes first; plane counters pin their candidate segments the
-        # same way, so each counter is dropped before its segment.
+        # goes first.
         cache.clear()
-        entry = counter = None
-        while plane_counters:
-            # The popped entry (and its counter) is freed right here.
-            segment = plane_counters.popitem()[1][0]
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - view outlived
-                pass
         store = None
         if counts_segment is not None:
             counts_segment.close()
@@ -916,6 +950,7 @@ class _Pool:
         # Monotonic request counter: every frame carries it and every
         # reply echoes it, so stale replies are recognizable.
         self._seq = 0
+        self._frames = 0
         self._slots: Dict[int, _Slot] = {}
         self._segments: Optional[_SharedSegments] = None
         # The parent's own cache for the in-process rung.
@@ -938,6 +973,10 @@ class _Pool:
                 if slot is None:  # pragma: no cover - spawn failed at startup
                     raise OSError(f"could not start worker {wid}")
                 self._slots[wid] = slot
+            deadline = time.monotonic() + _START_TIMEOUT
+            for wid, slot in self._slots.items():
+                if not self._await_ready(slot, deadline):
+                    raise OSError(f"worker {wid} did not start")
         except Exception:
             self.shutdown()
             raise
@@ -989,71 +1028,87 @@ class _Pool:
             ))
         return rings
 
-    def _plan(self, candidates, rows_rule) -> Tuple[Dict[int, _Unit], List]:
-        """Derive this pass's grid, bins and rings from the live workers.
+    def _plan(self, frame: _Frame, rows_rule):
+        """Derive this pass's grid, bins and rings from the frame alone.
 
-        ``rows_rule(num_candidates, live_workers)`` is the formulation:
-        it returns G.  Returns ``(units, owned)`` where ``units`` maps
-        worker id to its :class:`_Unit` and ``owned[row]`` holds the
-        ascending int64 indices into ``candidates`` of row ``row``'s bin
-        (the reduce's scatter map), or ``None`` on one row, whose bin is
-        every candidate in order.  Recomputed every pass, so the grid
-        re-packs over whatever workers survived earlier passes.
+        The rows and their bins come from :func:`_first_item_bins` over
+        the live workers.  Returns ``(units, bits, load)``: ``units``
+        maps worker id to its :class:`_Unit`, and ``bits`` and ``load``
+        are :func:`_first_item_bins`'.  Recomputed every pass, so the
+        grid re-packs over whatever workers survived earlier passes.
         """
-        rows = rows_rule(len(candidates), len(self._slots))
-        if rows == 1:
-            owned, bits = [None], [None]
-        else:
-            owned, bits = owned_rows(candidates, rows)
+        bits, load = _first_item_bins(frame, rows_rule, len(self._slots))
+        rows = len(bits)
         units = {
             wid: _Unit(row, bits[row], ring)
             for wid, (row, ring) in self._rings(rows).items()
         }
-        return units, owned
+        return units, bits, load
 
     # ------------------------------------------------------------------
     # The fan-out
     # ------------------------------------------------------------------
 
-    def count_pass(self, k: int, candidates, rows_rule):
-        """Fan one pass out over a ``rows_rule`` grid; return the totals.
+    def count_pass(
+        self, k: int, matrix, given: bool, rows_rule, min_count: int,
+        generate,
+    ):
+        """Fan one pass out over a ``rows_rule`` grid; return its F(k).
 
-        ``candidates`` is the pass's sorted int32 matrix; the totals
-        come back as an int64 array.  Summing each row's replicas is
-        HD's along-the-row reduction; rows are disjoint, so the totals cover every
-        candidate exactly once, and failed workers are recovered before
-        returning, so they cover every transaction exactly once.
+        ``matrix`` is F(k-1) as a sorted int32 matrix, or with ``given``
+        the pass's candidates themselves (SON phase 2).  Every worker
+        derives and counts its row's bin; each row's replicas are summed
+        (HD's along-the-row reduction) and thresholded at ``min_count``,
+        and one worker of the row returns the row's frequent candidates.
+        ``generate`` is the apriori_gen the coordinator calls when it
+        derives a bin itself (the in-process rung).  Rows are disjoint,
+        so the bins cover C_k exactly once, and failed workers are
+        recovered before returning, so they cover every transaction
+        exactly once.
+
+        Returns ``(frequent, counts, num_candidates)``: the frequent
+        candidates as a sorted int32 matrix, their int64 counts, and
+        |C_k|, the sum of the row bins.  A pass whose bins are all empty
+        is not recorded in :attr:`pass_overheads`.
         """
-        totals = np.zeros(len(candidates), dtype=np.int64)
-        overhead = PassOverhead(
-            k=k,
-            num_candidates=len(candidates),
-            max_bin_candidates=len(candidates),
-        )
+        self._frames += 1
+        frame = _Frame(self._frames, k, matrix, given)
+        overhead = PassOverhead(k=k, num_candidates=0)
+        # The coordinator's own derived bins, by ownership bits.
+        derived: Dict[Optional[int], np.ndarray] = {}
         if not self._slots:
             # The whole pool is gone: count the pass in the parent.
             tick = time.perf_counter()
             whole = _Unit(0, None, ((0, len(self._store)),))
-            _accumulate(totals, self._count_inprocess(k, candidates, whole))
+            units: Dict[int, _Unit] = {}
+            bits: List[Optional[int]] = [None]
+            replies = [self._count_inprocess(frame, whole, generate, derived)]
             overhead.reduce_s = time.perf_counter() - tick
         else:
-            units, owned = self._plan(candidates, rows_rule)
-            if owned[0] is not None:
-                overhead.max_bin_candidates = max(map(len, owned))
+            units, bits, load = self._plan(frame, rows_rule)
+            if not load:
+                return matrix[:0], np.zeros(0, dtype=np.int64), 0
+            replies = [None] * len(bits)
             tick = time.perf_counter()
-            common = self._pass_common(k, candidates, overhead)
-            overhead.broadcast_s = time.perf_counter() - tick
+            counts = self._segments.ensure_counts(load)
+            # A row with one column (IDD) thresholds in its pass reply.
+            alone = len(bits) == len(units)
+            threshold = min_count if alone else None
             jobs = {
-                wid: (
-                    common + (unit.bits, unit.ring),
-                    len(candidates) if owned[unit.row] is None
-                    else len(owned[unit.row]),
-                )
+                wid: ((frame, counts, unit.bits, unit.ring, threshold), None)
                 for wid, unit in units.items()
             }
+            overhead.broadcast_s = time.perf_counter() - tick
+
+            def add(wid: int, reply: _Reply) -> None:
+                row = units[wid].row
+                if replies[row] is None:
+                    replies[row] = reply
+                else:
+                    replies[row].body = replies[row].body + reply.body
 
             def absorb(wid: int, reply: _Reply) -> None:
-                _accumulate(totals, reply.body, owned[units[wid].row])
+                add(wid, reply)
                 _charge(overhead, reply)
 
             failures = self._fan_out("pass", k, jobs, overhead, absorb)
@@ -1064,16 +1119,104 @@ class _Pool:
             for wid, failure in failures:
                 unrecovered.discard(wid)
                 unit = units[wid]
-                vector = self._recover(
-                    wid, failure, "pass", k, *jobs[wid],
+                add(wid, self._recover(
+                    wid, failure, "pass", k, jobs[wid][0],
                     exclude=frozenset(unrecovered),
                     inprocess=lambda: self._count_inprocess(
-                        k, candidates, unit
+                        frame, unit, generate, derived
                     ),
-                )
-                _accumulate(totals, vector, owned[unit.row])
+                ))
+        sizes = [reply.size for reply in replies]
+        overhead.num_candidates = sum(sizes)
+        overhead.max_bin_candidates = max(sizes)
+        if not overhead.num_candidates:
+            return matrix[:0], np.zeros(0, dtype=np.int64), 0
+        tick = time.perf_counter()
+        keeps = [reply.body >= min_count for reply in replies]
+        overhead.reduce_s += time.perf_counter() - tick
+        rows = self._frequent_rows(
+            frame, units, bits, replies, keeps, overhead, generate, derived
+        )
+        tick = time.perf_counter()
+        parts = [row for row in range(len(bits)) if keeps[row].any()]
+        frequent = np.empty((0, k), dtype=np.int32)
+        totals = np.zeros(0, dtype=np.int64)
+        if parts:
+            frequent = np.concatenate([rows[row] for row in parts])
+            totals = np.concatenate(
+                [replies[row].body[keeps[row]] for row in parts]
+            )
+        if len(parts) > 1:
+            # Rows own disjoint first items and each is sorted, so a
+            # stable sort on the first item restores the full order.
+            order = np.argsort(frequent[:, 0], kind="stable")
+            frequent, totals = frequent[order], totals[order]
+        overhead.reduce_s += time.perf_counter() - tick
         self._record(overhead)
-        return totals
+        return frequent, totals, overhead.num_candidates
+
+    def _frequent_rows(
+        self, frame: _Frame, units, bits, replies, keeps, overhead,
+        generate, derived,
+    ) -> Dict[int, np.ndarray]:
+        """Each row's frequent candidates, by row, for the rows with any.
+
+        A one-column row's pass reply already carries them.  For other
+        rows the coordinator holds only the count vectors, so it sends
+        each row's frequent mask to one live worker of that row, which
+        holds the bin (one ``rows`` request per worker, all at once).  A
+        row with no live worker goes to the lowest live worker, which
+        re-derives the bin from the frame.  A worker that fails the
+        request is dropped as ``"repacked"``; the coordinator then
+        derives its rows' bins itself, as it does for every row when no
+        worker is left.
+        """
+        k = frame.k
+        tick = time.perf_counter()
+        found: Dict[int, np.ndarray] = {}
+        asked: Dict[int, List[int]] = {}
+        for row, keep in enumerate(keeps):
+            if not keep.any():
+                continue
+            rows = replies[row].rows
+            if rows is not None and rows.shape == (int(keep.sum()), k):
+                found[row] = rows
+                continue
+            if bits[row] in derived:
+                found[row] = derived[bits[row]][keep]
+                continue
+            members = [
+                wid for wid in sorted(self._slots)
+                if wid in units and units[wid].row == row
+            ]
+            pick = members[0] if members else min(self._slots, default=None)
+            asked.setdefault(pick, []).append(row)
+        lost = asked.pop(None, [])
+        jobs = {
+            wid: (
+                [(bits[row], np.packbits(keeps[row])) for row in rows],
+                [(int(keeps[row].sum()), k) for row in rows],
+            )
+            for wid, rows in asked.items()
+        }
+
+        def absorb(wid: int, reply: _Reply) -> None:
+            found.update(zip(asked[wid], reply.body))
+
+        overhead.broadcast_s += time.perf_counter() - tick
+        for wid, failure in self._fan_out("rows", k, jobs, overhead, absorb):
+            self._drop(wid, failure, k)
+            lost += asked[wid]
+        for row in lost:
+            bin_ = _derive_bin(frame, bits[row], generate, _Reply(None))
+            found[row] = bin_[keeps[row]]
+        return found
+
+    def _drop(self, wid: int, failure: str, k: int) -> None:
+        """Drop a worker lost outside its own unit: it holds no private
+        state, so nothing is recounted and the next pass re-plans."""
+        self._discard(self._slots.pop(wid))
+        self.fault_log.append(FaultRecord(k, wid, failure, "repacked", 0))
 
     def mine(
         self, min_support: float, max_k: Optional[int]
@@ -1105,13 +1248,13 @@ class _Pool:
         ):
             ring = jobs[wid][0][2]
             parts.append(self._recover(
-                wid, failure, "mine", _SON_FAULT_K, *jobs[wid],
+                wid, failure, "mine", _SON_FAULT_K, jobs[wid][0],
                 exclude=frozenset(),
-                inprocess=lambda: mine_blocks(
+                inprocess=lambda: _Reply(mine_blocks(
                     self._store, ring, min_support, max_k=max_k,
                     cache=self._inprocess_cache,
-                ),
-            ))
+                )),
+            ).body)
         merged = merge_candidates(parts)
         overhead.num_candidates = superset_size(merged)
         self._record(overhead)
@@ -1125,27 +1268,14 @@ class _Pool:
         )
         self.pass_overheads.append(overhead)
 
-    def _pass_common(self, k: int, candidates, overhead: PassOverhead):
-        """The ``(candidates, counts)`` head of every pass payload.
-
-        One binary candidate segment written (or recognized as already
-        published — the warm-pool case) once, plus the count region's
-        ``(name, capacity)``; the publish time is
-        ``overhead.cand_build_s``.
-        """
-        tick = time.perf_counter()
-        name = self._segments.publish_candidates(k, candidates)
-        counts = self._segments.ensure_counts(len(candidates))
-        overhead.cand_build_s = time.perf_counter() - tick
-        return (name, counts)
-
     def _fan_out(self, tag: str, k: int, jobs, overhead, absorb):
         """Send every worker its job; ``absorb`` replies until the deadline.
 
         ``jobs`` maps worker id to ``(payload, expected)`` (see
-        :meth:`_read_reply`).  Returns the failed workers as ``(wid,
-        failure)`` pairs in worker order, so recovery and its fault log
-        are deterministic.
+        :meth:`_read_reply`); the wait for replies counts to
+        ``overhead.wait_s``, reading them to ``overhead.reduce_s``.
+        Returns the failed workers as ``(wid, failure)`` pairs in worker
+        order, so recovery and its fault log are deterministic.
         """
         failures: List[Tuple[int, str]] = []
         pending: Dict[object, Tuple[int, int, Optional[int]]] = {}
@@ -1169,7 +1299,9 @@ class _Pool:
             tick = time.perf_counter()
             for conn in ready:
                 wid, seq, expected = pending[conn]
-                reply, failure = self._read_reply(conn, wid, k, seq, expected)
+                reply, failure = self._read_reply(
+                    conn, wid, tag, k, seq, expected
+                )
                 if failure == "stale":
                     continue  # keep waiting for the current reply
                 del pending[conn]
@@ -1191,20 +1323,24 @@ class _Pool:
         return self._seq
 
     def _read_reply(
-        self, conn, wid: int, k: int, seq: int, expected: Optional[int]
+        self, conn, wid: int, tag: str, k: int, seq: int,
+        expected: Optional[list] = None,
     ) -> Tuple[Optional[_Reply], str]:
         """Read one reply frame: ``(reply, "")`` or ``(None, failure)``.
 
-        ``expected`` is the count vector's length, or ``None`` for a
-        ``mine`` reply, whose body must be a dict of local frequent
-        sets.  A count body is the vector itself (``adopt`` replies) or,
-        for ``pass`` requests, the number of counts written to the
-        worker's shared slot, which is then read out.  A reply echoing a
-        sequence number other than ``seq`` answers an *earlier* request
-        and is ``"stale"``: the caller discards it and keeps waiting,
-        even when its payload happens to fit.  Anything malformed — a
-        wrong length, a missing body — is ``"corrupt"``; an error frame
-        raises :class:`WorkerError`.
+        What a valid body is depends on the request ``tag``: a ``mine``
+        body is a dict of local frequent sets; a ``pass`` body is the
+        number of counts written to the worker's shared slot, which must
+        equal the bin size the reply reports and is then read out; an
+        ``adopt`` body is the count vector itself, of that size; a
+        ``rows`` body lists one frequent-candidate matrix per bin asked,
+        of the ``expected`` shapes.  A reply echoing a sequence number
+        other than ``seq`` answers an *earlier* request and is
+        ``"stale"``: the caller discards it and keeps waiting, even when
+        its payload happens to fit.  So is a worker's ready frame, which
+        is never a reply.  Anything malformed — a wrong length, a
+        missing body — is ``"corrupt"``; an error frame raises
+        :class:`WorkerError`.
         """
         try:
             frame = conn.recv()
@@ -1212,28 +1348,32 @@ class _Pool:
             return None, "died"
         if not (isinstance(frame, tuple) and len(frame) == 3):
             return None, "corrupt"
-        tag, frame_seq, reply = frame
-        if frame_seq != seq:
+        kind, frame_seq, reply = frame
+        if kind == "ready" or frame_seq != seq:
             return None, "stale"
-        if tag == "error":
-            where = "SON phase 1" if expected is None else f"pass {k}"
+        if kind == "error":
+            where = "SON phase 1" if tag == "mine" else f"pass {k}"
             raise WorkerError(f"worker {wid} failed at {where}: {reply}")
-        if tag != "ok" or not isinstance(reply, _Reply):
+        if kind != "ok" or not isinstance(reply, _Reply):
             return None, "corrupt"
         body = reply.body
-        if expected is None:
+        if tag == "mine":
             valid = isinstance(body, dict)
-        elif isinstance(body, list):
-            valid = len(body) == expected
-        else:
-            valid = body == expected
+        elif tag == "rows":
+            valid = isinstance(body, list) and [
+                getattr(rows, "shape", None) for rows in body
+            ] == expected
+        elif tag == "pass":
+            valid = type(body) is int and body == reply.size
             if valid:
-                reply.body = self._segments.read_counts(wid, expected)
+                reply.body = self._segments.read_counts(wid, body)
+        else:
+            valid = isinstance(body, np.ndarray) and len(body) == reply.size
         return (reply, "") if valid else (None, "corrupt")
 
     def _ask(
         self, slot: _Slot, wid: int, tag: str, k: int, payload,
-        expected: Optional[int],
+        expected: Optional[list] = None,
     ) -> Optional[_Reply]:
         """Send one request to one slot; poll-bounded reply or ``None``.
 
@@ -1249,10 +1389,20 @@ class _Pool:
             if remaining <= 0 or not slot.conn.poll(remaining):
                 return None
             reply, failure = self._read_reply(
-                slot.conn, wid, k, seq, expected
+                slot.conn, wid, tag, k, seq, expected
             )
             if failure != "stale":
                 return reply
+
+    def _await_ready(self, slot: _Slot, deadline: float) -> bool:
+        """Wait until ``deadline`` for a new worker's ready frame."""
+        remaining = deadline - time.monotonic()
+        try:
+            if remaining <= 0 or not slot.conn.poll(remaining):
+                return False
+            return slot.conn.recv() == _READY
+        except (EOFError, OSError):
+            return False
 
     # ------------------------------------------------------------------
     # Recovery ladder
@@ -1260,17 +1410,19 @@ class _Pool:
 
     def _recover(
         self, wid: int, failure: str, tag: str, k: int, payload,
-        expected: Optional[int], exclude: frozenset, inprocess,
-    ):
-        """Redo a failed worker's request down the ladder; return the body.
+        exclude: frozenset, inprocess,
+    ) -> _Reply:
+        """Redo a failed worker's request down the ladder; return the reply.
 
         Ladder: respawn (bounded retries, exponential backoff) ->
         adoption by a survivor (``pass`` requests only) -> ``inprocess()``
-        in the parent.  A unit is a schedule over the shared database
-        rather than private state, so every rung redoes it from scratch
-        without touching any other worker, and whichever rung leaves a
-        smaller pool, the next pass re-plans the grid over the
-        survivors.  ``exclude`` holds workers that also failed this pass
+        in the parent.  A replacement that sends no ready frame within
+        ``_START_TIMEOUT`` is a failed attempt; one that did has the
+        whole ``recv_timeout`` for the unit.  A unit is a schedule over
+        the shared database rather than private state, so every rung
+        redoes it from scratch without touching any other worker, and
+        whichever rung leaves a smaller pool, the next pass re-plans the
+        grid over the survivors.  ``exclude`` holds workers that also failed this pass
         and await their own recovery: they are not survivors.
         """
         slot = self._slots.pop(wid)
@@ -1284,36 +1436,34 @@ class _Pool:
             replacement = self._spawn(wid, future_events, gated=True)
             if replacement is None:
                 continue
-            reply = self._ask(replacement, wid, tag, k, payload, expected)
+            reply = None
+            if self._await_ready(
+                replacement, time.monotonic() + _START_TIMEOUT
+            ):
+                reply = self._ask(replacement, wid, tag, k, payload)
             if reply is not None:
                 self._slots[wid] = replacement
                 self.fault_log.append(
                     FaultRecord(k, wid, failure, "respawned", attempt + 1)
                 )
-                return reply.body
+                return reply
             self._discard(replacement)
         attempts = self.max_retries + 1
 
         if tag == "pass":
             for survivor_id in [s for s in self._slots if s not in exclude]:
                 survivor = self._slots[survivor_id]
-                reply = self._ask(
-                    survivor, survivor_id, "adopt", k, payload, expected
-                )
+                reply = self._ask(survivor, survivor_id, "adopt", k, payload)
                 if reply is not None:
                     self.fault_log.append(
                         FaultRecord(k, wid, failure, "adopted", attempts)
                     )
-                    return reply.body
+                    return reply
                 # The survivor died while adopting.  Its own counts for
                 # this pass were already collected and it holds no
                 # private state, so nothing is recounted — it is dropped
                 # and the next pass re-plans over the remaining workers.
-                del self._slots[survivor_id]
-                self._discard(survivor)
-                self.fault_log.append(
-                    FaultRecord(k, survivor_id, "died", "repacked", 0)
-                )
+                self._drop(survivor_id, "died", k)
 
         self.fault_log.append(
             FaultRecord(k, wid, failure, "inprocess", attempts)
@@ -1349,11 +1499,18 @@ class _Pool:
             return None
         return _Slot(process, parent_conn, events)
 
-    def _count_inprocess(self, k: int, candidates, unit: _Unit):
-        """Count one unit in the parent — the ladder's bottom rung."""
-        counter = FastNumpyCounter.from_matrix(k, candidates)
-        counter.use_cache(self._inprocess_cache)
-        return _count_unit(self._store, unit, counter).body
+    def _count_inprocess(
+        self, frame: _Frame, unit: _Unit, generate, derived
+    ) -> _Reply:
+        """Derive and count one unit in the parent — the ladder's bottom
+        rung; the bin is kept in ``derived`` for the pass's reduce."""
+        reply = _Reply(None)
+        if unit.bits not in derived:
+            derived[unit.bits] = _derive_bin(frame, unit.bits, generate, reply)
+        return _count_unit(
+            self._store, unit, derived[unit.bits], self._inprocess_cache,
+            reply,
+        )
 
     # ------------------------------------------------------------------
     # Teardown
@@ -1403,19 +1560,19 @@ class _Pool:
 class _NativeMiner:
     """The coordinator's pass loop and pool glue, shared by every miner.
 
-    Subclasses supply the formulation as ``_rows(num_candidates,
-    live_workers)`` — the grid rows G a pass plans — plus
-    ``_checkpoint_algorithm`` (the journal's name for the mine) and
-    ``_generate``, a call of their own module's ``generate_candidates``
-    so that a wrapper installed on that module attribute sees every
-    pass.
+    Subclasses supply the formulation as ``_rows(weight,
+    live_workers)`` — the grid rows G a pass plans from the total join
+    weight of F(k-1) — plus ``_checkpoint_algorithm`` (the journal's
+    name for the mine) and ``_generate``, a call of their own module's
+    ``generate_candidates`` so that a wrapper installed on that module
+    attribute sees every bin the coordinator derives itself (the
+    in-process rung; workers generate their own bins).
 
-    **Candidate form.**  Each pass's candidates stay one
-    lexicographically sorted ``(n, k)`` int32 matrix from apriori_gen to
-    the reduce: it is the shared candidate frame's body, the planner
-    reads bins off its first column, the pool sums int64 count arrays,
-    and ``candidates[counts >= min_count]`` is already the next pass's
-    F(k).  Only frequent rows become tuples, for the result and the
+    **Candidate form.**  Each pass's item-sets stay one
+    lexicographically sorted ``(n, k)`` int32 matrix: F(k-1) is the pass
+    frame, each worker's bin is a matrix it generates from it, and the
+    rows' frequent candidates merge into F(k), already the next pass's
+    frame.  Only frequent rows become tuples, for the result and the
     checkpoint journal.
     """
 
@@ -1581,8 +1738,8 @@ class _NativeMiner:
             self._pool, self._pool_db = None, None
         pool.shutdown()
 
-    def _generate(self, frequent_prev):
-        return generate_candidates(frequent_prev)
+    def _generate(self, frequent_prev, owned=None):
+        return generate_candidates(frequent_prev, owned=owned)
 
     def mine(self, db) -> AprioriResult:
         """Mine ``db`` with counting fanned out over worker processes.
@@ -1655,36 +1812,41 @@ class _NativeMiner:
         """Passes ``k, k+1, ...`` until F(k-1) or C(k) is empty.
 
         ``prev`` is F(k-1) as a sorted int32 matrix, the form the whole
-        loop runs in (see the class docstring).
+        loop runs in (see the class docstring).  The pool derives C(k)
+        from it in the workers; under ``two_phase`` the frame is the
+        superset's C(k) instead.
         """
         superset = self._superset(pool, session)
         while len(prev) and (self.max_k is None or k <= self.max_k):
-            if superset is None:
-                candidates = self._generate(prev)
-            else:
+            frame, given = prev, False
+            if superset is not None:
                 # Superset items come from a packed store: int32.
-                candidates = itemset_matrix(superset.get(k, []))
-            if not len(candidates):
+                frame, given = itemset_matrix(superset.get(k, [])), True
+                if not len(frame):
+                    break
+            frequent, counts, num_candidates = pool.count_pass(
+                k, frame, given, self._rows, min_count, self._generate
+            )
+            if not num_candidates:
                 break
-            totals = pool.count_pass(k, candidates, self._rows)
-            prev, frequent_k = frequent_rows(candidates, totals, min_count)
+            prev, frequent_k = frequent_rows(frequent, counts, min_count)
             result.frequent.update(frequent_k)
             result.passes.append(
                 PassTrace(
                     k=k,
-                    num_candidates=len(candidates),
+                    num_candidates=num_candidates,
                     num_frequent=len(frequent_k),
                 )
             )
             if session is not None:
                 session.record(
-                    k, len(candidates), frequent_k, pool.refusals_consumed
+                    k, num_candidates, frequent_k, pool.refusals_consumed
                 )
             fire_coordinator_kill(self._active_faults, k)
             if superset is not None and self.progress is not None:
                 self.progress(
                     f"two-phase: pass {k} counted "
-                    f"{len(candidates)} superset candidates -> "
+                    f"{num_candidates} superset candidates -> "
                     f"{len(frequent_k)} frequent"
                 )
             k += 1
@@ -1767,13 +1929,12 @@ class NativeCountDistribution(_NativeMiner):
         start_method: multiprocessing start method (``"fork"`` is
             fastest where available; ``None`` uses the platform default).
         kernel: per-worker counting kernel; only ``"fast-np"`` (the
-            default): numpy batch counting straight out of the shared
-            candidate plane — each worker caches one zero-copy counter
-            per published candidate segment plus its block's
-            bit-matrices, and reuses both every pass.  Any other kernel
-            raises ``ValueError``.
+            default): numpy batch counting of the C_k each worker
+            generates from F(k-1), with its block's bit-matrices cached
+            and reused every pass.  Any other kernel raises
+            ``ValueError``.
         data_plane: ``"shared"`` (default) — packed transactions in a
-            shared-memory store, binary candidate broadcast, count
+            shared-memory store, F(k-1) shipped to every worker, count
             vectors in shared int64 slots — or ``"mmap"`` — the same,
             but the store is a disk file workers map read-only
             (out-of-core: the minable database is bounded by disk, not
@@ -1845,7 +2006,7 @@ class NativeCountDistribution(_NativeMiner):
 
     _checkpoint_algorithm = "native-cd"
 
-    def _rows(self, num_candidates: int, live_workers: int) -> int:
+    def _rows(self, weight: int, live_workers: int) -> int:
         """CD is the one-row grid (G = 1) of every pass."""
         return 1
 

@@ -6,18 +6,20 @@ grid rows G each pass plans.  Count Distribution is G = 1.  This module
 holds the paper's two candidate-partitioned formulations:
 
 * **IDD** (Intelligent Data Distribution, Section III-C) is G = the
-  live workers.  Candidates are bin-packed by first item with the exact
-  partitioner the simulated IDD uses
-  (:func:`repro.core.partition.partition_by_first_item` — greedy LPT
-  over first-item groups), and each worker counts only the shard its
-  first-item bitmap owns: per-worker candidate memory shrinks with P,
-  the paper's "single candidate set per node" argument.  Transaction
+  live workers.  First items are bin-packed with the greedy LPT packer
+  the simulated IDD uses (:func:`repro.core.partition.bin_pack`),
+  weighed by their join sizes in F(k-1) before the prune — exact at
+  k = 2, an upper bound after that — and each worker generates and
+  counts only the bin its first-item bitmap owns: per-worker candidate
+  generation and memory shrink with P, the paper's "single candidate
+  set per node" argument.  Transaction
   blocks circulate through a ring; a "shift" is nothing but a worker
   reading its ring predecessor's ``(lo, hi)`` slice of the shared
   store, the honest shared-memory realization of the paper's
   contention-free shift schedule.
 * **HD** (Hybrid Distribution, Section III-D) picks G per pass with
-  :func:`repro.parallel.hybrid.choose_grid`: candidates are partitioned
+  :func:`repro.parallel.hybrid.choose_grid` from the pass's total join
+  weight: candidates are partitioned
   over the G rows (each row's bin replicated across its P/G columns),
   transactions over all P workers, and each worker's ring visits only
   its own column's blocks — summing the replies reduces the counts
@@ -66,9 +68,8 @@ class NativePartitionedMiner(_NativeMiner):
         start_method: multiprocessing start method (``None`` = platform
             default).
         kernel: per-worker counting kernel; only ``"fast-np"`` (the
-            default): workers decode the candidate plane once per
-            segment, mask it with their ownership bitmaps, and a ring
-            walk warms every block's bitmaps for all later passes.
+            default): each worker counts the bin it generated, and a
+            ring walk warms every block's bitmaps for all later passes.
         data_plane: ``"shared"`` (default; ring shifts are zero-copy
             reads of the shared packed store) or ``"mmap"`` (the store
             is written once to a file and every worker maps it
@@ -151,18 +152,21 @@ class NativePartitionedMiner(_NativeMiner):
     def _checkpoint_algorithm(self) -> str:
         return f"native-{self.mode}"
 
-    def _generate(self, frequent_prev):
+    def _generate(self, frequent_prev, owned=None):
         # This module's name, looked up per call: a wrapper installed on
-        # ``native_idd.generate_candidates`` sees every IDD/HD pass.
-        return generate_candidates(frequent_prev)
+        # ``native_idd.generate_candidates`` sees every IDD/HD bin the
+        # coordinator derives itself (workers derive their own).
+        return generate_candidates(frequent_prev, owned=owned)
 
-    def _rows(self, num_candidates: int, live_workers: int) -> int:
-        """G: every live worker (IDD), or HD's per-pass choice."""
+    def _rows(self, weight: int, live_workers: int) -> int:
+        """G: every live worker (IDD), or HD's per-pass choice.
+
+        HD chooses from ``weight``, the pass's join size before the
+        prune (exact at k = 2, an upper bound on |C_k| after that).
+        """
         if self.mode == "idd":
             return live_workers
-        return choose_grid(
-            num_candidates, self.switch_threshold, live_workers
-        )
+        return choose_grid(weight, self.switch_threshold, live_workers)
 
 
 class NativeIntelligentDistribution(NativePartitionedMiner):

@@ -3,7 +3,10 @@
 The matrix path (a sorted ``(n, k)`` int32 matrix per pass) must agree
 with the tuple reference functions row for row and in order, including
 at item ids up to ``2**31 - 1``, where a fixed-width integer key packing
-several items would wrap.
+several items would wrap.  An owned bin must be exactly the full
+C(k)'s owned rows, the bins of any partition of first items must make
+up C(k), and the join weights the native planner bins on must bound
+each first item's candidate count (exactly at k = 2).
 """
 
 from itertools import combinations
@@ -17,6 +20,8 @@ from repro.core.candidates import (
     _row_keys,
     frequent_rows,
     generate_candidates,
+    join_weights,
+    select_owned,
 )
 from repro.core.transaction import TransactionDB
 
@@ -95,6 +100,75 @@ class TestGenerateMatrix:
         rows = [(item,) for item in range(600)]
         got = generate_candidates(_matrix(rows, 1))
         assert _tuples(got) == generate_candidates(rows)
+
+
+class TestOwnedBins:
+    @settings(max_examples=300, deadline=None)
+    @given(frequent_sets(), st.data())
+    def test_owned_bin_is_the_full_result_restricted(self, drawn, data):
+        width, rows = drawn
+        universe = sorted({item for row in rows for item in row}) or [0]
+        owned = data.draw(st.sets(st.sampled_from(universe)))
+        full = generate_candidates(_matrix(rows, width))
+        expected = [row for row in _tuples(full) if row[0] in owned]
+        got = generate_candidates(_matrix(rows, width), owned=owned)
+        assert got.dtype == np.int32 and got.shape[1] == width + 1
+        assert _tuples(got) == expected
+        assert generate_candidates(list(rows), owned=owned) == expected
+        assert _tuples(select_owned(full, owned)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(frequent_sets(), st.integers(1, 5), st.data())
+    def test_bins_of_a_partition_make_up_c_k(self, drawn, parts, data):
+        width, rows = drawn
+        matrix = _matrix(rows, width)
+        full = _tuples(generate_candidates(matrix))
+        firsts = sorted({row[0] for row in rows})
+        owner = {
+            item: data.draw(st.integers(0, parts - 1)) for item in firsts
+        }
+        bins = [
+            _tuples(generate_candidates(
+                matrix, owned={i for i in firsts if owner[i] == part}
+            ))
+            for part in range(parts)
+        ]
+        assert sorted(row for rows_ in bins for row in rows_) == full
+
+    @settings(max_examples=300, deadline=None)
+    @given(frequent_sets())
+    def test_weights_bound_each_first_items_count(self, drawn):
+        width, rows = drawn
+        matrix = _matrix(rows, width)
+        counts = {}
+        for row in _tuples(generate_candidates(matrix)):
+            counts[row[0]] = counts.get(row[0], 0) + 1
+        items, weights = join_weights(matrix)
+        assert items.tolist() == sorted(set(items.tolist()))
+        assert set(counts) <= set(items.tolist())
+        assert all(w > 0 for w in weights.tolist())
+        for item, weight in zip(items.tolist(), weights.tolist()):
+            assert weight >= counts.get(item, 0)
+            if width == 1:  # k = 2: nothing is pruned
+                assert weight == counts[item]
+
+    def test_each_opening_first_item_is_tested_once(self):
+        # F(2) = (1,2) (1,3) (2,3) (4,5): only item 1's prefix group
+        # has two rows, so only 1 is tested; at k = 2 every item but the
+        # last opens a join.
+        tested = []
+
+        class Tally:
+            def __contains__(self, item):
+                tested.append(item)
+                return True
+
+        prev = _matrix([(1, 2), (1, 3), (2, 3), (4, 5)], 2)
+        assert _tuples(generate_candidates(prev, owned=Tally())) == [(1, 2, 3)]
+        assert tested == [1]
+        tested.clear()
+        generate_candidates(_matrix([(3,), (5,), (8,)], 1), owned=Tally())
+        assert tested == [3, 5]
 
 
 class TestRowKeys:

@@ -5,18 +5,17 @@ and :class:`~repro.core.fastnp.FastNumpyCounter`, asserting bit-for-bit
 equivalence with the reference :class:`~repro.core.hashtree.HashTree` —
 including the empty-database, empty-transaction, singleton and
 duplicate-transaction edges, the range-sum (CD reduction) invariant and
-the IDD ``root_filter`` contract — plus the plane-specific surface the
-native pool relies on: zero-copy :meth:`from_flat` decoding of the
-shared candidate frame and :meth:`first_item_mask` / :meth:`counts_for`
-shard views.  The word layout has its own checks: ranges on either side
+the IDD ``root_filter`` contract — plus the surface the native pool
+relies on: a zero-copy :meth:`from_matrix` counter over the bin a
+worker generates.  The word layout has its own checks: ranges on either side
 of a 64-transaction word boundary under chunks of 1-3 candidates, zero
 pad bits, and builds whose scratch stays far below an items x
 transactions matrix and, ranked through the dense id table and keyed
 span by span, at a few bytes per occurrence.  Pass 2's pair triangle
 is checked against the tree through both count contracts, on both
 sides of its fill guard and of the rank table's id guard, with spans
-and pair chunks shrunk to a few items, and with its pair scratch
-bounded on one 3,000-item transaction.
+and pair chunks shrunk to a few items, with its pair scratch bounded
+on one 3,000-item transaction, and on an IDD worker's bin of C(2).
 """
 
 import random
@@ -31,11 +30,11 @@ from hypothesis import strategies as st
 
 from repro.core import fastnp
 from repro.core.apriori import Apriori
-from repro.core.bitmap import ItemBitmap
+from repro.core.candidates import generate_candidates
 from repro.core.fastnp import FastNumpyCounter, PackedBitmapCache, PackedBitmaps
 from repro.core.hashtree import HashTree
 from repro.core.kernels import KERNELS, make_counter
-from repro.core.packed import INT32_MAX, PackedDB, candidate_frame
+from repro.core.packed import INT32_MAX, PackedDB
 from repro.data.corpus import t15_i6
 from repro.data.quest import generate
 
@@ -74,9 +73,8 @@ def _oracle_counts(k, candidates, transactions, root_filter=None):
     return tree.counts()
 
 
-def _flat_frame(candidates, k):
-    matrix = np.array(candidates, dtype=np.int32).reshape(len(candidates), k)
-    return bytearray(candidate_frame(matrix))
+def _matrix(candidates, k):
+    return np.array(candidates, dtype=np.int32).reshape(len(candidates), k)
 
 
 class TestPackedBitmaps:
@@ -331,30 +329,6 @@ class TestFastNumpyEquivalence:
     @given(
         transactions=transactions_strategy,
         candidates=candidates_2_strategy,
-        roots=st.sets(st.integers(0, 12)),
-    )
-    @settings(max_examples=75, deadline=None)
-    def test_mask_root_filter_matches_container(
-        self, transactions, candidates, roots
-    ):
-        # The native IDD path hands count_packed a precomputed boolean
-        # row mask (first_item_mask) instead of a container; both views
-        # must count identically, and counts_for(mask) must equal the
-        # mask-restricted slot order.
-        packed = PackedDB.pack(transactions)
-        via_set = FastNumpyCounter(2, candidates)
-        via_set.count_packed(packed, root_filter=roots)
-        via_mask = FastNumpyCounter(2, candidates)
-        mask = via_mask.first_item_mask(ItemBitmap(roots))
-        via_mask.count_packed(packed, root_filter=mask)
-        assert via_mask.counts() == via_set.counts()
-        owned = [c for c in candidates if c[0] in roots]
-        expected = [via_set.counts()[c] for c in owned]
-        assert via_mask.counts_for(mask) == expected
-
-    @given(
-        transactions=transactions_strategy,
-        candidates=candidates_2_strategy,
     )
     @settings(max_examples=75, deadline=None)
     def test_duplicate_database_doubles_counts(
@@ -374,20 +348,19 @@ class TestFastNumpyEquivalence:
         candidates=candidates_3_strategy,
     )
     @settings(max_examples=75, deadline=None)
-    def test_from_flat_counts_match_tuple_counter(
+    def test_from_matrix_counts_match_tuple_counter(
         self, transactions, candidates
     ):
-        # The shared candidate plane: a counter decoded zero-copy from
-        # the binary frame counts exactly like one built from tuples,
-        # and its vector is in frame (slot) order.
+        # A pool worker's bin: a counter wrapping the int32 matrix
+        # zero-copy counts exactly like one built from tuples, and its
+        # vector is in matrix (slot) order.
         packed = PackedDB.pack(transactions)
-        frame = _flat_frame(candidates, 3)
-        decoded = FastNumpyCounter.from_flat(frame)
-        decoded.count_packed(packed)
+        wrapped = FastNumpyCounter.from_matrix(3, _matrix(candidates, 3))
+        wrapped.count_packed(packed)
         reference = FastNumpyCounter(3, candidates)
         reference.count_packed(packed)
-        assert decoded.counts() == reference.counts()
-        assert decoded.counts_vector() == [
+        assert wrapped.counts() == reference.counts()
+        assert wrapped.counts_array().tolist() == [
             reference.counts()[c] for c in candidates
         ]
 
@@ -509,11 +482,10 @@ class TestFastNumpyCounterSurface:
         assert sorted(tally.checked) == [1, 2, 5]  # distinct roots only
         assert mask.tolist() == [True, True, True, False, True]
 
-    def test_from_flat_rejects_nothing_but_counts_lazily(self):
+    def test_from_matrix_materializes_tuples_lazily(self):
         # A matrix-only counter materializes tuples only when a
         # dict-shaped method needs them.
-        frame = _flat_frame([(1, 2), (3, 4)], 2)
-        counter = FastNumpyCounter.from_flat(frame)
+        counter = FastNumpyCounter.from_matrix(2, _matrix([(1, 2), (3, 4)], 2))
         assert len(counter) == 2
         assert counter._tuples is None  # still zero-copy
         assert (1, 2) in counter  # forces materialization
@@ -586,20 +558,22 @@ def _pair_sets(draw, universe_ids=st.integers(0, 15)):
     """A size-2 candidate set on either side of the triangle's fill guard.
 
     Returns ``(candidates, dense)``: ``dense`` pair sets fill at least
-    ``_PASS2_MIN_FILL`` of the triangle over their own items.
+    ``_PASS2_MIN_FILL`` of the triangle rows their first items open,
+    over their own items.
     """
     universe = sorted(draw(st.sets(universe_ids, min_size=2, max_size=9)))
     pairs = _all_pairs(universe)
     chosen = sorted(draw(st.sets(st.sampled_from(pairs), min_size=1)))
-    used = {item for pair in chosen for item in pair}
-    size = len(used) * (len(used) - 1) // 2
+    used = sorted({item for pair in chosen for item in pair})
+    firsts = {used.index(pair[0]) for pair in chosen}
+    size = sum(len(used) - 1 - rank for rank in firsts)
     return chosen, size * fastnp._PASS2_MIN_FILL <= len(chosen)
 
 
 def _counts_through_both_contracts(candidates, transactions, lo, hi,
                                    root_filter=None):
     """Counts of ``transactions[lo:hi]`` via count_packed and via
-    count_database, each with a container and a mask root filter."""
+    count_database, with the root filter container when given."""
     packed = PackedDB.pack(transactions)
     results = []
     for count in (
@@ -607,15 +581,8 @@ def _counts_through_both_contracts(candidates, transactions, lo, hi,
         lambda c, rf: c.count_database(transactions[lo:hi], root_filter=rf),
     ):
         counter = FastNumpyCounter(2, candidates)
-        mask = None
-        if root_filter is not None:
-            mask = counter.first_item_mask(root_filter)
-        count(counter, mask)
+        count(counter, root_filter)
         results.append(counter.counts())
-        if root_filter is not None:
-            via_set = FastNumpyCounter(2, candidates)
-            count(via_set, root_filter)
-            results.append(via_set.counts())
     return results
 
 
@@ -702,9 +669,9 @@ class TestPairTriangle:
     )
     @settings(max_examples=60, deadline=None)
     def test_unowned_rows_reach_no_scatter_add(self, transactions, pairs, roots):
-        # Under a first-item mask only rows that open on an owned first
-        # item are expanded: every key added into the triangle pairs an
-        # owned first item, and the counts are still the bin's.
+        # Under a first-item root filter only rows that open on an owned
+        # first item are expanded: every key added into the triangle
+        # pairs an owned first item, and the counts are still the bin's.
         candidates, dense = pairs
         assume(dense)
         added = []
@@ -736,10 +703,61 @@ class TestPairTriangle:
             }
             added.clear()
             with mock.patch.object(fastnp, "np", Numpy()):
-                count(counter, counter.first_item_mask(roots))
+                count(counter, roots)
             keys = set(np.concatenate(added).tolist()) if added else set()
             assert keys <= allowed
             assert counter.counts() == expected
+
+    @given(
+        transactions=long_transactions_strategy,
+        items=st.sets(st.integers(0, 12), min_size=2),
+        owner=st.lists(st.integers(0, 3), min_size=13, max_size=13),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_idd_bin_of_c2_stays_on_the_triangle(
+        self, transactions, items, owner
+    ):
+        # At P = 4 an IDD worker counts its bin of apriori_gen's C(2):
+        # the triangle rows of its owned first items, which it fills
+        # however small a share of the whole triangle they are.  The
+        # bin stays on the triangle path, no key of an unowned row
+        # reaches the scatter-add, and the counts are the tree's.
+        added = []
+
+        class Add:
+            def at(self, target, keys, value):
+                added.append(keys.copy())
+                np.add.at(target, keys, value)
+
+        class Numpy:
+            add = Add()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        f1 = _matrix([(item,) for item in sorted(items)], 1)
+        packed = PackedDB.pack(transactions)
+        for row in range(4):
+            owned = {item for item in items if owner[item] == row}
+            bin_ = generate_candidates(f1, owned=owned)
+            if not len(bin_):
+                continue
+            counter = FastNumpyCounter.from_matrix(2, bin_)
+            tri = counter._triangle()
+            assert tri is not None
+            n = tri.ids.size
+            allowed = {
+                int(tri.head[a]) + b
+                for a in range(n) if int(tri.ids[a]) in owned
+                for b in range(a + 1, n)
+            }
+            added.clear()
+            with mock.patch.object(fastnp, "np", Numpy()):
+                counter.count_packed(packed)
+            keys = set(np.concatenate(added).tolist()) if added else set()
+            assert keys <= allowed
+            pairs = [tuple(c) for c in bin_.tolist()]
+            assert counter.counts() == _oracle_counts(2, pairs, transactions)
 
     @pytest.mark.parametrize("big", [2**31 - 1, 2**40])
     def test_ids_past_the_dense_table(self, big):
@@ -769,7 +787,7 @@ class TestPairTriangle:
             2, [tuple(low[i] for i in c) for c in candidates]
         )
         dense.count_database([tuple(low[i] for i in t) for t in transactions])
-        assert dense.counts_vector() == via_db.counts_vector()
+        assert dense.counts_array().tolist() == via_db.counts_array().tolist()
 
     def test_rank_map_agrees_on_both_sides_of_the_table_guard(self):
         column = np.array(

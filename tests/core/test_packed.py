@@ -9,20 +9,17 @@ itemset-for-itemset on seeded Quest data for every kernel that counts
 packed stores (the bitmap kernel).
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.apriori import Apriori
 from repro.core.candidates import generate_candidates
-from repro.core.fastnp import FastNumpyCounter
 from repro.core.hashtree import HashTree
 from repro.core.kernels import make_counter
 from repro.core.packed import (
     INT32_MAX,
     PackedDB,
-    candidate_frame,
     packed_from_buffer,
     packed_nbytes,
     write_packed_into,
@@ -158,31 +155,6 @@ class TestBufferCodecs:
         offset = 16 + 4 * 3  # header + offsets[3] -> items[0]
         buf[offset:offset + 4] = (9).to_bytes(4, "little")
         assert view.transaction(0) == (9, 2, 3)
-
-    @given(
-        candidates=st.lists(
-            st.tuples(
-                st.integers(0, INT32_MAX),
-                st.integers(0, INT32_MAX),
-                st.integers(0, INT32_MAX),
-            ),
-            max_size=25,
-        )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_candidate_codec_round_trips(self, candidates):
-        k = 3
-        matrix = np.array(candidates, dtype=np.int32).reshape(-1, k)
-        frame = candidate_frame(matrix)
-        assert len(frame) == 16 + 4 * len(candidates) * k
-        decoded = FastNumpyCounter.from_flat(frame)
-        assert decoded.k == k
-        assert list(decoded.candidates()) == list(candidates)
-
-    def test_flat_candidate_round_trip(self):
-        candidates = [(1, 2), (3, 4), (5, INT32_MAX)]
-        frame = candidate_frame(np.array(candidates, dtype=np.int32))
-        assert list(FastNumpyCounter.from_flat(frame).candidates()) == candidates
 
 
 class TestPackedCountingEquivalence:

@@ -191,6 +191,53 @@ class TestSlowReplies:
         assert miner.fault_log == []
 
 
+class TestStartupBound:
+    def test_replacement_missing_ready_is_a_failed_attempt(
+        self, tiny_serial, data_plane, monkeypatch
+    ):
+        """A replacement gets no work before its ready frame: one that
+        misses the start-up bound is a failed respawn attempt, and the
+        ladder moves on to adoption."""
+        from multiprocessing import get_context
+
+        import numpy as np
+
+        from repro.core.candidates import generate_candidates
+        from repro.parallel import native
+
+        db, serial = tiny_serial
+        pool = native._Pool(
+            get_context(), 2, db.to_packed(), data_plane=data_plane,
+            max_retries=1, backoff_base=0.0,
+        )
+        try:
+            f1 = np.array([[1], [2], [3], [4]], dtype=np.int32)
+            frame = native._Frame(1, 2, f1, False)
+            units, _bits, load = pool._plan(frame, lambda w, p: 1)
+            pool._slots[1].process.terminate()
+            pool._slots[1].process.join(timeout=10)
+            monkeypatch.setattr(native, "_START_TIMEOUT", 0.0)
+            unit = units[1]
+            payload = (
+                frame, pool._segments.ensure_counts(load), unit.bits,
+                unit.ring, None,
+            )
+            reply = pool._recover(
+                1, "died", "pass", 2, payload, exclude=frozenset(),
+                inprocess=lambda: pytest.fail("a survivor should adopt"),
+            )
+            assert [(r.worker, r.action, r.attempts) for r in pool.fault_log] == [
+                (1, "adopted", 2)
+            ]
+            pairs = [tuple(c) for c in generate_candidates(f1).tolist()]
+            walked = [set(db[t]) for lo, hi in unit.ring for t in range(lo, hi)]
+            assert reply.body.tolist() == [
+                sum(set(c) <= t for t in walked) for c in pairs
+            ]
+        finally:
+            pool.shutdown()
+
+
 class TestCorruptReplies:
     @pytest.mark.parametrize("k", TINY_POOL_PASSES)
     def test_truncated_vector_recovers(self, tiny_serial, k):
@@ -363,38 +410,39 @@ class TestConcurrentSamePassFailures:
 class TestStaleReplies:
     def test_read_reply_discards_mismatched_seq(self):
         """A reply echoing an older seq is 'stale', never a result —
-        even when its payload has the expected length."""
+        even when its payload has the expected length — and so is a
+        worker's ready frame."""
         from multiprocessing import Pipe
 
-        from repro.parallel.native import _Pool, _Reply
+        import numpy as np
+
+        from repro.parallel.native import _READY, _Pool, _Reply
 
         pool = _Pool.__new__(_Pool)  # protocol check only
         parent, child = Pipe()
         try:
-            # Late answer to request 7, then the answer to request 8;
-            # each reply record carries its count vector inline, as
-            # adopt replies do.
-            child.send(("ok", 7, _Reply([1, 2, 3])))
-            child.send(("ok", 8, _Reply([4, 5, 6])))
-            reply, failure = pool._read_reply(
-                parent, 0, 2, seq=8, expected=3
-            )
-            assert (reply, failure) == (None, "stale")
-            reply, failure = pool._read_reply(
-                parent, 0, 2, seq=8, expected=3
-            )
-            assert (reply.body, failure) == ([4, 5, 6], "")
+            # A ready frame, a late answer to request 7, then the answer
+            # to request 8; each reply record carries its count vector
+            # inline and its bin size, as adopt replies do.
+            child.send(_READY)
+            child.send(("ok", 7, _Reply(np.array([1, 2, 3]), size=3)))
+            child.send(("ok", 8, _Reply(np.array([4, 5, 6]), size=3)))
+            for _ in range(2):
+                reply, failure = pool._read_reply(parent, 0, "adopt", 2, seq=8)
+                assert (reply, failure) == (None, "stale")
+            reply, failure = pool._read_reply(parent, 0, "adopt", 2, seq=8)
+            assert (reply.body.tolist(), failure) == ([4, 5, 6], "")
+            # A vector that disagrees with its own bin size is corrupt.
+            child.send(("ok", 9, _Reply(np.array([4, 5]), size=3)))
+            reply, failure = pool._read_reply(parent, 0, "adopt", 2, seq=9)
+            assert (reply, failure) == (None, "corrupt")
             # SON phase-1 ("mine") replies carry local frequent sets
             # through the same check.
             child.send(("ok", 8, _Reply({2: [(1, 2)]})))
-            child.send(("ok", 9, _Reply({2: [(1, 3)]})))
-            reply, failure = pool._read_reply(
-                parent, 0, 2, seq=9, expected=None
-            )
+            child.send(("ok", 10, _Reply({2: [(1, 3)]})))
+            reply, failure = pool._read_reply(parent, 0, "mine", 2, seq=10)
             assert (reply, failure) == (None, "stale")
-            reply, failure = pool._read_reply(
-                parent, 0, 2, seq=9, expected=None
-            )
+            reply, failure = pool._read_reply(parent, 0, "mine", 2, seq=10)
             assert (reply.body, failure) == ({2: [(1, 3)]}, "")
         finally:
             parent.close()
@@ -463,9 +511,8 @@ class TestRandomizedFailures:
 
     def test_fastnp_kernel_kill_mid_pass(self, tiny_serial):
         """fast-np under kill-mid-pass on both planes: the respawned
-        replacement starts with a cold bitmap cache, attaches the shared
-        candidate plane cold, decodes its own counter and counts must
-        not move."""
+        replacement starts with a cold bitmap cache, re-derives its bin
+        from the pass frame, and counts must not move."""
         db, serial = tiny_serial
         miner = NativeCountDistribution(
             TINY_SUPPORT,
@@ -481,8 +528,8 @@ class TestRandomizedFailures:
 
     def test_fastnp_kernel_adoption_after_refused_spawn(self, tiny_serial):
         """An adopter counting a dead peer's holdings builds their
-        bitmaps on first use and reuses its own already-attached
-        candidate plane — counts must not change."""
+        bitmaps on first use and reuses the bin it already derived from
+        the pass frame — counts must not change."""
         db, serial = tiny_serial
         miner = NativeCountDistribution(
             TINY_SUPPORT,

@@ -14,8 +14,8 @@ import pytest
 from repro.checkpoint import CheckpointJournal
 from repro.core.apriori import Apriori
 from repro.core.bitmap import ItemBitmap
-from repro.core.candidates import itemset_matrix
-from repro.core.fastnp import FastNumpyCounter
+from repro.core.candidates import generate_candidates, itemset_matrix
+from repro.core.fastnp import PackedBitmapCache
 from repro.core.transaction import TransactionDB
 from repro.data.serialize import frequent_from_payload
 from repro.faults import FaultSpec
@@ -25,8 +25,11 @@ from repro.parallel.native import (
     PassOverhead,
     WorkerError,
     _count_unit,
+    _derive_bin,
     _even_bounds,
+    _Frame,
     _Pool,
+    _Reply,
     _Unit,
 )
 from repro.parallel.native_idd import (
@@ -98,7 +101,7 @@ class TestIddIdentity:
     @pytest.mark.parametrize("plane", DATA_PLANES)
     def test_fastnp_kernel_matches(self, small_quest_db, quest_serial,
                                    plane):
-        """fast-np shards mask the shared candidate plane and stay
+        """fast-np workers count the bins they generate and stay
         bit-identical to serial."""
         miner = NativeIntelligentDistribution(
             SUPPORT, 3, data_plane=plane, kernel="fast-np"
@@ -218,22 +221,26 @@ class TestBinPackingEdges:
     def test_plan_covers_all_candidates_with_empty_bin(
         self, tiny_partition_db
     ):
-        candidates = itemset_matrix(
-            [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-        )
+        # F(1) = items 1..4: pass 2's joins open on 3 distinct first
+        # items, so with 4 workers one bin is empty, and the bins the
+        # workers generate still make up C(2) exactly.
+        f1 = itemset_matrix([(1,), (2,), (3,), (4,)])
         from multiprocessing import get_context
 
         pool = _Pool(get_context(), 4, tiny_partition_db.to_packed())
         try:
             idd_rows = NativeIntelligentDistribution(TINY_SUPPORT, 4)._rows
-            units, owned_idx = pool._plan(candidates, idd_rows)
-            rows = len(owned_idx)
-            assert rows == 4
-            # Bins partition the candidate indices exactly...
-            flat = sorted(i for idx in owned_idx for i in idx)
-            assert flat == list(range(len(candidates)))
-            # ...and with only 3 distinct first items, one bin is empty.
-            assert any(not len(idx) for idx in owned_idx)
+            units, bits, load = pool._plan(_Frame(1, 2, f1, False), idd_rows)
+            assert len(bits) == 4 and load == 3  # item 1 joins 2, 3, 4
+            bins = [
+                generate_candidates(f1, owned=ItemBitmap.from_bits(b))
+                for b in bits
+            ]
+            # Bins partition the candidates exactly...
+            flat = sorted(tuple(c) for b in bins for c in b.tolist())
+            assert flat == [tuple(c) for c in generate_candidates(f1).tolist()]
+            # ...and with only 3 opening first items, one bin is empty.
+            assert any(not len(b) for b in bins)
             # Every ring is a permutation of the same block schedule.
             bounds = _even_bounds(len(tiny_partition_db), 4)
             for unit in units.values():
@@ -248,24 +255,23 @@ class TestBinPackingEdges:
 
 
 def _count_both_paths(store, unit, k, candidates):
-    """Count one unit through both counters a worker or the parent uses.
+    """Derive one unit's bin and count it, cold and warm.
 
-    A worker decodes its counter from the shared candidate frame, the
-    parent's in-process rung wraps the pass matrix; both mask one
-    counter over every candidate.  Each must give the same reply, also
-    when reused for a second unit (the worker keeps its counter across
-    passes).
+    The bin is selected from ``candidates`` as a given C_k (SON phase
+    2's frame), and counted once with a cold bitmap cache and once more
+    with the warm one, as a worker that keeps its cache across passes
+    does; both must give the same reply.
     """
-    matrix = itemset_matrix(candidates)
-    counters = [
-        FastNumpyCounter.from_matrix(k, matrix),
-        FastNumpyCounter(k, candidates),
-    ]
-    replies = [_count_unit(store, unit, counter) for counter in counters]
-    replies.append(_count_unit(store, unit, counters[0]))
+    frame = _Frame(0, k, itemset_matrix(candidates), True)
+    cache = PackedBitmapCache()
+    replies = []
+    for _ in range(2):
+        reply = _Reply(None)
+        rows = _derive_bin(frame, unit.bits, None, reply)
+        replies.append(_count_unit(store, unit, rows, cache, reply))
     for reply in replies[1:]:
-        assert (reply.body, reply.checked, reply.skipped) == (
-            replies[0].body, replies[0].checked, replies[0].skipped
+        assert (reply.body.tolist(), reply.checked, reply.skipped) == (
+            replies[0].body.tolist(), replies[0].checked, replies[0].skipped
         )
     return replies[0]
 
@@ -278,7 +284,7 @@ class TestCountShard:
         ring = ((0, len(tiny_partition_db)),)
         reply = _count_both_paths(packed, _Unit(0, 0, ring), 2,
                                   [(1, 2), (2, 3)])
-        assert reply.body == []
+        assert reply.body.tolist() == [] and reply.size == 0
         assert reply.shift_s == 0.0
         # Both first items were tested and neither is owned.
         assert (reply.checked, reply.skipped) == (2, 2)
@@ -296,7 +302,7 @@ class TestCountShard:
             packed, _Unit(0, bits, ((0, len(db)),)), 2,
             [(1, 2), (1, 3), (5, 6), (6, 7)],
         )
-        assert reply.body == [0, 0]
+        assert reply.body.tolist() == [0, 0]
         assert (reply.checked, reply.skipped) == (3, 2)
 
     def test_bitmap_passes_owned_items(self):
@@ -306,7 +312,7 @@ class TestCountShard:
         reply = _count_both_paths(
             packed, _Unit(0, bits, ((0, len(db)),)), 2, [(1, 2), (1, 3)],
         )
-        assert reply.body == [2, 1]
+        assert reply.body.tolist() == [2, 1]
         assert reply.checked > 0
         assert reply.skipped == 0  # every first item is owned
 
@@ -318,23 +324,31 @@ class TestCountShard:
         bounds = tuple(_even_bounds(len(small_quest_db), 3))
         forward = _count_both_paths(
             packed, _Unit(0, bits, bounds), 2, pairs
-        ).body
+        ).body.tolist()
         rotated = _count_both_paths(
             packed, _Unit(0, bits, bounds[1:] + bounds[:1]), 2, pairs
-        ).body
+        ).body.tolist()
         assert forward == rotated == [serial.frequent[c] for c in pairs]
 
     def test_one_row_unit_counts_without_root_filter(self, small_quest_db):
         # G = 1 (CD): the bin is every candidate, no ownership test
         # runs, and the unit records no shift time and no prune tallies.
+        # The same holds for a bin generated from F(k-1).
         serial = Apriori(SUPPORT).mine(small_quest_db)
         pairs = sorted(s for s in serial.frequent if len(s) == 2)[:8]
         reply = _count_both_paths(
             small_quest_db.to_packed(),
             _Unit(0, None, ((0, len(small_quest_db)),)), 2, pairs,
         )
-        assert reply.body == [serial.frequent[c] for c in pairs]
+        assert reply.body.tolist() == [serial.frequent[c] for c in pairs]
         assert (reply.shift_s, reply.checked, reply.skipped) == (0.0, 0, 0)
+        f1 = itemset_matrix(sorted(s for s in serial.frequent if len(s) == 1))
+        generated = _Reply(None)
+        rows = _derive_bin(
+            _Frame(0, 2, f1, False), None, generate_candidates, generated
+        )
+        assert len(rows) == len(f1) * (len(f1) - 1) // 2
+        assert (generated.checked, generated.skipped) == (0, 0)
 
 
 class TestRecoveryLadder:
@@ -381,8 +395,8 @@ class TestRecoveryLadder:
     def test_fastnp_kill_mid_ring(self, small_quest_db, quest_serial,
                                   plane):
         """Kill-mid-pass under fast-np: the respawned worker rebuilds its
-        bit-matrices from scratch, re-attaches the shared candidate
-        plane cold, and counts must not move."""
+        bit-matrices from scratch, re-derives its bin from the pass
+        frame, and counts must not move."""
         miner = NativeIntelligentDistribution(
             SUPPORT, 3, data_plane=plane, kernel="fast-np",
             faults="kill@1:k3:mid",
@@ -408,13 +422,15 @@ class TestRecoveryLadder:
         worker's own pass request), so this drives the pool directly:
         both workers are killed under the pool's feet, respawns are
         refused, and recovery of worker 1 must burn through the dead
-        "survivor" 0 before landing in-process — on IDD's grid and on
-        CD's one-row plan alike.
+        "survivor" 0 before landing in-process, where the coordinator
+        derives worker 1's bin from the pass frame itself — on IDD's
+        grid and on CD's one-row plan alike.
         """
         from multiprocessing import get_context
 
-        tuples = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-        candidates = itemset_matrix(tuples)
+        f1 = itemset_matrix([(1,), (2,), (3,), (4,)])
+        frame = _Frame(1, 2, f1, False)
+        transactions = [set(t) for t in tiny_partition_db.transactions]
         for miner_cls in (NativeIntelligentDistribution,
                           NativeCountDistribution):
             rows_rule = miner_cls(TINY_SUPPORT, 2)._rows
@@ -423,25 +439,20 @@ class TestRecoveryLadder:
                 recv_timeout=10.0, max_retries=0,
             )
             try:
-                clean = pool.count_pass(2, candidates, rows_rule)
-                units, owned_idx = pool._plan(candidates, rows_rule)
+                units, bits, load = pool._plan(frame, rows_rule)
                 for wid in (0, 1):
                     pool._slots[wid].process.terminate()
                     pool._slots[wid].process.join(timeout=10)
                 pool._refusals_left = 10 ** 9
                 unit = units[1]
-                owned_rows = owned_idx[unit.row]
-                if owned_rows is None:  # one row: every candidate
-                    owned_rows = range(len(candidates))
-                common = pool._pass_common(
-                    2, candidates, PassOverhead(2, len(candidates))
-                )
-                vector = pool._recover(
+                counts = pool._segments.ensure_counts(load)
+                derived = {}
+                reply = pool._recover(
                     1, "died", "pass", 2,
-                    common + (unit.bits, unit.ring),
-                    len(owned_rows), exclude=frozenset(),
+                    (frame, counts, unit.bits, unit.ring, None),
+                    exclude=frozenset(),
                     inprocess=lambda: pool._count_inprocess(
-                        2, candidates, unit
+                        frame, unit, generate_candidates, derived
                     ),
                 )
                 assert [
@@ -450,39 +461,148 @@ class TestRecoveryLadder:
                     (2, 0, "repacked"),
                     (2, 1, "inprocess"),
                 ]
-                owned = [tuples[i] for i in owned_rows]
-                walked = [
-                    set(t) for lo, hi in unit.ring
-                    for t in tiny_partition_db.transactions[lo:hi]
+                owned = [tuple(c) for c in derived[unit.bits].tolist()]
+                owner = (
+                    None if unit.bits is None
+                    else ItemBitmap.from_bits(unit.bits)
+                )
+                assert owned == [
+                    c for c in generate_candidates([(1,), (2,), (3,), (4,)])
+                    if owner is None or c[0] in owner
                 ]
-                assert vector == [
+                walked = [
+                    transactions[t] for lo, hi in unit.ring
+                    for t in range(lo, hi)
+                ]
+                assert reply.body.tolist() == [
                     sum(set(c) <= t for t in walked) for c in owned
                 ]
                 if miner_cls is NativeIntelligentDistribution:
                     # An IDD ring walks every transaction: clean totals.
-                    assert vector == [clean[i] for i in owned_rows]
+                    assert len(walked) == len(transactions)
                 assert pool.num_workers == 0
             finally:
                 pool.shutdown()
 
+    def test_lost_rows_request_is_repacked(self, tiny_partition_db,
+                                           tiny_serial):
+        """A worker lost before returning its row's frequent candidates
+        is dropped as "repacked" and the coordinator derives the row's
+        bin from the pass frame itself (CD: one row, two columns, so the
+        row's frequent candidates come from a ``rows`` request)."""
+        from multiprocessing import get_context
+
+        f1 = itemset_matrix([(1,), (2,), (3,), (4,)])
+        frame = _Frame(1, 2, f1, False)
+        pool = _Pool(get_context(), 2, tiny_partition_db.to_packed())
+        try:
+            units, bits, _load = pool._plan(frame, lambda w, p: 1)
+            pairs = generate_candidates([(1,), (2,), (3,), (4,)])
+            counts = np.array([
+                sum(set(c) <= set(t) for t in tiny_partition_db)
+                for c in pairs
+            ])
+            keeps = [counts >= tiny_serial.min_count]
+            pool._slots[0].process.terminate()
+            pool._slots[0].process.join(timeout=10)
+            found = pool._frequent_rows(
+                frame, units, bits, [_Reply(counts, size=len(pairs))], keeps,
+                PassOverhead(2, len(pairs)), generate_candidates, {},
+            )
+            assert [tuple(c) for c in found[0].tolist()] == [
+                c for c in pairs if tiny_serial.frequent.get(c)
+            ]
+            assert [(r.k, r.worker, r.failure, r.action)
+                    for r in pool.fault_log] == [(2, 0, "died", "repacked")]
+            assert sorted(pool._slots) == [1]
+        finally:
+            pool.shutdown()
+
     def test_empty_pool_counts_in_parent(self, tiny_partition_db,
                                          tiny_serial):
-        # After a total collapse, later passes count in the parent.
+        # After a total collapse, later passes derive and count in the
+        # parent: F(2) comes back sorted with its exact counts.
         from multiprocessing import get_context
 
         pool = _Pool(get_context(), 2, tiny_partition_db.to_packed())
         try:
             pool.shutdown()  # empty the pool, keep the store
-            tuples = [(1, 2), (2, 3), (2, 4), (3, 4)]
+            f1 = itemset_matrix(
+                sorted(s for s in tiny_serial.frequent if len(s) == 1)
+            )
             idd_rows = NativeIntelligentDistribution(TINY_SUPPORT, 2)._rows
-            totals = pool.count_pass(2, itemset_matrix(tuples), idd_rows)
-            assert totals.dtype == np.int64
-            expected = [tiny_serial.frequent.get(c, None) for c in tuples]
-            for total, exact in zip(totals, expected):
-                if exact is not None:
-                    assert total == exact
+            frequent, counts, num = pool.count_pass(
+                2, f1, False, idd_rows, tiny_serial.min_count,
+                generate_candidates,
+            )
+            assert counts.dtype == np.int64
+            assert num == len(f1) * (len(f1) - 1) // 2
+            assert dict(zip(map(tuple, frequent.tolist()), counts.tolist())) == {
+                s: c for s, c in tiny_serial.frequent.items() if len(s) == 2
+            }
         finally:
             pool.shutdown()
+
+
+class TestBinRederivation:
+    """Every rung derives the failed unit's bin from the pass frame.
+
+    Pass 3's bins are generated from F(2) by the workers alone, so a
+    replacement, an adopter and the parent must each re-derive the
+    failed unit's bin before recounting it; on IDD's grid the bin is a
+    share of C(3), on CD's one row all of it.
+    """
+
+    LADDER = [
+        ("kill@1:k3", 2, "respawned"),
+        ("kill@1:k3:mid", 2, "respawned"),
+        ("kill@1:k3:mid,refuse-spawn:1", 0, "adopted"),
+        ("kill@0:k3,kill@1:k3,kill@2:k3,refuse-spawn:9", 0, "inprocess"),
+    ]
+
+    @pytest.mark.parametrize("spec, retries, action", LADDER)
+    @pytest.mark.parametrize(
+        "cls", [NativeIntelligentDistribution, NativeCountDistribution]
+    )
+    def test_ladder_rederives_bins(self, small_quest_db, quest_serial,
+                                   cls, spec, retries, action):
+        miner = cls(
+            SUPPORT, 3, faults=spec, max_retries=retries,
+            backoff_base=0.01,
+        )
+        result = miner.mine(small_quest_db)
+        assert result.frequent == quest_serial.frequent
+        assert [
+            (p.k, p.num_candidates) for p in result.passes
+        ] == [(p.k, p.num_candidates) for p in quest_serial.passes]
+        assert miner.fault_log
+        assert {r.k for r in miner.fault_log} == {3}
+        assert {r.action for r in miner.fault_log} == {action}
+
+
+class TestPrunedPass:
+    """A pass whose joins are all pruned records nothing."""
+
+    @pytest.mark.parametrize(
+        "cls", [NativeIntelligentDistribution, NativeCountDistribution]
+    )
+    def test_pruned_pass_leaves_no_record(self, tmp_path, cls):
+        # F(2) = {(1, 2), (1, 3)}: pass 3 joins them into (1, 2, 3),
+        # which the prune drops because (2, 3) is not frequent.  The
+        # workers are asked, every bin comes back empty, and the mine
+        # ends after pass 2 exactly as serial Apriori does.
+        db = TransactionDB([(1, 2), (1, 2), (1, 3), (1, 3), (2, 3)])
+        serial = Apriori(0.4).mine(db)
+        assert set(serial.frequent) == {(1,), (2,), (3,), (1, 2), (1, 3)}
+        miner = cls(0.4, 2, checkpoint_dir=str(tmp_path))
+        result = miner.mine(db)
+        assert result.frequent == serial.frequent
+        assert [(p.k, p.num_candidates) for p in result.passes] == [
+            (p.k, p.num_candidates) for p in serial.passes
+        ] == [(1, 3), (2, 3)]
+        assert [o.k for o in miner.last_pass_overheads] == [2]
+        state = CheckpointJournal.load(str(tmp_path))
+        assert [record["k"] for record in state.passes] == [1, 2]
 
 
 class TestWarmPool:

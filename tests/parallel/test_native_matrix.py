@@ -1,10 +1,11 @@
-"""The native coordinator's candidate form: one sorted int32 matrix.
+"""The native pool's candidate form: one sorted int32 matrix.
 
-The shared pass loop keeps each pass as one sorted int32 matrix from
-apriori_gen to the reduce.  It must give results bit-identical to
-serial Apriori and checkpoint journals that depend on neither the data
-plane nor the pool size, and the matrix helpers must agree with their
-tuple reference functions.
+The shared pass loop keeps each pass as one sorted int32 matrix: the
+coordinator ships F(k-1), workers generate their bins from it, and the
+rows' frequent candidates merge into F(k).  It must give results
+bit-identical to serial Apriori and checkpoint journals that depend on
+neither the data plane nor the pool size, and the planner's bins must
+agree with the tuple partitioner.
 """
 
 import glob
@@ -18,13 +19,16 @@ from hypothesis import strategies as st
 
 from repro.checkpoint import JOURNAL_NAME
 from repro.core.apriori import Apriori, AprioriResult
+from repro.core.bitmap import ItemBitmap
+from repro.core.candidates import generate_candidates
 from repro.core.partition import partition_by_first_item
 from repro.core.transaction import TransactionDB
 from repro.parallel import native as native_module
 from repro.parallel import native_idd as native_idd_module
 from repro.parallel.native import (
     NativeCountDistribution,
-    owned_rows,
+    _first_item_bins,
+    _Frame,
     serial_pass_one,
 )
 from repro.parallel.native_idd import (
@@ -51,13 +55,13 @@ def serial(small_quest_db):
 
 
 def _spy_generate(monkeypatch, module):
-    """Record the candidate form each pass's apriori_gen receives."""
+    """Record the candidate form each coordinator apriori_gen receives."""
     seen = []
     original = module.generate_candidates
 
-    def spy(frequent_prev):
+    def spy(frequent_prev, owned=None):
         seen.append(type(frequent_prev))
-        return original(frequent_prev)
+        return original(frequent_prev, owned=owned)
 
     monkeypatch.setattr(module, "generate_candidates", spy)
     return seen
@@ -84,7 +88,8 @@ class TestBothFormsMatchSerial:
             (p.k, p.num_candidates, p.num_frequent) for p in serial.passes
         ]
         _assert_python_ints(result)
-        assert set(seen) == {np.ndarray}
+        # The workers generate C_k; the coordinator generates nothing.
+        assert seen == []
 
     @pytest.mark.parametrize("data_plane", ["shared", "mmap"])
     def test_native_idd(self, small_quest_db, serial, monkeypatch,
@@ -97,7 +102,22 @@ class TestBothFormsMatchSerial:
         assert result.frequent == serial.frequent
         assert miner.fault_log == []
         _assert_python_ints(result)
-        assert set(seen) == {np.ndarray}
+        assert seen == []
+
+    def test_inprocess_rung_generates_through_the_module(
+        self, small_quest_db, serial, monkeypatch
+    ):
+        # With the pool gone, the coordinator derives every bin itself,
+        # through the miner module's name (which perfbench wraps), from
+        # the F(k-1) matrix.
+        seen = _spy_generate(monkeypatch, native_idd_module)
+        miner = NativeIntelligentDistribution(
+            SUPPORT, 1, max_retries=0, faults="kill@0:k2,refuse-spawn:9"
+        )
+        result = miner.mine(small_quest_db)
+        assert result.frequent == serial.frequent
+        assert [r.action for r in miner.fault_log] == ["inprocess"]
+        assert seen and set(seen) == {np.ndarray}
 
     @pytest.mark.parametrize(
         "cls", [NativeCountDistribution, NativeIntelligentDistribution]
@@ -181,21 +201,47 @@ def sorted_candidates(draw):
 
 
 class TestOwnedRows:
+    """The planner's bins, from the frame alone, are the partitioner's."""
+
     @settings(max_examples=200, deadline=None)
     @given(sorted_candidates(), st.integers(1, 4))
     def test_matches_partition_by_first_item(self, drawn, rows):
+        # A given C_k (SON phase 2) is weighed by exact counts, and F(1)
+        # by its exact join sizes: either way the bins are the ones
+        # partition_by_first_item packs from the candidates themselves.
         width, candidates = drawn
         matrix = np.array(candidates, dtype=np.int32).reshape(
             len(candidates), width
         )
-        owned_idx, bits = owned_rows(matrix, rows)
-        partition = partition_by_first_item(candidates, rows)
-        assert len(owned_idx) == len(bits) == rows
-        for row in range(rows):
-            assert [candidates[i] for i in owned_idx[row].tolist()] == (
-                partition.assignments[row]
-            )
-            assert bits[row] == partition.filters[row].bits
+        items = sorted({c[0] for c in candidates})
+        f1 = np.array(items, dtype=np.int32).reshape(len(items), 1)
+        c2 = generate_candidates([(item,) for item in items])
+        for frame, expected in (
+            (_Frame(0, width, matrix, True), candidates),
+            (_Frame(0, 2, f1, False), c2),
+        ):
+            bits, load = _first_item_bins(frame, lambda w, p: p, rows)
+            if not expected:
+                assert load == 0
+                continue
+            partition = partition_by_first_item(expected, rows)
+            if rows == 1:
+                assert bits == [None] and load == len(expected)
+                continue
+            assert len(bits) == rows
+            assert load == max(partition.loads)
+            for row in range(rows):
+                assert bits[row] == partition.filters[row].bits
+                owned = ItemBitmap.from_bits(bits[row])
+                if frame.given:
+                    got = [c for c in candidates if c[0] in owned]
+                else:
+                    got = [
+                        tuple(c) for c in generate_candidates(
+                            f1, owned=owned
+                        ).tolist()
+                    ]
+                assert got == partition.assignments[row]
 
 
 class TestSerialPassOne:
