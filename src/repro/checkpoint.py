@@ -127,16 +127,11 @@ class CheckpointState:
         passes: completed-pass records, contiguous from k=1.
         valid_bytes: journal length up to the last valid record — a
             torn tail beyond it is truncated away on resume.
-        phase1: the last journaled SON phase-1 record's candidate
-            superset (``{k: [itemset, ...]}``), or ``None`` when the
-            run never journaled one — single-phase mines, and two-phase
-            mines killed before phase 1 completed (which recompute it).
     """
 
     meta: Dict[str, Any]
     passes: List[Dict[str, Any]]
     valid_bytes: int
-    phase1: Optional[Dict[int, List[tuple]]] = None
 
     @property
     def last_k(self) -> int:
@@ -176,7 +171,13 @@ class CheckpointJournal:
 
     @classmethod
     def load(cls, directory) -> CheckpointState:
-        """Scan a journal, keeping every record up to the first bad one."""
+        """Scan a journal, keeping every record up to the first bad one.
+
+        Only ``meta`` and ``pass`` records make up the state.  A record
+        of any other type is skipped: a journal written by an older
+        two-phase mine holds a ``son-phase1`` candidate-superset record
+        after pass 1, and still resumes, single-phase, from its passes.
+        """
         path = Path(directory) / JOURNAL_NAME
         try:
             data = path.read_bytes()
@@ -220,16 +221,7 @@ class CheckpointJournal:
                     f"found pass {record['k']}"
                 )
             expected_k += 1
-        phase1: Optional[Dict[int, List[tuple]]] = None
-        for record in records[1:]:
-            if record.get("type") == "son-phase1":
-                phase1 = {
-                    int(k): [tuple(itemset) for itemset in itemsets]
-                    for k, itemsets in record["candidates"]
-                }
-        return CheckpointState(
-            meta=records[0], passes=passes, valid_bytes=valid, phase1=phase1
-        )
+        return CheckpointState(meta=records[0], passes=passes, valid_bytes=valid)
 
     @classmethod
     def resume(cls, directory) -> Tuple["CheckpointJournal", CheckpointState]:
@@ -273,27 +265,6 @@ class CheckpointJournal:
                 "itemsets": itemsets,
                 "counts": counts,
                 "cursor": {"refusals_used": refusals_used},
-            }
-        )
-
-    def append_phase1(
-        self, candidates_by_k: Dict[int, List[tuple]]
-    ) -> None:
-        """Durably record a SON phase-1 candidate superset.
-
-        Written once per two-phase mine, right after phase 1 completes
-        and before the first phase-2 counting pass — a coordinator
-        killed anywhere in phase 2 resumes with the *same* superset
-        instead of re-mining the partitions (pre-phase-1 readers ignore
-        the record type, so journals stay backward-readable).
-        """
-        self._append(
-            {
-                "type": "son-phase1",
-                "candidates": [
-                    [k, [list(itemset) for itemset in candidates_by_k[k]]]
-                    for k in sorted(candidates_by_k)
-                ],
             }
         )
 
@@ -356,8 +327,6 @@ class CheckpointSession:
         self.meta = meta
         self.journal: Optional[CheckpointJournal] = None
         self.prior_refusals = 0
-        #: Restored SON phase-1 superset (two-phase resume), else None.
-        self.phase1: Optional[Dict[int, List[tuple]]] = None
 
     def start(self, result) -> Tuple[List[tuple], int]:
         """Open the journal; return ``(frequent_prev, next_k)``."""
@@ -370,7 +339,6 @@ class CheckpointSession:
                 raise
             self.journal = journal
             self.prior_refusals = state.refusals_used
-            self.phase1 = state.phase1
             return restore_result(state, result)
         self.journal = CheckpointJournal.create(self.directory, self.meta)
         return [], 1
@@ -389,14 +357,6 @@ class CheckpointSession:
             frequent_k,
             self.prior_refusals + refusals_consumed,
         )
-
-    def record_phase1(
-        self, candidates_by_k: Dict[int, List[tuple]]
-    ) -> None:
-        """Journal a completed SON phase 1 and cache it on the session."""
-        assert self.journal is not None, "record_phase1() before start()"
-        self.journal.append_phase1(candidates_by_k)
-        self.phase1 = candidates_by_k
 
     def close(self) -> None:
         if self.journal is not None:

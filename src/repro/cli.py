@@ -34,9 +34,9 @@ Scaling to millions of transactions (generate once, mine many times)::
 
     repro-mine generate --transactions 1000000 --generate-to big.packed
     repro-mine mine --attach big.packed --algorithm native-cd \\
-        --two-phase --block-budget 2000000 --checkpoint-dir ckpt
+        --block-budget 2000000 --checkpoint-dir ckpt
     repro-mine mine --attach big.packed --algorithm native-cd \\
-        --two-phase --block-budget 2000000 --checkpoint-dir ckpt --resume
+        --block-budget 2000000 --checkpoint-dir ckpt --resume
 """
 
 from __future__ import annotations
@@ -250,19 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     mine.add_argument(
-        "--two-phase",
-        action="store_true",
-        help=(
-            "native-cd only: SON/partition two-phase counting — each "
-            "worker first mines its own blocks at locally-scaled "
-            "support (phase 1), then the pool counts only the union of "
-            "those locally-frequent sets exactly (phase 2); results "
-            "are bit-identical to single-phase Apriori, but no pass "
-            "ever materializes the full candidate set, which bounds "
-            "candidate memory on huge databases"
-        ),
-    )
-    mine.add_argument(
         "--switch-threshold",
         type=int,
         default=None,
@@ -398,11 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --attach: worker processes per re-mine",
     )
     serve.add_argument(
-        "--two-phase",
-        action="store_true",
-        help="with --attach: SON two-phase counting for the re-mines",
-    )
-    serve.add_argument(
         "--block-budget",
         type=_positive_int,
         default=None,
@@ -508,11 +490,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "mine a mapped packed store in place"
             )
         _check_kernel(parser, args.kernel, args.algorithm)
-        if args.two_phase and args.algorithm not in ("native", "native-cd"):
-            parser.error(
-                "--two-phase only applies to --algorithm native-cd "
-                "(SON phase 1 runs on the count-distribution pool)"
-            )
         if args.data_plane is not None and not native:
             parser.error(
                 "--data-plane only applies to the native algorithms "
@@ -571,12 +548,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         if args.remine_every is not None and args.remine_every <= 0:
             parser.error("--remine-every must be positive")
-        if args.attach is None and (
-            args.two_phase or args.block_budget is not None
-        ):
+        if args.attach is None and args.block_budget is not None:
             parser.error(
-                "--two-phase and --block-budget only apply with "
-                "--attach (they configure the native re-mines)"
+                "--block-budget only applies with --attach (it "
+                "configures the native re-mines)"
             )
         if args.attach is not None:
             _check_kernel(parser, args.kernel, args.algorithm)
@@ -637,9 +612,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         extra_kwargs: dict = {}
         if args.switch_threshold is not None:
             extra_kwargs["switch_threshold"] = args.switch_threshold
-        if args.two_phase:
-            extra_kwargs["two_phase"] = True
-            extra_kwargs["progress"] = print
         # An attached store defaults to the mmap plane: the workers
         # then map the store file itself instead of copying it.
         default_plane = "mmap" if store is not None else "shared"
@@ -777,7 +749,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             algorithm=args.algorithm,
             max_k=args.max_k,
             kernel=args.kernel,
-            two_phase=args.two_phase,
             block_budget=args.block_budget,
         )
     elif args.from_journal is not None:

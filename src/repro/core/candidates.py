@@ -29,8 +29,7 @@ the candidates whose first item ``owned`` holds — an IDD processor's
 bin, generated without the rest of C(k) (Section III-C).  Only owned
 rows open joins; the prune still looks up all of F(k-1).
 :func:`join_weights` gives each first item's join size before the
-prune, so bins can be planned from F(k-1) alone, and
-:func:`select_owned` cuts the same bin out of a given candidate matrix.
+prune, so bins can be planned from F(k-1) alone.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ __all__ = [
     "frequent_rows",
     "itemset_matrix",
     "join_weights",
-    "select_owned",
     "first_item_histogram",
     "count_candidates_per_first_item",
 ]
@@ -157,19 +155,16 @@ def _partners(prev) -> "np.ndarray":
     return group_end - np.arange(1, n + 1)
 
 
-def _owned_mask(firsts, owned: Container[int], tested=None) -> "np.ndarray":
+def _owned_mask(firsts, owned: Container[int], tested) -> "np.ndarray":
     """Bool mask of the sorted ``firsts`` that ``owned`` holds.
 
-    Each distinct item is tested once — only those where ``tested`` is
-    true, when given; the rest are not owned — so a tallying container
-    sees one test per first item, not one per row.
+    Each distinct item is tested once, and only where ``tested`` is true
+    (the rest are not owned), so a tallying container sees one test per
+    first item, not one per row.
     """
     items, starts = np.unique(firsts, return_index=True)
     allowed = np.zeros(items.size, dtype=bool)
-    to_test = range(items.size)
-    if tested is not None:
-        to_test = np.flatnonzero(np.logical_or.reduceat(tested, starts))
-    for j in to_test:
+    for j in np.flatnonzero(np.logical_or.reduceat(tested, starts)):
         allowed[j] = int(items[j]) in owned
     return np.repeat(allowed, np.diff(np.append(starts, firsts.size)))
 
@@ -191,18 +186,6 @@ def join_weights(prev) -> Tuple["np.ndarray", "np.ndarray"]:
     weights = np.add.reduceat(_partners(prev), starts)
     keep = weights > 0
     return items[keep], weights[keep]
-
-
-def select_owned(candidates, owned: Optional[Container[int]]):
-    """The rows of a sorted candidate matrix whose first item is owned.
-
-    ``owned=None`` owns every row.  The owned bin of a given candidate
-    set, such as SON's phase-2 superset, in the same order as
-    :func:`generate_candidates` gives an owned bin.
-    """
-    if owned is None or not len(candidates):
-        return candidates
-    return candidates[_owned_mask(candidates[:, 0], owned)]
 
 
 def _generate_matrix(prev, owned=None) -> "np.ndarray":

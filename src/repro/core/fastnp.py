@@ -81,11 +81,11 @@ __all__ = [
 # A triangular pass-2 counter holds one slot per item pair in the span
 # of the candidates.  apriori_gen's C2 fills the triangle exactly (one
 # candidate per slot), and a first-item bin of it fills the rows of its
-# first items; a memory-partitioned chunk or an externally filtered pair
-# set (SON's phase-2 union) may not.  Below this fill the triangle
-# wastes memory without buying speed, so the fast kernel counts such a
-# set with the flat tree (kernels.make_counter) and this one, weighing
-# only the rows its first items open, with bitmap ANDs.
+# first items; a memory-partitioned chunk or a pair set a caller
+# filtered itself may not.  Below this fill the triangle wastes memory
+# without buying speed, so the fast kernel counts such a set with the
+# flat tree (kernels.make_counter) and this one, weighing only the rows
+# its first items open, with bitmap ANDs.
 _PASS2_MIN_FILL = 1 / 3
 
 # Bytes of bitmap rows one counting chunk gathers: a chunk holds

@@ -19,8 +19,8 @@ int32 layout onto disk:
   same file shares one page-cache copy — the native pool's
   ``data_plane="mmap"`` — and a constrained
   :meth:`~repro.core.packed.PackedDB.block_bounds` budget streams the
-  store through a counting pass block by block (SON/partition style)
-  instead of touching it all at once.
+  store through a counting pass block by block instead of touching it
+  all at once.
 
 Mapping semantics worth knowing: the int32 memoryviews pin the mapping,
 so :meth:`MmapPackedDB.close` releases the views *before* closing the

@@ -30,16 +30,13 @@ every worker generates, as every processor of the paper does.  The
 coordinator sums each row's count vectors, thresholds them, and asks
 one worker of the row for that row's frequent candidates (a one-column
 row, as under IDD, thresholds its complete counts itself and returns
-them in its pass reply), so it never holds C_k.  SON phase 2 ships its
-superset's C_k in the same frame, flagged as given, and a worker selects
-its bin's rows from it.
+them in its pass reply), so it never holds C_k.
 
 Workers hold no per-worker transaction state: each pass hands every
 worker a :class:`_Unit` (grid row, ownership bitmap, ring of ``(lo,
 hi)`` ranges), so any worker, a replacement or the parent can derive
 and count any unit, and the next pass re-plans the grid over whatever
-workers live.  SON phase 1 (``two_phase=True``) is a ``mine`` request
-on the same fan-out: each worker mines its one-row ring locally.
+workers live.
 
 Two data planes move the bits (``data_plane=``):
 
@@ -72,8 +69,7 @@ declared failed and its unit walks a fixed ladder:
 
 1. **respawn** — a replacement (bounded retries, exponential backoff)
    derives and recounts the unit;
-2. **adopt** — a surviving worker counts it as an extra request (count
-   passes only; SON phase 1 goes straight to the next rung);
+2. **adopt** — a surviving worker counts it as an extra request;
 3. **in-process** — the parent derives and counts it; a survivor that
    dies while adopting (or while returning a row's frequent
    candidates) is dropped as ``"repacked"``, and once no worker is left
@@ -125,7 +121,6 @@ from ..core.candidates import (
     generate_candidates,
     itemset_matrix,
     join_weights,
-    select_owned,
 )
 # Workers derive their bins through this binding; the coordinator's
 # in-process rung goes through the miner's ``_generate``, which looks
@@ -143,7 +138,6 @@ from ..core.packed import (
 from ..core.partition import bin_pack
 from ..faults import FaultEvent, FaultRecord, FaultSpec
 from ..memprof import peak_rss_bytes
-from .son import merge_candidates, mine_blocks, superset_size
 
 __all__ = [
     "NativeCountDistribution",
@@ -158,12 +152,6 @@ __all__ = [
 # in `ps` output while debugging, invisible to the recovery logic (any
 # pipe EOF is "died").
 _KILLED_EXIT = 17
-
-# Fault-schedule key for SON phase-1 local mining: it is the first work
-# the pool does (right after the serial pass 1), so worker events
-# declared for pass 2 — the earliest pass a spec can name — fire there
-# under a two-phase mine.  Each event still fires exactly once.
-_SON_FAULT_K = 2
 
 # A worker's first frame: it has attached the store and takes work.
 _READY = ("ready", None, None)
@@ -249,7 +237,7 @@ class PassOverhead:
 
     * ``cand_build_s`` — the slowest worker's seconds deriving its bin
       from the pass frame (apriori_gen over F(k-1) restricted to its
-      owned first items, or the selection of a given C_k's rows);
+      owned first items);
     * ``cand_attach_s`` — the slowest worker's seconds receiving and
       decoding the pass frame, plus attaching the count region when it
       was re-allocated.
@@ -505,35 +493,30 @@ class _Frame(NamedTuple):
     """One pass's frame: what every bin of the pass is derived from.
 
     ``matrix`` is F(k-1), the previous pass's frequent item-sets as a
-    sorted int32 matrix, from which a bin is generated; or, when
-    ``given`` (SON phase 2), the pass's candidates themselves, from
-    which a bin is selected.  ``ident`` numbers the pool's frames, so a
-    worker knows which of its derived bins belong to the frame at hand.
+    sorted int32 matrix, from which a bin is generated.  ``ident``
+    numbers the pool's frames, so a worker knows which of its derived
+    bins belong to the frame at hand.
     """
 
     ident: int
     k: int
     matrix: np.ndarray
-    given: bool
 
 
 def _first_item_bins(frame: _Frame, rows_rule, live_workers: int):
     """Plan a pass's grid rows and their first-item bins from its frame.
 
     Each first item is weighed by its join size before the prune
-    (:func:`~repro.core.candidates.join_weights`; by its exact count for
-    a given C_k), ``rows_rule(weight, live_workers)`` — the formulation
-    — picks G from the total weight, and the weights are bin-packed over
-    the G rows with :func:`~repro.core.partition.bin_pack`.  Returns
-    ``(bits, load)``: ``bits[row]`` is row ``row``'s ownership bitmap as
-    a raw integer (``None`` on one row, whose bin is all of C_k), and
-    ``load`` the largest row weight — an upper bound on any bin's size,
-    zero when no first item opens a join.
+    (:func:`~repro.core.candidates.join_weights`),
+    ``rows_rule(weight, live_workers)`` — the formulation — picks G from
+    the total weight, and the weights are bin-packed over the G rows
+    with :func:`~repro.core.partition.bin_pack`.  Returns ``(bits,
+    load)``: ``bits[row]`` is row ``row``'s ownership bitmap as a raw
+    integer (``None`` on one row, whose bin is all of C_k), and ``load``
+    the largest row weight — an upper bound on any bin's size, zero when
+    no first item opens a join.
     """
-    if frame.given:
-        items, weights = np.unique(frame.matrix[:, 0], return_counts=True)
-    else:
-        items, weights = join_weights(frame.matrix)
+    items, weights = join_weights(frame.matrix)
     weight = int(weights.sum())
     rows = rows_rule(weight, live_workers)
     if rows == 1:
@@ -565,9 +548,8 @@ class _Reply:
     """One worker reply: the result of a request and what it cost.
 
     ``body`` is the count vector (``adopt`` replies), the number of
-    counts written to the worker's shared slot (``pass`` requests), the
-    local frequent sets of a ``mine`` request, or the frequent rows of
-    each bin a ``rows`` request names.  ``size`` is the counted bin's
+    counts written to the worker's shared slot (``pass`` requests), or
+    the frequent rows of each bin a ``rows`` request names.  ``size`` is the counted bin's
     number of candidates, and ``rows`` its frequent candidates when the
     request carried a threshold.  The rest are the worker's
     measurements, folded into the pass's :class:`PassOverhead` by
@@ -631,17 +613,13 @@ def _derive_bin(frame: _Frame, bits: Optional[int], generate, reply: _Reply):
     """The bin of ownership ``bits`` (``None``: all of C_k) in ``frame``.
 
     Generated from F(k-1) by ``generate`` (apriori_gen with ``owned``),
-    or selected from a given C_k, so worker and coordinator derive the
-    same rows in the same order — the full C_k's order — without ever
-    shipping them.  Records the derivation's seconds and ownership
-    tallies in ``reply``.
+    so worker and coordinator derive the same rows in the same order —
+    the full C_k's order — without ever shipping them.  Records the
+    derivation's seconds and ownership tallies in ``reply``.
     """
     tick = time.perf_counter()
     tally = None if bits is None else _TallyFilter(ItemBitmap.from_bits(bits))
-    if frame.given:
-        candidates = select_owned(frame.matrix, tally)
-    else:
-        candidates = generate(frame.matrix, owned=tally)
+    candidates = generate(frame.matrix, owned=tally)
     reply.cand_s += time.perf_counter() - tick
     if tally is not None:
         reply.checked += tally.checked
@@ -719,7 +697,7 @@ def _worker_main(
     slot: int,
     fault_events: List[FaultEvent] = (),
 ) -> None:
-    """The worker loop: derive and count (or mine) one unit per request.
+    """The worker loop: derive and count one unit per request.
 
     The worker attaches the packed store by ``store_ref`` (an ``("shm",
     name)`` segment or an ``("mmap", path)`` file mapping), then sends
@@ -736,10 +714,6 @@ def _worker_main(
       current frame: the payload lists ``(bits, keep)`` pairs, ``keep``
       the bin's frequent mask as ``np.packbits`` bytes.  A bin this
       worker has not derived yet is derived from the frame first;
-    * ``"mine"`` — SON phase 1: mine the payload's ``ring`` locally as
-      one partition at partition-scaled support
-      (:func:`repro.parallel.son.mine_blocks`); ``k`` is
-      ``_SON_FAULT_K``, the key its injected faults fire under;
     * ``None`` — shut down.
 
     A count payload is ``(frame, counts, bits, ring, threshold)``:
@@ -747,8 +721,7 @@ def _worker_main(
     capacity)`` of the shared count region, and ``threshold`` the
     pass's minimum count when the unit's grid row has one column (IDD):
     its counts are then complete, and the reply carries the bin's
-    frequent rows, so the row needs no ``rows`` follow-up.  A mine
-    payload is ``(min_support, max_k, ring)``.
+    frequent rows, so the row needs no ``rows`` follow-up.
 
     Every reply echoes the request's ``seq`` — ``("ok", seq,``
     :class:`_Reply` ``)`` or ``("error", seq, message)`` when the work
@@ -763,7 +736,7 @@ def _worker_main(
 
     ``fault_events`` are this worker's injected failures from a
     :class:`~repro.faults.FaultSpec`; each fires once, on the first
-    count or mine request of its pass (never on a ``rows`` follow-up).
+    count request of its pass (never on a ``rows`` follow-up).
     """
     pending = list(fault_events)
 
@@ -803,18 +776,17 @@ def _worker_main(
                     continue
                 conn.send(("ok", seq, _Reply(body)))
                 continue
-            if tag != "mine":
-                received, counts_ref, bits, ring, threshold = payload
-                if frame is None or received.ident != frame.ident:
-                    bins = {}
-                frame = received
-                if counts_ref[0] != counts_name:
-                    tick = time.perf_counter()
-                    if counts_segment is not None:
-                        counts_segment.close()
-                    counts_name = counts_ref[0]
-                    counts_segment = _attach_segment(counts_name)
-                    attach_s += time.perf_counter() - tick
+            received, counts_ref, bits, ring, threshold = payload
+            if frame is None or received.ident != frame.ident:
+                bins = {}
+            frame = received
+            if counts_ref[0] != counts_name:
+                tick = time.perf_counter()
+                if counts_segment is not None:
+                    counts_segment.close()
+                counts_name = counts_ref[0]
+                counts_segment = _attach_segment(counts_name)
+                attach_s += time.perf_counter() - tick
             kill = take("kill", k)
             if kill is not None and kill.when == "before":
                 os._exit(_KILLED_EXIT)
@@ -822,34 +794,25 @@ def _worker_main(
             corrupt = take("corrupt", k)
             try:
                 if take("error", k) is not None:
-                    where = "SON phase 1" if tag == "mine" else f"pass {k}"
-                    raise RuntimeError(f"injected worker error at {where}")
-                if tag == "mine":
-                    min_support, max_k, ring = payload
-                    reply = _Reply(mine_blocks(
-                        store, ring, min_support, max_k=max_k, cache=cache,
-                    ))
-                    if kill is not None:  # "mid": die after the work
-                        os._exit(_KILLED_EXIT)
-                else:
-                    reply = _Reply(None, attach_s=attach_s)
-                    if bits not in bins:
-                        bins[bits] = _derive_bin(frame, bits, _apriori_gen, reply)
-                    # A "mid" kill dies mid-ring: after roughly half the
-                    # ring steps, before any count is published.
-                    _count_unit(
-                        store, _Unit(0, bits, ring), bins[bits], cache, reply,
-                        max(1, len(ring) // 2) if kill is not None else None,
-                    )
-                    if threshold is not None:
-                        reply.rows = bins[bits][reply.body >= threshold]
+                    raise RuntimeError(f"injected worker error at pass {k}")
+                reply = _Reply(None, attach_s=attach_s)
+                if bits not in bins:
+                    bins[bits] = _derive_bin(frame, bits, _apriori_gen, reply)
+                # A "mid" kill dies mid-ring: after roughly half the
+                # ring steps, before any count is published.
+                _count_unit(
+                    store, _Unit(0, bits, ring), bins[bits], cache, reply,
+                    max(1, len(ring) // 2) if kill is not None else None,
+                )
+                if threshold is not None:
+                    reply.rows = bins[bits][reply.body >= threshold]
             except Exception as exc:  # surfaced, never swallowed
                 conn.send(("error", seq, f"{type(exc).__name__}: {exc}"))
                 continue
             if delay is not None:
                 time.sleep(delay.delay)
             if corrupt is not None:
-                reply.body = None if tag == "mine" else reply.body[:-1]
+                reply.body = reply.body[:-1]
             if tag == "pass":
                 vector = reply.body
                 if len(vector) > counts_ref[1]:
@@ -1049,14 +1012,10 @@ class _Pool:
     # The fan-out
     # ------------------------------------------------------------------
 
-    def count_pass(
-        self, k: int, matrix, given: bool, rows_rule, min_count: int,
-        generate,
-    ):
+    def count_pass(self, k: int, matrix, rows_rule, min_count: int, generate):
         """Fan one pass out over a ``rows_rule`` grid; return its F(k).
 
-        ``matrix`` is F(k-1) as a sorted int32 matrix, or with ``given``
-        the pass's candidates themselves (SON phase 2).  Every worker
+        ``matrix`` is F(k-1) as a sorted int32 matrix.  Every worker
         derives and counts its row's bin; each row's replicas are summed
         (HD's along-the-row reduction) and thresholded at ``min_count``,
         and one worker of the row returns the row's frequent candidates.
@@ -1072,7 +1031,7 @@ class _Pool:
         is not recorded in :attr:`pass_overheads`.
         """
         self._frames += 1
-        frame = _Frame(self._frames, k, matrix, given)
+        frame = _Frame(self._frames, k, matrix)
         overhead = PassOverhead(k=k, num_candidates=0)
         # The coordinator's own derived bins, by ownership bits.
         derived: Dict[Optional[int], np.ndarray] = {}
@@ -1120,7 +1079,7 @@ class _Pool:
                 unrecovered.discard(wid)
                 unit = units[wid]
                 add(wid, self._recover(
-                    wid, failure, "pass", k, jobs[wid][0],
+                    wid, failure, k, jobs[wid][0],
                     exclude=frozenset(unrecovered),
                     inprocess=lambda: self._count_inprocess(
                         frame, unit, generate, derived
@@ -1218,48 +1177,6 @@ class _Pool:
         self._discard(self._slots.pop(wid))
         self.fault_log.append(FaultRecord(k, wid, failure, "repacked", 0))
 
-    def mine(
-        self, min_support: float, max_k: Optional[int]
-    ) -> Dict[int, List[Itemset]]:
-        """SON phase 1: every worker mines its one-row ring locally.
-
-        Each worker mines its own block as one partition at
-        partition-scaled support and ships back its local frequent
-        sets; the union — a superset of every global F_k — is what
-        phase 2's counting passes run over.  Failed workers walk the
-        ladder minus adoption (respawn, then in-process), so the
-        superset always covers every partition exactly once.  The phase
-        is recorded as a ``k=0`` :class:`PassOverhead` whose
-        ``num_candidates`` is the superset size.
-        """
-        overhead = PassOverhead(k=0, num_candidates=0)
-        parts: List[Dict[int, List[Itemset]]] = []
-        jobs = {
-            wid: ((min_support, max_k, ring), None)
-            for wid, (_row, ring) in self._rings(1).items()
-        }
-
-        def absorb(wid: int, reply: _Reply) -> None:
-            parts.append(reply.body)
-            _charge(overhead, reply)
-
-        for wid, failure in self._fan_out(
-            "mine", _SON_FAULT_K, jobs, overhead, absorb
-        ):
-            ring = jobs[wid][0][2]
-            parts.append(self._recover(
-                wid, failure, "mine", _SON_FAULT_K, jobs[wid][0],
-                exclude=frozenset(),
-                inprocess=lambda: _Reply(mine_blocks(
-                    self._store, ring, min_support, max_k=max_k,
-                    cache=self._inprocess_cache,
-                )),
-            ).body)
-        merged = merge_candidates(parts)
-        overhead.num_candidates = superset_size(merged)
-        self._record(overhead)
-        return merged
-
     def _record(self, overhead: PassOverhead) -> None:
         """Log a finished pass, folding in the coordinator's own peak
         RSS so the column covers every process the pass touched."""
@@ -1328,18 +1245,17 @@ class _Pool:
     ) -> Tuple[Optional[_Reply], str]:
         """Read one reply frame: ``(reply, "")`` or ``(None, failure)``.
 
-        What a valid body is depends on the request ``tag``: a ``mine``
-        body is a dict of local frequent sets; a ``pass`` body is the
-        number of counts written to the worker's shared slot, which must
-        equal the bin size the reply reports and is then read out; an
-        ``adopt`` body is the count vector itself, of that size; a
-        ``rows`` body lists one frequent-candidate matrix per bin asked,
-        of the ``expected`` shapes.  A reply echoing a sequence number
-        other than ``seq`` answers an *earlier* request and is
-        ``"stale"``: the caller discards it and keeps waiting, even when
-        its payload happens to fit.  So is a worker's ready frame, which
-        is never a reply.  Anything malformed — a wrong length, a
-        missing body — is ``"corrupt"``; an error frame raises
+        What a valid body is depends on the request ``tag``: a ``pass``
+        body is the number of counts written to the worker's shared
+        slot, which must equal the bin size the reply reports and is
+        then read out; an ``adopt`` body is the count vector itself, of
+        that size; a ``rows`` body lists one frequent-candidate matrix
+        per bin asked, of the ``expected`` shapes.  A reply echoing a
+        sequence number other than ``seq`` answers an *earlier* request
+        and is ``"stale"``: the caller discards it and keeps waiting,
+        even when its payload happens to fit.  So is a worker's ready
+        frame, which is never a reply.  Anything malformed — a wrong
+        length, a missing body — is ``"corrupt"``; an error frame raises
         :class:`WorkerError`.
         """
         try:
@@ -1352,14 +1268,11 @@ class _Pool:
         if kind == "ready" or frame_seq != seq:
             return None, "stale"
         if kind == "error":
-            where = "SON phase 1" if tag == "mine" else f"pass {k}"
-            raise WorkerError(f"worker {wid} failed at {where}: {reply}")
+            raise WorkerError(f"worker {wid} failed at pass {k}: {reply}")
         if kind != "ok" or not isinstance(reply, _Reply):
             return None, "corrupt"
         body = reply.body
-        if tag == "mine":
-            valid = isinstance(body, dict)
-        elif tag == "rows":
+        if tag == "rows":
             valid = isinstance(body, list) and [
                 getattr(rows, "shape", None) for rows in body
             ] == expected
@@ -1409,21 +1322,21 @@ class _Pool:
     # ------------------------------------------------------------------
 
     def _recover(
-        self, wid: int, failure: str, tag: str, k: int, payload,
+        self, wid: int, failure: str, k: int, payload,
         exclude: frozenset, inprocess,
     ) -> _Reply:
-        """Redo a failed worker's request down the ladder; return the reply.
+        """Redo a failed worker's ``pass`` request down the ladder.
 
         Ladder: respawn (bounded retries, exponential backoff) ->
-        adoption by a survivor (``pass`` requests only) -> ``inprocess()``
-        in the parent.  A replacement that sends no ready frame within
-        ``_START_TIMEOUT`` is a failed attempt; one that did has the
-        whole ``recv_timeout`` for the unit.  A unit is a schedule over
-        the shared database rather than private state, so every rung
-        redoes it from scratch without touching any other worker, and
-        whichever rung leaves a smaller pool, the next pass re-plans the
-        grid over the survivors.  ``exclude`` holds workers that also failed this pass
-        and await their own recovery: they are not survivors.
+        adoption by a survivor -> ``inprocess()`` in the parent.  A
+        replacement that sends no ready frame within ``_START_TIMEOUT``
+        is a failed attempt; one that did has the whole ``recv_timeout``
+        for the unit.  A unit is a schedule over the shared database
+        rather than private state, so every rung redoes it from scratch
+        without touching any other worker, and whichever rung leaves a
+        smaller pool, the next pass re-plans the grid over the
+        survivors.  ``exclude`` holds workers that also failed this
+        pass and await their own recovery: they are not survivors.
         """
         slot = self._slots.pop(wid)
         # A replacement must not replay the failure that killed its
@@ -1440,7 +1353,7 @@ class _Pool:
             if self._await_ready(
                 replacement, time.monotonic() + _START_TIMEOUT
             ):
-                reply = self._ask(replacement, wid, tag, k, payload)
+                reply = self._ask(replacement, wid, "pass", k, payload)
             if reply is not None:
                 self._slots[wid] = replacement
                 self.fault_log.append(
@@ -1450,20 +1363,19 @@ class _Pool:
             self._discard(replacement)
         attempts = self.max_retries + 1
 
-        if tag == "pass":
-            for survivor_id in [s for s in self._slots if s not in exclude]:
-                survivor = self._slots[survivor_id]
-                reply = self._ask(survivor, survivor_id, "adopt", k, payload)
-                if reply is not None:
-                    self.fault_log.append(
-                        FaultRecord(k, wid, failure, "adopted", attempts)
-                    )
-                    return reply
-                # The survivor died while adopting.  Its own counts for
-                # this pass were already collected and it holds no
-                # private state, so nothing is recounted — it is dropped
-                # and the next pass re-plans over the remaining workers.
-                self._drop(survivor_id, "died", k)
+        for survivor_id in [s for s in self._slots if s not in exclude]:
+            survivor = self._slots[survivor_id]
+            reply = self._ask(survivor, survivor_id, "adopt", k, payload)
+            if reply is not None:
+                self.fault_log.append(
+                    FaultRecord(k, wid, failure, "adopted", attempts)
+                )
+                return reply
+            # The survivor died while adopting.  Its own counts for this
+            # pass were already collected and it holds no private state,
+            # so nothing is recounted — it is dropped and the next pass
+            # re-plans over the remaining workers.
+            self._drop(survivor_id, "died", k)
 
         self.fault_log.append(
             FaultRecord(k, wid, failure, "inprocess", attempts)
@@ -1592,8 +1504,6 @@ class _NativeMiner:
         block_budget: Optional[int] = None,
         checkpoint_dir: Optional[str] = None,
         resume: bool = False,
-        two_phase: bool = False,
-        progress=None,
     ):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
@@ -1625,8 +1535,6 @@ class _NativeMiner:
         self.block_budget = block_budget
         self.checkpoint_dir = checkpoint_dir
         self.resume = resume
-        self.two_phase = two_phase
-        self.progress = progress
         self.fault_log: List[FaultRecord] = []
         self.last_pool_size = 0
         self.last_pass_overheads: List[PassOverhead] = []
@@ -1813,19 +1721,11 @@ class _NativeMiner:
 
         ``prev`` is F(k-1) as a sorted int32 matrix, the form the whole
         loop runs in (see the class docstring).  The pool derives C(k)
-        from it in the workers; under ``two_phase`` the frame is the
-        superset's C(k) instead.
+        from it in the workers.
         """
-        superset = self._superset(pool, session)
         while len(prev) and (self.max_k is None or k <= self.max_k):
-            frame, given = prev, False
-            if superset is not None:
-                # Superset items come from a packed store: int32.
-                frame, given = itemset_matrix(superset.get(k, [])), True
-                if not len(frame):
-                    break
             frequent, counts, num_candidates = pool.count_pass(
-                k, frame, given, self._rows, min_count, self._generate
+                k, prev, self._rows, min_count, self._generate
             )
             if not num_candidates:
                 break
@@ -1843,39 +1743,7 @@ class _NativeMiner:
                     k, num_candidates, frequent_k, pool.refusals_consumed
                 )
             fire_coordinator_kill(self._active_faults, k)
-            if superset is not None and self.progress is not None:
-                self.progress(
-                    f"two-phase: pass {k} counted "
-                    f"{num_candidates} superset candidates -> "
-                    f"{len(frequent_k)} frequent"
-                )
             k += 1
-
-    def _superset(self, pool, session) -> Optional[Dict[int, List[Itemset]]]:
-        """SON phase 1 under ``two_phase``: the candidate superset.
-
-        ``None`` means apriori_gen.  A journaled superset is restored
-        instead of re-mined, so a killed phase 2 resumes over the exact
-        candidates it was counting; a freshly mined one is journaled
-        before phase 2.
-        """
-        if not self.two_phase:
-            return None
-        restored = session.phase1 if session is not None else None
-        if restored is not None:
-            candidates_by_k = merge_candidates([restored])
-        else:
-            candidates_by_k = pool.mine(self.min_support, self.max_k)
-            if session is not None:
-                session.record_phase1(candidates_by_k)
-        if self.progress is not None:
-            self.progress(
-                "two-phase: phase 1 complete — "
-                f"{superset_size(candidates_by_k)} superset "
-                f"candidates across {len(candidates_by_k)} "
-                "pass sizes"
-            )
-        return candidates_by_k
 
     def _open_checkpoint(self, db, min_count: int, result):
         """Set up the checkpoint session (if any) and the fault schedule.
@@ -1947,21 +1815,6 @@ class NativeCountDistribution(_NativeMiner):
             (:meth:`~repro.core.packed.PackedDB.block_bounds`), so a
             pass streams the store block by block instead of touching a
             whole partition at once (the out-of-core counting mode).
-        two_phase: SON/partition two-phase counting.  Phase 1: every
-            worker mines its own partition locally at partition-scaled
-            support (:mod:`repro.parallel.son`), and the merged union — a
-            provable superset of every global F_k — replaces
-            ``generate_candidates`` as the candidate source.  Phase 2:
-            the ordinary counting passes run over that superset and
-            filter at the global threshold, so results stay
-            bit-identical to single-phase Apriori while per-pass
-            candidate memory is bounded by what was *locally* frequent
-            somewhere, not by the full C_k.  With ``checkpoint_dir``
-            the phase-1 superset is journaled too, so a resumed mine
-            reuses it instead of re-mining the partitions.
-        progress: optional callable invoked with one human-readable
-            line after phase 1 and after every counting pass (the CLI's
-            ``--two-phase`` progress reporting).
         checkpoint_dir: persist one durable checkpoint record per
             completed pass into this directory's ``journal.repro``
             (see :mod:`repro.checkpoint`), so a coordinator killed

@@ -113,7 +113,6 @@ class StoreSource(ModelSource):
         algorithm: str = "native-cd",
         max_k: int | None = None,
         kernel: str | None = None,
-        two_phase: bool = False,
         block_budget: int | None = None,
     ):
         from ..parallel.runner import NATIVE_ALGORITHMS
@@ -131,14 +130,12 @@ class StoreSource(ModelSource):
         self.algorithm = algorithm
         self.max_k = max_k
         self.kernel = kernel
-        self.two_phase = two_phase
         self.block_budget = block_budget
 
     def mine(self) -> AprioriResult:
         from ..core.mmapdb import MmapPackedDB
         from ..parallel.runner import make_miner
 
-        kwargs = {"two_phase": True} if self.two_phase else {}
         with MmapPackedDB.attach(self.store_path) as db:
             miner = make_miner(
                 self.algorithm,
@@ -148,7 +145,6 @@ class StoreSource(ModelSource):
                 max_k=self.max_k,
                 data_plane="mmap",
                 block_budget=self.block_budget,
-                **kwargs,
             )
             return miner.mine(db)
 

@@ -21,7 +21,6 @@ from repro.core.candidates import (
     frequent_rows,
     generate_candidates,
     join_weights,
-    select_owned,
 )
 from repro.core.transaction import TransactionDB
 
@@ -115,7 +114,6 @@ class TestOwnedBins:
         assert got.dtype == np.int32 and got.shape[1] == width + 1
         assert _tuples(got) == expected
         assert generate_candidates(list(rows), owned=owned) == expected
-        assert _tuples(select_owned(full, owned)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(frequent_sets(), st.integers(1, 5), st.data())

@@ -21,6 +21,7 @@ import os
 import signal
 import struct
 import zlib
+from itertools import combinations
 
 import pytest
 
@@ -376,6 +377,60 @@ class TestResumeGuards:
                 for p in result.passes] == [
             (p.k, p.num_candidates, p.num_frequent) for p in serial.passes
         ]
+
+    @pytest.mark.parametrize("plane", ["shared", "mmap"])
+    def test_journal_of_a_two_phase_mine_resumes(
+        self, tmp_path, chaos_db, serial, plane
+    ):
+        """A journal written by a retired two-phase (SON) mine resumes
+        single-phase.  Such a journal holds a ``son-phase1`` record —
+        the candidate superset — between passes 1 and 2, and its pass 2
+        counted that superset.  The loader skips the record, and the
+        journaled passes keep their ``num_candidates``."""
+        ckpt = tmp_path / "ckpt"
+        meta = checkpoint_meta(
+            algorithm="native-cd", db=chaos_db, min_support=SUPPORT,
+            min_count=serial.min_count, kernel="fast-np", max_k=None,
+        )
+        # The union of every partition's local frequent sets: with three
+        # two-transaction partitions the local minimum count is 1, so
+        # every sub-item-set of a transaction is in it.
+        superset = {}
+        for transaction in CHAOS_TRANSACTIONS:
+            for k in range(2, len(transaction) + 1):
+                superset.setdefault(k, set()).update(
+                    combinations(transaction, k)
+                )
+        with CheckpointJournal.create(ckpt, meta) as journal:
+            journal.append_pass(
+                1, serial.passes[0].num_candidates,
+                serial.itemsets_of_size(1),
+            )
+            journal._append({
+                "type": "son-phase1",
+                "candidates": [
+                    [k, [list(c) for c in sorted(superset[k])]]
+                    for k in sorted(superset)
+                ],
+            })
+            journal.append_pass(
+                2, len(superset[2]), serial.itemsets_of_size(2)
+            )
+        state = CheckpointJournal.load(ckpt)
+        assert [record["k"] for record in state.passes] == [1, 2]
+
+        miner = _make_miner(
+            "cd", checkpoint_dir=str(ckpt), resume=True, data_plane=plane,
+        )
+        result = miner.mine(chaos_db)
+        assert miner.last_resume_k == 2
+        assert result.frequent == serial.frequent
+        assert [p.num_candidates for p in result.passes] == [
+            serial.passes[0].num_candidates,
+            len(superset[2]),
+            serial.passes[2].num_candidates,
+        ]
+        assert CheckpointJournal.load(ckpt).last_k == 3
 
     def test_cross_formulation_resume(self, tmp_path, chaos_db, serial):
         """A mine checkpointed under CD may finish under IDD.

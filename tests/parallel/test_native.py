@@ -5,12 +5,14 @@ import multiprocessing
 import pytest
 
 from repro.core.apriori import Apriori
+from repro.core.mmapdb import MmapPackedDB, write_packed_file
 from repro.parallel.native import (
     DATA_PLANES,
     NATIVE_KERNELS,
     NativeCountDistribution,
     validate_data_plane,
 )
+from repro.parallel.native_idd import NativeIntelligentDistribution
 
 
 def _has_start_method(name: str) -> bool:
@@ -146,6 +148,43 @@ class TestDataPlanes:
         miner.mine(tiny_db)
         assert any(o.bitmap_build_s > 0 for o in miner.last_pass_overheads)
         assert all(o.intersect_s >= 0 for o in miner.last_pass_overheads)
+
+    def test_attached_store_is_mined_in_place(self, medium_quest_db, tmp_path):
+        """`mine(MmapPackedDB)` on the mmap plane: no copy, no unlink."""
+        serial = Apriori(0.05, max_k=4).mine(medium_quest_db)
+        path = write_packed_file(
+            medium_quest_db.to_packed(), tmp_path / "db.packed"
+        )
+        with MmapPackedDB.attach(path) as store:
+            with NativeCountDistribution(
+                0.05, 2, max_k=4, data_plane="mmap"
+            ) as miner:
+                result = miner.mine(store)
+        assert result.frequent == serial.frequent
+        # The pool borrowed the caller's store file; shutting down must
+        # not unlink data it does not own.
+        assert path.exists()
+        with MmapPackedDB.attach(path) as again:
+            assert len(again) == len(medium_quest_db)
+
+
+class TestMemoryObservability:
+    """Worker peak-RSS samples surface in every pass overhead."""
+
+    def test_cd_pass_overheads_carry_peak_rss(self, medium_quest_db):
+        with NativeCountDistribution(0.05, 2, max_k=3) as miner:
+            miner.mine(medium_quest_db)
+            overheads = miner.last_pass_overheads
+        assert overheads
+        assert all(o.peak_rss_bytes > 0 for o in overheads)
+
+    def test_idd_pass_overheads_carry_peak_rss(self, medium_quest_db):
+        miner = NativeIntelligentDistribution(0.05, 2, max_k=3)
+        miner.mine(medium_quest_db)
+        assert miner.last_pass_overheads
+        assert all(
+            o.peak_rss_bytes > 0 for o in miner.last_pass_overheads
+        )
 
 
 class TestWarmPool:

@@ -212,7 +212,7 @@ class TestStartupBound:
         )
         try:
             f1 = np.array([[1], [2], [3], [4]], dtype=np.int32)
-            frame = native._Frame(1, 2, f1, False)
+            frame = native._Frame(1, 2, f1)
             units, _bits, load = pool._plan(frame, lambda w, p: 1)
             pool._slots[1].process.terminate()
             pool._slots[1].process.join(timeout=10)
@@ -223,7 +223,7 @@ class TestStartupBound:
                 unit.ring, None,
             )
             reply = pool._recover(
-                1, "died", "pass", 2, payload, exclude=frozenset(),
+                1, "died", 2, payload, exclude=frozenset(),
                 inprocess=lambda: pytest.fail("a survivor should adopt"),
             )
             assert [(r.worker, r.action, r.attempts) for r in pool.fault_log] == [
@@ -436,14 +436,6 @@ class TestStaleReplies:
             child.send(("ok", 9, _Reply(np.array([4, 5]), size=3)))
             reply, failure = pool._read_reply(parent, 0, "adopt", 2, seq=9)
             assert (reply, failure) == (None, "corrupt")
-            # SON phase-1 ("mine") replies carry local frequent sets
-            # through the same check.
-            child.send(("ok", 8, _Reply({2: [(1, 2)]})))
-            child.send(("ok", 10, _Reply({2: [(1, 3)]})))
-            reply, failure = pool._read_reply(parent, 0, "mine", 2, seq=10)
-            assert (reply, failure) == (None, "stale")
-            reply, failure = pool._read_reply(parent, 0, "mine", 2, seq=10)
-            assert (reply.body, failure) == ({2: [(1, 3)]}, "")
         finally:
             parent.close()
             child.close()

@@ -230,7 +230,7 @@ class TestBinPackingEdges:
         pool = _Pool(get_context(), 4, tiny_partition_db.to_packed())
         try:
             idd_rows = NativeIntelligentDistribution(TINY_SUPPORT, 4)._rows
-            units, bits, load = pool._plan(_Frame(1, 2, f1, False), idd_rows)
+            units, bits, load = pool._plan(_Frame(1, 2, f1), idd_rows)
             assert len(bits) == 4 and load == 3  # item 1 joins 2, 3, 4
             bins = [
                 generate_candidates(f1, owned=ItemBitmap.from_bits(b))
@@ -254,26 +254,32 @@ class TestBinPackingEdges:
         assert _even_bounds(3, 3) == [(0, 1), (1, 2), (2, 3)]
 
 
-def _count_both_paths(store, unit, k, candidates):
-    """Derive one unit's bin and count it, cold and warm.
+def _count_both_paths(store, unit, prev):
+    """Derive one unit's bin from F(k-1) and count it, cold and warm.
 
-    The bin is selected from ``candidates`` as a given C_k (SON phase
-    2's frame), and counted once with a cold bitmap cache and once more
-    with the warm one, as a worker that keeps its cache across passes
-    does; both must give the same reply.
+    ``prev`` is F(k-1) as sorted tuples.  The bin is generated from it
+    as a worker generates its own from the pass frame, and counted once
+    with a cold bitmap cache and once more with the warm one, as a
+    worker that keeps its cache across passes does; both must give the
+    same reply.  Returns the bin as tuples and the reply.
     """
-    frame = _Frame(0, k, itemset_matrix(candidates), True)
+    frame = _Frame(0, len(prev[0]) + 1, itemset_matrix(prev))
     cache = PackedBitmapCache()
     replies = []
     for _ in range(2):
         reply = _Reply(None)
-        rows = _derive_bin(frame, unit.bits, None, reply)
+        rows = _derive_bin(frame, unit.bits, generate_candidates, reply)
         replies.append(_count_unit(store, unit, rows, cache, reply))
     for reply in replies[1:]:
         assert (reply.body.tolist(), reply.checked, reply.skipped) == (
             replies[0].body.tolist(), replies[0].checked, replies[0].skipped
         )
-    return replies[0]
+    return [tuple(c) for c in rows.tolist()], replies[0]
+
+
+def _support(db, itemset):
+    """Brute-force count of the transactions holding ``itemset``."""
+    return sum(set(itemset) <= set(t) for t in db)
 
 
 class TestCountShard:
@@ -282,73 +288,78 @@ class TestCountShard:
     def test_empty_bin_returns_empty_vector(self, tiny_partition_db):
         packed = tiny_partition_db.to_packed()
         ring = ((0, len(tiny_partition_db)),)
-        reply = _count_both_paths(packed, _Unit(0, 0, ring), 2,
-                                  [(1, 2), (2, 3)])
-        assert reply.body.tolist() == [] and reply.size == 0
+        rows, reply = _count_both_paths(
+            packed, _Unit(0, 0, ring), [(1,), (2,), (3,)]
+        )
+        assert rows == [] and reply.body.tolist() == [] and reply.size == 0
         assert reply.shift_s == 0.0
-        # Both first items were tested and neither is owned.
+        # Both first items that open a join (1 and 2; 3 opens none)
+        # were tested, and neither is owned.
         assert (reply.checked, reply.skipped) == (2, 2)
         assert (reply.build_s, reply.intersect_s) == (0.0, 0.0)
 
     def test_bitmap_prunes_everything_outside_owned_range(self):
-        # The worker owns first item 1: the candidates starting at 5
-        # and 6 are pruned from its bin, one ownership test per
-        # distinct first item, and the owned ones count zero because no
-        # transaction holds item 1.
+        # The worker owns first item 1: the candidates opening at 2 and
+        # 5 are pruned from its bin, one ownership test per distinct
+        # first item that opens a join (6, the last, opens none), and
+        # the owned ones count zero because no transaction holds item 1.
         db = TransactionDB([(5, 6), (6, 7, 8)])
         packed = db.to_packed()
         bits = ItemBitmap([1]).bits
-        reply = _count_both_paths(
-            packed, _Unit(0, bits, ((0, len(db)),)), 2,
-            [(1, 2), (1, 3), (5, 6), (6, 7)],
+        rows, reply = _count_both_paths(
+            packed, _Unit(0, bits, ((0, len(db)),)),
+            [(1,), (2,), (5,), (6,)],
         )
-        assert reply.body.tolist() == [0, 0]
+        assert rows == [(1, 2), (1, 5), (1, 6)]
+        assert reply.body.tolist() == [0, 0, 0]
         assert (reply.checked, reply.skipped) == (3, 2)
 
     def test_bitmap_passes_owned_items(self):
         db = TransactionDB([(1, 2), (1, 2, 3)])
         packed = db.to_packed()
         bits = ItemBitmap([1, 2]).bits
-        reply = _count_both_paths(
-            packed, _Unit(0, bits, ((0, len(db)),)), 2, [(1, 2), (1, 3)],
+        rows, reply = _count_both_paths(
+            packed, _Unit(0, bits, ((0, len(db)),)), [(1,), (2,), (3,)],
         )
-        assert reply.body.tolist() == [2, 1]
+        assert rows == [(1, 2), (1, 3), (2, 3)]
+        assert reply.body.tolist() == [2, 1, 1]
         assert reply.checked > 0
         assert reply.skipped == 0  # every first item is owned
 
     def test_ring_order_does_not_change_counts(self, small_quest_db):
         packed = small_quest_db.to_packed()
         serial = Apriori(SUPPORT).mine(small_quest_db)
+        f1 = sorted(s for s in serial.frequent if len(s) == 1)
         pairs = sorted(s for s in serial.frequent if len(s) == 2)[:8]
         bits = ItemBitmap(sorted({c[0] for c in pairs})).bits
         bounds = tuple(_even_bounds(len(small_quest_db), 3))
-        forward = _count_both_paths(
-            packed, _Unit(0, bits, bounds), 2, pairs
-        ).body.tolist()
-        rotated = _count_both_paths(
-            packed, _Unit(0, bits, bounds[1:] + bounds[:1]), 2, pairs
-        ).body.tolist()
-        assert forward == rotated == [serial.frequent[c] for c in pairs]
+        rows, forward = _count_both_paths(
+            packed, _Unit(0, bits, bounds), f1
+        )
+        _, rotated = _count_both_paths(
+            packed, _Unit(0, bits, bounds[1:] + bounds[:1]), f1
+        )
+        assert set(pairs) <= set(rows)
+        assert forward.body.tolist() == rotated.body.tolist() == [
+            _support(small_quest_db, c) for c in rows
+        ]
 
     def test_one_row_unit_counts_without_root_filter(self, small_quest_db):
-        # G = 1 (CD): the bin is every candidate, no ownership test
-        # runs, and the unit records no shift time and no prune tallies.
-        # The same holds for a bin generated from F(k-1).
+        # G = 1 (CD): the bin is all of C(2), no ownership test runs,
+        # and the unit records no shift time and no prune tallies, even
+        # over a ring of several ranges.
         serial = Apriori(SUPPORT).mine(small_quest_db)
-        pairs = sorted(s for s in serial.frequent if len(s) == 2)[:8]
-        reply = _count_both_paths(
-            small_quest_db.to_packed(),
-            _Unit(0, None, ((0, len(small_quest_db)),)), 2, pairs,
-        )
-        assert reply.body.tolist() == [serial.frequent[c] for c in pairs]
-        assert (reply.shift_s, reply.checked, reply.skipped) == (0.0, 0, 0)
-        f1 = itemset_matrix(sorted(s for s in serial.frequent if len(s) == 1))
-        generated = _Reply(None)
-        rows = _derive_bin(
-            _Frame(0, 2, f1, False), None, generate_candidates, generated
+        f1 = sorted(s for s in serial.frequent if len(s) == 1)
+        ring = tuple(_even_bounds(len(small_quest_db), 2))
+        rows, reply = _count_both_paths(
+            small_quest_db.to_packed(), _Unit(0, None, ring), f1
         )
         assert len(rows) == len(f1) * (len(f1) - 1) // 2
-        assert (generated.checked, generated.skipped) == (0, 0)
+        assert {
+            c: n for c, n in zip(rows, reply.body.tolist())
+            if n >= serial.min_count
+        } == {s: n for s, n in serial.frequent.items() if len(s) == 2}
+        assert (reply.shift_s, reply.checked, reply.skipped) == (0.0, 0, 0)
 
 
 class TestRecoveryLadder:
@@ -429,7 +440,7 @@ class TestRecoveryLadder:
         from multiprocessing import get_context
 
         f1 = itemset_matrix([(1,), (2,), (3,), (4,)])
-        frame = _Frame(1, 2, f1, False)
+        frame = _Frame(1, 2, f1)
         transactions = [set(t) for t in tiny_partition_db.transactions]
         for miner_cls in (NativeIntelligentDistribution,
                           NativeCountDistribution):
@@ -448,7 +459,7 @@ class TestRecoveryLadder:
                 counts = pool._segments.ensure_counts(load)
                 derived = {}
                 reply = pool._recover(
-                    1, "died", "pass", 2,
+                    1, "died", 2,
                     (frame, counts, unit.bits, unit.ring, None),
                     exclude=frozenset(),
                     inprocess=lambda: pool._count_inprocess(
@@ -493,7 +504,7 @@ class TestRecoveryLadder:
         from multiprocessing import get_context
 
         f1 = itemset_matrix([(1,), (2,), (3,), (4,)])
-        frame = _Frame(1, 2, f1, False)
+        frame = _Frame(1, 2, f1)
         pool = _Pool(get_context(), 2, tiny_partition_db.to_packed())
         try:
             units, bits, _load = pool._plan(frame, lambda w, p: 1)
@@ -532,7 +543,7 @@ class TestRecoveryLadder:
             )
             idd_rows = NativeIntelligentDistribution(TINY_SUPPORT, 2)._rows
             frequent, counts, num = pool.count_pass(
-                2, f1, False, idd_rows, tiny_serial.min_count,
+                2, f1, idd_rows, tiny_serial.min_count,
                 generate_candidates,
             )
             assert counts.dtype == np.int64

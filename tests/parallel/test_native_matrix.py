@@ -187,61 +187,34 @@ class TestHeavyFirstItem:
         assert miner.fault_log == []
 
 
-@st.composite
-def sorted_candidates(draw):
-    width = draw(st.integers(1, 4))
-    rows = draw(
-        st.sets(
-            st.lists(st.integers(0, 30), min_size=width, max_size=width,
-                     unique=True).map(lambda r: tuple(sorted(r))),
-            max_size=60,
-        )
-    )
-    return width, sorted(rows)
-
-
 class TestOwnedRows:
     """The planner's bins, from the frame alone, are the partitioner's."""
 
     @settings(max_examples=200, deadline=None)
-    @given(sorted_candidates(), st.integers(1, 4))
+    @given(st.sets(st.integers(0, 30), max_size=31), st.integers(1, 4))
     def test_matches_partition_by_first_item(self, drawn, rows):
-        # A given C_k (SON phase 2) is weighed by exact counts, and F(1)
-        # by its exact join sizes: either way the bins are the ones
-        # partition_by_first_item packs from the candidates themselves.
-        width, candidates = drawn
-        matrix = np.array(candidates, dtype=np.int32).reshape(
-            len(candidates), width
-        )
-        items = sorted({c[0] for c in candidates})
+        # F(1) is weighed by its exact join sizes, so the bins are the
+        # ones partition_by_first_item packs from C(2) itself.
+        items = sorted(drawn)
         f1 = np.array(items, dtype=np.int32).reshape(len(items), 1)
         c2 = generate_candidates([(item,) for item in items])
-        for frame, expected in (
-            (_Frame(0, width, matrix, True), candidates),
-            (_Frame(0, 2, f1, False), c2),
-        ):
-            bits, load = _first_item_bins(frame, lambda w, p: p, rows)
-            if not expected:
-                assert load == 0
-                continue
-            partition = partition_by_first_item(expected, rows)
-            if rows == 1:
-                assert bits == [None] and load == len(expected)
-                continue
-            assert len(bits) == rows
-            assert load == max(partition.loads)
-            for row in range(rows):
-                assert bits[row] == partition.filters[row].bits
-                owned = ItemBitmap.from_bits(bits[row])
-                if frame.given:
-                    got = [c for c in candidates if c[0] in owned]
-                else:
-                    got = [
-                        tuple(c) for c in generate_candidates(
-                            f1, owned=owned
-                        ).tolist()
-                    ]
-                assert got == partition.assignments[row]
+        bits, load = _first_item_bins(_Frame(0, 2, f1), lambda w, p: p, rows)
+        if not c2:
+            assert load == 0
+            return
+        partition = partition_by_first_item(c2, rows)
+        if rows == 1:
+            assert bits == [None] and load == len(c2)
+            return
+        assert len(bits) == rows
+        assert load == max(partition.loads)
+        for row in range(rows):
+            assert bits[row] == partition.filters[row].bits
+            owned = ItemBitmap.from_bits(bits[row])
+            got = [
+                tuple(c) for c in generate_candidates(f1, owned=owned).tolist()
+            ]
+            assert got == partition.assignments[row]
 
 
 class TestSerialPassOne:

@@ -430,7 +430,7 @@ class TestGenerateCommand:
 
 
 class TestScaleFlags:
-    """`generate --generate-to` / `mine --attach` / `--two-phase`."""
+    """`generate --generate-to` / `mine --attach`."""
 
     def test_generate_to_writes_attachable_store(self, tmp_path, capsys):
         store = tmp_path / "db.packed"
@@ -482,22 +482,6 @@ class TestScaleFlags:
         # The attached store is the caller's file: still there.
         assert store.exists()
 
-    def test_attach_with_two_phase(self, tmp_path, capsys):
-        store = tmp_path / "db.packed"
-        main(
-            ["generate", "--transactions", "200", "--items", "30",
-             "--seed", "6", "--generate-to", str(store)]
-        )
-        capsys.readouterr()
-        exit_code = main(
-            ["mine", "--attach", str(store), "--algorithm", "native-cd",
-             "--processors", "2", "--min-support", "0.1", "--two-phase"]
-        )
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "phase 1 complete" in out
-        assert "frequent item-sets" in out
-
     def test_database_and_attach_are_mutually_exclusive(
         self, dat_file, tmp_path, capsys
     ):
@@ -534,45 +518,6 @@ class TestScaleFlags:
         )
         assert exit_code == 2
         assert "does not exist" in capsys.readouterr().err
-
-    def test_two_phase_without_cd_is_usage_error(self, dat_file, capsys):
-        for argv in (
-            ["mine", str(dat_file), "--two-phase"],
-            ["mine", str(dat_file), "--algorithm", "native-idd",
-             "--two-phase"],
-        ):
-            with pytest.raises(SystemExit) as excinfo:
-                main(argv)
-            assert excinfo.value.code == 2
-            assert "--two-phase" in capsys.readouterr().err
-
-    def test_two_phase_on_pickle_plane_is_usage_error(
-        self, dat_file, capsys
-    ):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["mine", str(dat_file), "--algorithm", "native",
-                 "--data-plane", "pickle", "--two-phase"]
-            )
-        assert excinfo.value.code == 2
-        assert "unknown data plane 'pickle'" in capsys.readouterr().err
-
-    def test_two_phase_matches_single_phase(self, dat_file, capsys):
-        main(
-            ["mine", str(dat_file), "--min-support", "0.3",
-             "--algorithm", "native", "--processors", "2"]
-        )
-        single = capsys.readouterr().out
-        main(
-            ["mine", str(dat_file), "--min-support", "0.3",
-             "--algorithm", "native", "--processors", "2", "--two-phase"]
-        )
-        two = capsys.readouterr().out
-        pick = lambda text: [  # noqa: E731
-            line for line in text.splitlines()
-            if "frequent item-sets" in line or "count=" in line
-        ]
-        assert pick(single) == pick(two)
 
 
 class TestReportFlag:
@@ -651,11 +596,12 @@ class TestServeAndQueryFlags:
         assert excinfo.value.code == 2
         assert "--remine-every" in capsys.readouterr().err
 
-    def test_serve_two_phase_requires_attach(self, dat_file, capsys):
+    def test_serve_block_budget_requires_attach(self, dat_file, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["serve", str(dat_file), "--two-phase"])
+            main(["serve", str(dat_file), "--block-budget", "64"])
         assert excinfo.value.code == 2
-        assert "--attach" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--block-budget only applies with --attach" in err
 
     def test_query_requires_exactly_one_action(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
