@@ -136,8 +136,7 @@ def _measure(db, data_plane: str, num_workers: int, **miner_kwargs):
     reusing the pool.  Returns ``(wall_s, coord_pass_s, cold_wall_s,
     cand_attach_s, frequent)`` where the first two are warm medians and
     ``cand_attach_s`` is the median of each warm mine's slowest frame
-    attach (should be ~0: F(k-1) is a small frame and the count region
-    is already attached).
+    receive and decode (should be ~0: F(k-1) is a small frame).
     Extra keyword arguments (``store_dir``, ``block_budget``, …) pass
     through to the miner.
     """

@@ -5,8 +5,10 @@ The laptop-RAM story, measured end to end and landed in
 
 1. **Generate to disk** — a full-size Quest database
    (:data:`NUM_TRANSACTIONS` transactions) is streamed straight into a
-   packed store file with :func:`repro.data.quest.generate_to_file`.
-   The generating subprocess runs under a hard
+   packed store file with :func:`repro.data.quest.generate_to_file`,
+   :data:`GENERATES` times over; the run records the fastest
+   generation's wall seconds and the transactions/second derived from
+   it.  The generating subprocess runs under a hard
    :func:`repro.memprof.set_memory_limit` cap (``RLIMIT_DATA``), and
    full-size runs additionally assert its peak RSS stayed *below the
    size of the file it wrote* — the database was never materialized in
@@ -71,8 +73,18 @@ NUM_WORKERS = 2
 #: before it.
 MINES = 11
 
+#: Streamed generations timed for ``scale.generate.wall_s``, which keeps
+#: the fastest, as :data:`MINES` does for the mine: generating the same
+#: seeded store is deterministic work too.  Single full-size
+#: generations on a shared 2-vCPU VM read 11.6-19.0 s over nine runs of
+#: unchanged generator code, past nightly's +25% wall gate; the fastest
+#: of 3 read 11.3 s in each of two back-to-back runs (its six
+#: generations 11.3-11.9 s).
+GENERATES = 3
+
 # Generation subprocess: cap first, then stream the Quest database to
-# the store file.  Prints one JSON line with the measurements.
+# the store file ``generates`` times (each run rewrites the same file).
+# Prints one JSON line with the measurements.
 _GENERATE_SCRIPT = """
 import json, sys, time
 from repro.data.corpus import t15_i6
@@ -80,13 +92,18 @@ from repro.data.quest import generate_to_file
 from repro.memprof import peak_rss_bytes, set_memory_limit
 
 cap, num_transactions, store = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+generates = int(sys.argv[4])
 set_memory_limit(cap)
 config = t15_i6(num_transactions, seed=11)
-start = time.perf_counter()
-path = generate_to_file(config, store)
-wall = time.perf_counter() - start
+walls = []
+for _ in range(generates):
+    start = time.perf_counter()
+    path = generate_to_file(config, store)
+    walls.append(time.perf_counter() - start)
+wall = min(walls)
 print(json.dumps({
     "wall_s": wall,
+    "walls_s": walls,
     "tx_per_s": num_transactions / wall,
     "peak_rss_bytes": peak_rss_bytes(),
     "store_bytes": path.stat().st_size,
@@ -166,10 +183,11 @@ def store_path(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def generated(store_path):
-    """Generate the store once under the cap; yield its measurements."""
+    """Generate the store under the cap; yield its measurements."""
     return _run_capped(
         _GENERATE_SCRIPT,
         str(CAP_BYTES), str(NUM_TRANSACTIONS), str(store_path),
+        str(GENERATES),
     )
 
 
@@ -186,10 +204,11 @@ def test_generate_to_disk_under_cap(generated, store_path):
         "scale.store_bytes": float(generated["store_bytes"]),
     }
     record_bench_medians(medians, path=BENCH_SCALE_JSON)
+    walls = ", ".join(f"{wall:.1f}" for wall in generated["walls_s"])
     print(
         f"\ngenerate: {NUM_TRANSACTIONS} transactions in "
-        f"{generated['wall_s']:.1f}s "
-        f"({generated['tx_per_s']:.0f} tx/s); store "
+        f"{generated['wall_s']:.1f}s, the fastest of {GENERATES} "
+        f"generations ({walls} s; {generated['tx_per_s']:.0f} tx/s); store "
         f"{generated['store_bytes'] / 1e6:.1f} MB, generator peak RSS "
         f"{generated['peak_rss_bytes'] / 1e6:.1f} MB, cap "
         f"{CAP_BYTES / 1e6:.0f} MB"

@@ -10,8 +10,10 @@ bit-identical to serial Apriori.
 Each worker count runs on both data planes: the default ``shared``
 plane keeps the packed transaction store in a shared-memory segment,
 while ``mmap`` writes it once to a file that every worker maps
-read-only (the out-of-core plane).  On both, the candidate broadcast
-and the count vectors travel through shared memory — the
+read-only (the out-of-core plane).  On both, the coordinator ships
+F(k-1) (the previous pass's frequent item-sets) down each worker's
+pipe, every worker generates its own candidates from it, and each count
+vector comes back inline in the worker's reply — the
 coordinator-overhead column shows what the pass loop itself costs.
 
 What you should expect depends on the machine: on a multi-core box the

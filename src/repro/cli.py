@@ -203,8 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="{shared,mmap}",
         help=(
             "native pool only: 'shared' (default; packed transactions "
-            "in shared memory, binary candidate broadcast, shared "
-            "count vectors) or 'mmap' (the packed store written once "
+            "in shared memory) or 'mmap' (the packed store written once "
             "to a file and mapped read-only by every worker — the "
             "out-of-core plane); results are identical"
         ),

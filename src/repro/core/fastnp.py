@@ -470,7 +470,7 @@ class FastNumpyCounter:
             ).reshape(len(self._tuples), self.k)
         return self._matrix
 
-    def _ensure_counts(self):
+    def _sized_counts(self):
         """The int64 count vector, grown lazily to the candidate count.
 
         ``insert`` never reallocates it (appending per candidate would
@@ -524,16 +524,16 @@ class FastNumpyCounter:
         return iter(self._tuples)
 
     def get_count(self, candidate: Itemset) -> int:
-        return int(self._ensure_counts()[self._ensure_index()[candidate]])
+        return int(self._sized_counts()[self._ensure_index()[candidate]])
 
     def counts(self) -> Dict[Itemset, int]:
         self._ensure_index()
-        counts = self._ensure_counts().tolist()
+        counts = self._sized_counts().tolist()
         return {c: counts[i] for i, c in enumerate(self._tuples)}
 
     def frequent(self, min_count: int) -> Dict[Itemset, int]:
         self._ensure_index()
-        counts = self._ensure_counts()
+        counts = self._sized_counts()
         return {
             self._tuples[i]: int(counts[i])
             for i in np.flatnonzero(counts >= min_count)
@@ -541,7 +541,7 @@ class FastNumpyCounter:
 
     def counts_array(self):
         """The live int64 count array, in slot order (not a copy)."""
-        return self._ensure_counts()
+        return self._sized_counts()
 
     def first_item_mask(self, container: Container[int]):
         """Bool mask of candidates whose first item is in ``container``.
@@ -627,7 +627,7 @@ class FastNumpyCounter:
             return
         rows = bitmaps.rows
         k = self.k
-        counts = self._ensure_counts()
+        counts = self._sized_counts()
         step = max(1, _CHUNK_BYTES // (rows.shape[1] * rows.itemsize))
         for start in range(0, hits.size, step):
             chunk = hits[start:start + step]
@@ -747,7 +747,7 @@ class FastNumpyCounter:
             tick = tock
         if tri.slots is not None:
             counted = counted[tri.slots]
-        counts = self._ensure_counts()
+        counts = self._sized_counts()
         if selected is None:
             counts += counted
         else:
@@ -804,4 +804,4 @@ class FastNumpyCounter:
 
     def reset_counts(self) -> None:
         """Zero all counts (candidates, matrix and cache wiring kept)."""
-        self._ensure_counts()[:] = 0
+        self._sized_counts()[:] = 0

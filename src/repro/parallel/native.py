@@ -47,12 +47,12 @@ Two data planes move the bits (``data_plane=``):
   ``store_dir``, or an attached store's own file) that workers map
   read-only: the minable database is bounded by disk, not RAM.
 
-On both, each worker writes its count vector into its own slot of a
-shared int64 region; the pipes carry F(k-1), the frequent rows that
-come back, and small control frames.  With ``block_budget`` a ring
-walks each block in bounded sub-ranges.  The packed store holds int32
-item ids, so a database with an id past 2^31 - 1 raises ``ValueError``
-(serial :class:`~repro.core.apriori.Apriori` still mines it).
+On both, the pipes carry everything else: F(k-1) out, each bin's count
+vector back inline in the pass reply, the frequent rows that come back,
+and small control frames.  With ``block_budget`` a ring walks each
+block in bounded sub-ranges.  The packed store holds int32 item ids,
+so a database with an id past 2^31 - 1 raises ``ValueError`` (serial
+:class:`~repro.core.apriori.Apriori` still mines it).
 
 Workers count with the ``"fast-np"`` bitmap kernel (``kernel=``, the
 one name :data:`NATIVE_KERNELS` allows): numpy bit-matrices, counted
@@ -69,7 +69,8 @@ declared failed and its unit walks a fixed ladder:
 
 1. **respawn** — a replacement (bounded retries, exponential backoff)
    derives and recounts the unit;
-2. **adopt** — a surviving worker counts it as an extra request;
+2. **adopt** — a surviving worker counts it as a second ``pass``
+   request;
 3. **in-process** — the parent derives and counts it; a survivor that
    dies while adopting (or while returning a row's frequent
    candidates) is dropped as ``"repacked"``, and once no worker is left
@@ -85,12 +86,14 @@ as an error frame that raises :class:`WorkerError` — deterministic
 application errors are surfaced, process deaths are recovered.
 Failures are injected through :mod:`repro.faults`.
 
-Shared segments are owned by the coordinator: workers only attach, and
-:class:`_SharedSegments` unlinks every segment exactly once on every
-exit path.  Coordinator death is the checkpoint layer's half of the
-story (:mod:`repro.checkpoint`): with ``checkpoint_dir`` every pass is
-journaled and ``resume=True`` continues a killed mine bit-identically,
-while workers watch the parent-death sentinel and shut down with it.
+The store is owned by the coordinator: workers only attach, and
+:class:`_SharedSegments` removes it exactly once on every exit path
+(the mmap plane creates no shared-memory segment at all, the shared
+plane exactly one).  Coordinator death is the checkpoint layer's half
+of the story (:mod:`repro.checkpoint`): with ``checkpoint_dir`` every
+pass is journaled and ``resume=True`` continues a killed mine
+bit-identically, while workers watch the parent-death sentinel and
+shut down with it.
 """
 
 from __future__ import annotations
@@ -239,8 +242,7 @@ class PassOverhead:
       from the pass frame (apriori_gen over F(k-1) restricted to its
       owned first items);
     * ``cand_attach_s`` — the slowest worker's seconds receiving and
-      decoding the pass frame, plus attaching the count region when it
-      was re-allocated.
+      decoding the pass frame.
 
     ``peak_rss_bytes`` is the memory-observability column: the largest
     peak resident set size any process touched while the pass ran — the
@@ -303,18 +305,20 @@ def _even_bounds(num_transactions: int, parts: int) -> List[Tuple[int, int]]:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory plumbing
+# Store plumbing
 # ----------------------------------------------------------------------
 
 _SEGMENT_PREFIX = "repro-"
 
 
 def _segment_name(tag: str) -> str:
-    """A short, collision-resistant shm name carrying our prefix.
+    """A short, collision-resistant store name carrying our prefix.
 
-    The explicit prefix lets tests assert no ``repro-*`` segment
-    outlives a run (``/dev/shm`` stays clean); the random token keeps
-    concurrent pools and stale crash leftovers from colliding.
+    The prefix and the creating coordinator's pid (in hex) let a test
+    assert that no segment its own process created outlives a run
+    (``/dev/shm`` stays clean) without seeing other processes' ones;
+    the random token keeps concurrent pools and stale crash leftovers
+    from colliding.
     """
     return f"{_SEGMENT_PREFIX}{os.getpid():x}-{secrets.token_hex(4)}-{tag}"
 
@@ -361,39 +365,29 @@ def _attach_store(store_ref: Tuple[str, str]):
 
 
 class _SharedSegments:
-    """Coordinator-owned shared segments: the store and the count region.
+    """The coordinator-owned packed store, removed exactly once.
 
-    * **store** — the packed transaction database, written exactly once:
-      into a shared-memory segment by default, or — when ``store_dir``
-      is given (the mmap plane) — into a disk file under it that
-      workers map read-only.  Either way :attr:`store_ref` is the
-      ``("shm", name)`` / ``("mmap", path)`` reference workers attach
-      through (:func:`_attach_store`), and :meth:`close` removes it.
-    * **counts** — ``num_slots`` int64 regions of ``counts_capacity``
-      entries each; worker ``w`` writes its pass vector at slot ``w``.
-      Grown (power-of-two) when a pass's largest planned bin weight —
-      an upper bound on any bin's size — exceeds the capacity; the
-      outgrown segment is unlinked immediately.
-
-    Every created segment is tracked in ``_live`` and :meth:`close`
-    unlinks whatever remains — exactly once, idempotently — so both the
-    normal shutdown path and abnormal exits (failed pool start,
-    :class:`WorkerError` mid-pass) leave nothing behind.
+    The packed transaction database is written exactly once: into a
+    shared-memory segment by default, or — when ``store_dir`` is given
+    (the mmap plane) — into a disk file under it that workers map
+    read-only.  Either way :attr:`store_ref` is the ``("shm", name)`` /
+    ``("mmap", path)`` reference workers attach through
+    (:func:`_attach_store`), and :meth:`close` removes the segment or
+    file — exactly once, idempotently — so both the normal shutdown
+    path and abnormal exits (failed pool start, :class:`WorkerError`
+    mid-pass) leave nothing behind.  :attr:`segment` is the store's
+    shared-memory segment while it lives (``None`` on the mmap plane).
     """
 
     def __init__(
         self,
         packed: PackedDB,
-        num_slots: int,
         store_dir: Optional[str] = None,
         external_path: Optional[Path] = None,
     ):
-        self._live: Dict[str, shared_memory.SharedMemory] = {}
-        self._closed = False
-        self.num_slots = num_slots
-        self.counts_capacity = 0
-        self._counts_name: Optional[str] = None
+        self.segment: Optional[shared_memory.SharedMemory] = None
         self._store_path: Optional[Path] = None
+        self._closed = False
         try:
             if external_path is not None:
                 # The store already lives on disk (an attached
@@ -403,9 +397,12 @@ class _SharedSegments:
                 # its lifetime belongs to whoever created it.
                 self.store_ref = ("mmap", str(external_path))
             elif store_dir is None:
-                store = self._create("db", packed_nbytes(packed))
-                write_packed_into(packed, store.buf)
-                self.store_ref = ("shm", store.name)
+                self.segment = shared_memory.SharedMemory(
+                    name=_segment_name("db"), create=True,
+                    size=max(packed_nbytes(packed), 8),
+                )
+                write_packed_into(packed, self.segment.buf)
+                self.store_ref = ("shm", self.segment.name)
             else:
                 from ..core.mmapdb import write_packed_file
 
@@ -419,63 +416,20 @@ class _SharedSegments:
             self.close()
             raise
 
-    def _create(self, tag: str, nbytes: int) -> shared_memory.SharedMemory:
-        for _ in range(3):
-            try:
-                segment = shared_memory.SharedMemory(
-                    name=_segment_name(tag), create=True, size=max(nbytes, 8)
-                )
-                break
-            except FileExistsError:  # pragma: no cover - token collision
-                continue
-        else:  # pragma: no cover - three collisions in a row
-            raise OSError(f"could not allocate shared segment for {tag!r}")
-        self._live[segment.name] = segment
-        return segment
-
-    def _unlink(self, name: str) -> None:
-        segment = self._live.pop(name, None)
-        if segment is None:
-            return
-        try:
-            segment.close()
-        finally:
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-
-    def ensure_counts(self, num_candidates: int) -> Tuple[str, int]:
-        """Return ``(name, capacity)`` of a count region fitting the pass."""
-        if self._counts_name is None or num_candidates > self.counts_capacity:
-            capacity = 1024
-            while capacity < num_candidates:
-                capacity *= 2
-            segment = self._create("cnt", 8 * capacity * self.num_slots)
-            if self._counts_name is not None:
-                self._unlink(self._counts_name)
-            self._counts_name = segment.name
-            self.counts_capacity = capacity
-        return self._counts_name, self.counts_capacity
-
-    def read_counts(self, slot: int, expected: int):
-        """Copy worker ``slot``'s count vector out of the shared region."""
-        segment = self._live[self._counts_name]
-        base = 8 * slot * self.counts_capacity
-        # The view is dropped as soon as the copy exists, so no export
-        # of the segment's buffer outlives the call.
-        return np.frombuffer(
-            segment.buf, dtype="<i8", count=expected, offset=base
-        ).astype(np.int64)
-
     def close(self) -> None:
-        """Unlink every live segment; idempotent (exactly-once unlink)."""
+        """Remove the store the pool created; idempotent (exactly once)."""
         if self._closed:
             return
         self._closed = True
-        for name in list(self._live):
-            self._unlink(name)
-        self._counts_name = None
+        segment, self.segment = self.segment, None
+        if segment is not None:
+            try:
+                segment.close()
+            finally:
+                try:
+                    segment.unlink()
+                except FileNotFoundError:  # pragma: no cover - already gone
+                    pass
         if self._store_path is not None:
             # The mmap plane's store file is coordinator-owned too;
             # attached workers keep their mappings (POSIX unlink
@@ -511,21 +465,21 @@ def _first_item_bins(frame: _Frame, rows_rule, live_workers: int):
     ``rows_rule(weight, live_workers)`` — the formulation — picks G from
     the total weight, and the weights are bin-packed over the G rows
     with :func:`~repro.core.partition.bin_pack`.  Returns ``(bits,
-    load)``: ``bits[row]`` is row ``row``'s ownership bitmap as a raw
-    integer (``None`` on one row, whose bin is all of C_k), and ``load``
-    the largest row weight — an upper bound on any bin's size, zero when
-    no first item opens a join.
+    weight)``: ``bits[row]`` is row ``row``'s ownership bitmap as a raw
+    integer (``None`` on one row, whose bin is all of C_k), and
+    ``weight`` the total join weight — zero when no first item opens a
+    join, so that C_k is empty.
     """
     items, weights = join_weights(frame.matrix)
     weight = int(weights.sum())
     rows = rows_rule(weight, live_workers)
     if rows == 1:
         return [None], weight
-    weight_of = dict(zip(items.tolist(), weights.tolist()))
-    bins = bin_pack({(item,): w for item, w in weight_of.items()}, rows)
-    bits = [ItemBitmap(key[0] for key in keys).bits for keys in bins]
-    load = max(sum(weight_of[key[0]] for key in keys) for keys in bins)
-    return bits, load
+    bins = bin_pack(
+        {(item,): w for item, w in zip(items.tolist(), weights.tolist())},
+        rows,
+    )
+    return [ItemBitmap(key[0] for key in keys).bits for keys in bins], weight
 
 
 class _Unit(NamedTuple):
@@ -547,13 +501,12 @@ class _Unit(NamedTuple):
 class _Reply:
     """One worker reply: the result of a request and what it cost.
 
-    ``body`` is the count vector (``adopt`` replies), the number of
-    counts written to the worker's shared slot (``pass`` requests), or
-    the frequent rows of each bin a ``rows`` request names.  ``size`` is the counted bin's
-    number of candidates, and ``rows`` its frequent candidates when the
-    request carried a threshold.  The rest are the worker's
-    measurements, folded into the pass's :class:`PassOverhead` by
-    :func:`_charge`.
+    ``body`` is the counted bin's count vector (``pass`` requests) or
+    the frequent rows of each bin a ``rows`` request names.  ``size`` is
+    the counted bin's number of candidates, and ``rows`` its frequent
+    candidates when the request carried a threshold.  The rest are the
+    worker's measurements, folded into the pass's :class:`PassOverhead`
+    by :func:`_charge`.
     """
 
     body: object
@@ -694,39 +647,35 @@ def _recv_command(conn):
 def _worker_main(
     conn,
     store_ref: Tuple[str, str],
-    slot: int,
     fault_events: List[FaultEvent] = (),
 ) -> None:
     """The worker loop: derive and count one unit per request.
 
     The worker attaches the packed store by ``store_ref`` (an ``("shm",
     name)`` segment or an ``("mmap", path)`` file mapping), then sends
-    the ready frame ``_READY`` — the pool sends it no work before — and
-    writes its pass vectors into count slot ``slot``.
+    the ready frame ``_READY`` — the pool sends it no work before.
 
     Request frames (parent -> worker), all ``(tag, seq, k, payload)``:
 
-    * ``"pass"`` — derive and count this worker's own unit;
-    * ``"adopt"`` — derive and count a dead peer's unit on its behalf
-      (recovery); the reply always carries the vector inline, so it
-      cannot collide with this worker's own count slot;
+    * ``"pass"`` — derive and count a unit: this worker's own, or a
+      failed peer's on its behalf (adoption, recovery);
     * ``"rows"`` — return the frequent candidates of bins of the
       current frame: the payload lists ``(bits, keep)`` pairs, ``keep``
       the bin's frequent mask as ``np.packbits`` bytes.  A bin this
       worker has not derived yet is derived from the frame first;
     * ``None`` — shut down.
 
-    A count payload is ``(frame, counts, bits, ring, threshold)``:
-    ``frame`` is the pass's :class:`_Frame`, ``counts`` the ``(name,
-    capacity)`` of the shared count region, and ``threshold`` the
-    pass's minimum count when the unit's grid row has one column (IDD):
-    its counts are then complete, and the reply carries the bin's
-    frequent rows, so the row needs no ``rows`` follow-up.
+    A ``pass`` payload is ``(frame, bits, ring, threshold)``: ``frame``
+    is the pass's :class:`_Frame`, and ``threshold`` the pass's minimum
+    count when the unit's grid row has one column (IDD): its counts are
+    then complete, and the reply carries the bin's frequent rows, so
+    the row needs no ``rows`` follow-up.
 
     Every reply echoes the request's ``seq`` — ``("ok", seq,``
     :class:`_Reply` ``)`` or ``("error", seq, message)`` when the work
     raised — so the parent can tell the answer to the frame it just
-    sent from a late answer to an earlier one.
+    sent from a late answer to an earlier one.  A ``pass`` reply
+    carries the bin's count vector inline.
 
     The loop owns one cross-pass bitmap cache; since the rings tile the
     whole store, one pass warms every range's bitmaps for all later
@@ -736,7 +685,7 @@ def _worker_main(
 
     ``fault_events`` are this worker's injected failures from a
     :class:`~repro.faults.FaultSpec`; each fires once, on the first
-    count request of its pass (never on a ``rows`` follow-up).
+    ``pass`` request of its pass (never on a ``rows`` follow-up).
     """
     pending = list(fault_events)
 
@@ -748,8 +697,6 @@ def _worker_main(
 
     store_holder, store = _attach_store(store_ref)
     cache = PackedBitmapCache()
-    counts_segment = None
-    counts_name: Optional[str] = None
     frame: Optional[_Frame] = None
     # The current frame's derived bins, by ownership bits.
     bins: Dict[Optional[int], np.ndarray] = {}
@@ -776,17 +723,10 @@ def _worker_main(
                     continue
                 conn.send(("ok", seq, _Reply(body)))
                 continue
-            received, counts_ref, bits, ring, threshold = payload
+            received, bits, ring, threshold = payload
             if frame is None or received.ident != frame.ident:
                 bins = {}
             frame = received
-            if counts_ref[0] != counts_name:
-                tick = time.perf_counter()
-                if counts_segment is not None:
-                    counts_segment.close()
-                counts_name = counts_ref[0]
-                counts_segment = _attach_segment(counts_name)
-                attach_s += time.perf_counter() - tick
             kill = take("kill", k)
             if kill is not None and kill.when == "before":
                 os._exit(_KILLED_EXIT)
@@ -799,7 +739,7 @@ def _worker_main(
                 if bits not in bins:
                     bins[bits] = _derive_bin(frame, bits, _apriori_gen, reply)
                 # A "mid" kill dies mid-ring: after roughly half the
-                # ring steps, before any count is published.
+                # ring steps, before any count is sent.
                 _count_unit(
                     store, _Unit(0, bits, ring), bins[bits], cache, reply,
                     max(1, len(ring) // 2) if kill is not None else None,
@@ -813,24 +753,13 @@ def _worker_main(
                 time.sleep(delay.delay)
             if corrupt is not None:
                 reply.body = reply.body[:-1]
-            if tag == "pass":
-                vector = reply.body
-                if len(vector) > counts_ref[1]:
-                    conn.send(("error", seq, f"bin of {len(vector)} overflows "
-                               f"a count slot of {counts_ref[1]}"))
-                    continue
-                base = 8 * slot * counts_ref[1]
-                counts_segment.buf[base:base + 8 * len(vector)] = (
-                    vector.astype("<i8", copy=False).tobytes()
-                )
-                reply.body = len(vector)
             reply.peak_rss = peak_rss_bytes()
             conn.send(("ok", seq, reply))
     except EOFError:
         pass
     finally:
         conn.close()
-        # Release the store views before the segment objects are
+        # Release the store views before the segment object is
         # finalized: SharedMemory.close() raises BufferError while
         # exported memoryviews (the PackedDB's buffers) are alive, and
         # interpreter-shutdown finalization order is not guaranteed to
@@ -838,8 +767,6 @@ def _worker_main(
         # goes first.
         cache.clear()
         store = None
-        if counts_segment is not None:
-            counts_segment.close()
         try:
             store_holder.close()
         except BufferError:  # pragma: no cover - view still exported
@@ -927,12 +854,10 @@ class _Pool:
                     store_dir if store_dir is not None
                     else tempfile.gettempdir()
                 )
-            self._segments = _SharedSegments(
-                store, num_workers, mmap_dir, external_store
-            )
+            self._segments = _SharedSegments(store, mmap_dir, external_store)
             for wid in range(num_workers):
                 events = self._faults.worker_events(wid)
-                slot = self._spawn(wid, events, gated=False)
+                slot = self._spawn(events, gated=False)
                 if slot is None:  # pragma: no cover - spawn failed at startup
                     raise OSError(f"could not start worker {wid}")
                 self._slots[wid] = slot
@@ -955,8 +880,10 @@ class _Pool:
         return self._initial_refusals - self._refusals_left
 
     def segment_names(self) -> List[str]:
-        """Names of currently live shared segments."""
-        return list(self._segments._live)
+        """Names of the pool's live shared-memory segments: the store's
+        on the shared plane until shutdown, none on the mmap plane."""
+        segment = self._segments.segment
+        return [] if segment is None else [segment.name]
 
     # ------------------------------------------------------------------
     # Planning
@@ -995,18 +922,18 @@ class _Pool:
         """Derive this pass's grid, bins and rings from the frame alone.
 
         The rows and their bins come from :func:`_first_item_bins` over
-        the live workers.  Returns ``(units, bits, load)``: ``units``
-        maps worker id to its :class:`_Unit`, and ``bits`` and ``load``
+        the live workers.  Returns ``(units, bits, weight)``: ``units``
+        maps worker id to its :class:`_Unit`, and ``bits`` and ``weight``
         are :func:`_first_item_bins`'.  Recomputed every pass, so the
         grid re-packs over whatever workers survived earlier passes.
         """
-        bits, load = _first_item_bins(frame, rows_rule, len(self._slots))
+        bits, weight = _first_item_bins(frame, rows_rule, len(self._slots))
         rows = len(bits)
         units = {
             wid: _Unit(row, bits[row], ring)
             for wid, (row, ring) in self._rings(rows).items()
         }
-        return units, bits, load
+        return units, bits, weight
 
     # ------------------------------------------------------------------
     # The fan-out
@@ -1044,17 +971,16 @@ class _Pool:
             replies = [self._count_inprocess(frame, whole, generate, derived)]
             overhead.reduce_s = time.perf_counter() - tick
         else:
-            units, bits, load = self._plan(frame, rows_rule)
-            if not load:
+            units, bits, weight = self._plan(frame, rows_rule)
+            if not weight:
                 return matrix[:0], np.zeros(0, dtype=np.int64), 0
             replies = [None] * len(bits)
             tick = time.perf_counter()
-            counts = self._segments.ensure_counts(load)
             # A row with one column (IDD) thresholds in its pass reply.
             alone = len(bits) == len(units)
             threshold = min_count if alone else None
             jobs = {
-                wid: ((frame, counts, unit.bits, unit.ring, threshold), None)
+                wid: ((frame, unit.bits, unit.ring, threshold), None)
                 for wid, unit in units.items()
             }
             overhead.broadcast_s = time.perf_counter() - tick
@@ -1246,11 +1172,10 @@ class _Pool:
         """Read one reply frame: ``(reply, "")`` or ``(None, failure)``.
 
         What a valid body is depends on the request ``tag``: a ``pass``
-        body is the number of counts written to the worker's shared
-        slot, which must equal the bin size the reply reports and is
-        then read out; an ``adopt`` body is the count vector itself, of
-        that size; a ``rows`` body lists one frequent-candidate matrix
-        per bin asked, of the ``expected`` shapes.  A reply echoing a
+        body is the bin's count vector, whose length must equal the bin
+        size the reply reports; a ``rows`` body lists one
+        frequent-candidate matrix per bin asked, of the ``expected``
+        shapes.  A reply echoing a
         sequence number other than ``seq`` answers an *earlier* request
         and is ``"stale"``: the caller discards it and keeps waiting,
         even when its payload happens to fit.  So is a worker's ready
@@ -1276,10 +1201,6 @@ class _Pool:
             valid = isinstance(body, list) and [
                 getattr(rows, "shape", None) for rows in body
             ] == expected
-        elif tag == "pass":
-            valid = type(body) is int and body == reply.size
-            if valid:
-                reply.body = self._segments.read_counts(wid, body)
         else:
             valid = isinstance(body, np.ndarray) and len(body) == reply.size
         return (reply, "") if valid else (None, "corrupt")
@@ -1346,7 +1267,7 @@ class _Pool:
         for attempt in range(self.max_retries + 1):
             if attempt > 0:
                 time.sleep(self.backoff_base * (2 ** (attempt - 1)))
-            replacement = self._spawn(wid, future_events, gated=True)
+            replacement = self._spawn(future_events, gated=True)
             if replacement is None:
                 continue
             reply = None
@@ -1365,7 +1286,7 @@ class _Pool:
 
         for survivor_id in [s for s in self._slots if s not in exclude]:
             survivor = self._slots[survivor_id]
-            reply = self._ask(survivor, survivor_id, "adopt", k, payload)
+            reply = self._ask(survivor, survivor_id, "pass", k, payload)
             if reply is not None:
                 self.fault_log.append(
                     FaultRecord(k, wid, failure, "adopted", attempts)
@@ -1382,14 +1303,8 @@ class _Pool:
         )
         return inprocess()
 
-    def _spawn(
-        self, wid: int, events: List[FaultEvent], gated: bool
-    ) -> Optional[_Slot]:
-        """Start one worker process; ``None`` if spawning is refused/fails.
-
-        ``wid`` doubles as the worker's count-region slot index, so a
-        respawned replacement writes where its predecessor did.
-        """
+    def _spawn(self, events: List[FaultEvent], gated: bool) -> Optional[_Slot]:
+        """Start one worker process; ``None`` if spawning is refused/fails."""
         if gated and self._refusals_left > 0:
             self._refusals_left -= 1
             return None
@@ -1397,12 +1312,7 @@ class _Pool:
             parent_conn, child_conn = self._context.Pipe()
             process = self._context.Process(
                 target=_worker_main,
-                args=(
-                    child_conn,
-                    self._segments.store_ref,
-                    wid,
-                    events,
-                ),
+                args=(child_conn, self._segments.store_ref, events),
                 daemon=True,
             )
             process.start()
@@ -1432,8 +1342,7 @@ class _Pool:
         """Close a slot's pipe and reap its process (terminate if needed).
 
         A declared-failed worker may merely be slow; terminating it
-        prevents a late reply from desynchronizing a later pass — or a
-        late write to a count slot a replacement is about to use.
+        prevents a late reply from desynchronizing a later pass.
         """
         try:
             slot.conn.close()
@@ -1444,7 +1353,7 @@ class _Pool:
         slot.process.join(timeout=10)
 
     def shutdown(self) -> None:
-        """Reap the workers, then unlink every shared segment exactly once."""
+        """Reap the workers, then remove the store exactly once."""
         try:
             for slot in self._slots.values():
                 try:
@@ -1802,9 +1711,9 @@ class NativeCountDistribution(_NativeMiner):
             and reused every pass.  Any other kernel raises
             ``ValueError``.
         data_plane: ``"shared"`` (default) — packed transactions in a
-            shared-memory store, F(k-1) shipped to every worker, count
-            vectors in shared int64 slots — or ``"mmap"`` — the same,
-            but the store is a disk file workers map read-only
+            shared-memory store, F(k-1) shipped to every worker and each
+            count vector returned in its reply — or ``"mmap"`` — the
+            same, but the store is a disk file workers map read-only
             (out-of-core: the minable database is bounded by disk, not
             RAM).  Both yield identical results.
         store_dir: mmap plane only — directory the store file is

@@ -6,15 +6,40 @@ defaults to that multiprocessing start method, so the whole suite —
 ring, shift, and recovery paths included — runs once per start method
 in CI instead of only under the platform default.  Explicit
 ``start_method=`` arguments in individual tests still win.
+
+Every test here also runs under ``no_leaked_segments``: it must leave
+no shared-memory segment of this process behind.
 """
 
+import glob
 import multiprocessing
 import os
 
 import pytest
 
-from repro.parallel.native import NativeCountDistribution
+from repro.parallel.native import NativeCountDistribution, _SEGMENT_PREFIX
 from repro.parallel.native_idd import NativePartitionedMiner
+
+
+def live_repro_segments() -> set:
+    """This process's ``repro-*`` segments now backing ``/dev/shm``.
+
+    A segment's name embeds the pid of the coordinator that created it
+    (``native._segment_name``), so the listing holds only segments this
+    test process made: pools of other processes — a second suite, a
+    CLI mine, a killed coordinator's child — never show up in it.
+    Empty where ``/dev/shm`` does not exist.
+    """
+    return set(glob.glob(f"/dev/shm/{_SEGMENT_PREFIX}{os.getpid():x}-*"))
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_segments():
+    """Fail a test that leaves a shared segment of this process behind."""
+    before = live_repro_segments()
+    yield
+    leaked = live_repro_segments() - before
+    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
 
 
 @pytest.fixture(autouse=True)

@@ -99,9 +99,10 @@ def _reap_child_segments(pid) -> None:
     Outside pytest the killed process tree's resource tracker reclaims
     them as soon as its workers exit; in-suite the tracker is inherited
     from (and shared with) the long-lived pytest process, so cleanup
-    would be deferred to session exit — and the sibling fault suites
-    assert ``/dev/shm`` is clean in absolute terms.  Segment names embed
-    the owning pid in hex, so only the killed child's are touched.
+    would be deferred to session exit.  Segment names embed the owning
+    pid in hex, so only the killed child's are touched (and the
+    package's leak check, scoped to this process's pid, never sees
+    them).
     """
     for path in glob.glob(f"/dev/shm/repro-{pid:x}-*"):
         try:

@@ -6,14 +6,14 @@ the paper's baseline invariant survives the failure: the mined result is
 bit-identical to serial :class:`Apriori`.  The whole suite runs once per
 **data plane** (the autouse ``data_plane`` fixture), so every recovery
 scenario is exercised over both the shared-memory store and the
-file-backed mmap store — and after every test the ``no_leaked_segments``
-fixture asserts no ``repro-*`` shared segment outlived the run.  The ``timeout`` marks
+file-backed mmap store — and after every test the package's
+``no_leaked_segments`` fixture asserts no ``repro-*`` shared segment of
+this process outlived the run.  The ``timeout`` marks
 are enforced by pytest-timeout in CI, turning any recovery-path hang
 into a fast failure instead of a stalled runner.
 """
 
 import multiprocessing
-from pathlib import Path
 
 import pytest
 
@@ -24,8 +24,8 @@ from repro.parallel.native import (
     NATIVE_KERNELS,
     NativeCountDistribution,
     WorkerError,
-    _SEGMENT_PREFIX,
 )
+from tests.parallel.conftest import live_repro_segments
 
 # tiny_db at 0.3 support runs passes k = 1, 2, 3 (see conftest); the
 # chaos scenarios below kill workers at every pool pass in turn.
@@ -34,18 +34,9 @@ TINY_POOL_PASSES = (2, 3)
 
 pytestmark = pytest.mark.timeout(120)
 
-_DEV_SHM = Path("/dev/shm")
-
 
 def _has_start_method(name: str) -> bool:
     return name in multiprocessing.get_all_start_methods()
-
-
-def _live_repro_segments() -> set:
-    """Names of this repo's shared segments currently backing /dev/shm."""
-    if not _DEV_SHM.is_dir():  # non-Linux: no observable backing files
-        return set()
-    return {p.name for p in _DEV_SHM.glob(f"{_SEGMENT_PREFIX}*")}
 
 
 @pytest.fixture(params=DATA_PLANES, autouse=True)
@@ -66,15 +57,6 @@ def data_plane(request, monkeypatch):
 
     monkeypatch.setattr(NativeCountDistribution, "__init__", patched)
     return plane
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    """Assert every test leaves /dev/shm exactly as it found it."""
-    before = _live_repro_segments()
-    yield
-    leaked = _live_repro_segments() - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
 
 
 @pytest.fixture(scope="module")
@@ -213,15 +195,12 @@ class TestStartupBound:
         try:
             f1 = np.array([[1], [2], [3], [4]], dtype=np.int32)
             frame = native._Frame(1, 2, f1)
-            units, _bits, load = pool._plan(frame, lambda w, p: 1)
+            units, _bits, _weight = pool._plan(frame, lambda w, p: 1)
             pool._slots[1].process.terminate()
             pool._slots[1].process.join(timeout=10)
             monkeypatch.setattr(native, "_START_TIMEOUT", 0.0)
             unit = units[1]
-            payload = (
-                frame, pool._segments.ensure_counts(load), unit.bits,
-                unit.ring, None,
-            )
+            payload = (frame, unit.bits, unit.ring, None)
             reply = pool._recover(
                 1, "died", 2, payload, exclude=frozenset(),
                 inprocess=lambda: pytest.fail("a survivor should adopt"),
@@ -423,18 +402,36 @@ class TestStaleReplies:
         try:
             # A ready frame, a late answer to request 7, then the answer
             # to request 8; each reply record carries its count vector
-            # inline and its bin size, as adopt replies do.
+            # inline and its bin size, as every pass reply does.
             child.send(_READY)
             child.send(("ok", 7, _Reply(np.array([1, 2, 3]), size=3)))
             child.send(("ok", 8, _Reply(np.array([4, 5, 6]), size=3)))
             for _ in range(2):
-                reply, failure = pool._read_reply(parent, 0, "adopt", 2, seq=8)
+                reply, failure = pool._read_reply(parent, 0, "pass", 2, seq=8)
                 assert (reply, failure) == (None, "stale")
-            reply, failure = pool._read_reply(parent, 0, "adopt", 2, seq=8)
+            reply, failure = pool._read_reply(parent, 0, "pass", 2, seq=8)
             assert (reply.body.tolist(), failure) == ([4, 5, 6], "")
             # A vector that disagrees with its own bin size is corrupt.
             child.send(("ok", 9, _Reply(np.array([4, 5]), size=3)))
-            reply, failure = pool._read_reply(parent, 0, "adopt", 2, seq=9)
+            reply, failure = pool._read_reply(parent, 0, "pass", 2, seq=9)
+            assert (reply, failure) == (None, "corrupt")
+        finally:
+            parent.close()
+            child.close()
+
+    def test_pass_reply_without_its_vector_is_corrupt(self):
+        """A pass body must be the count vector itself: an int — the
+        number of counts written elsewhere — is corrupt, even when it
+        equals the reported bin size."""
+        from multiprocessing import Pipe
+
+        from repro.parallel.native import _Pool, _Reply
+
+        pool = _Pool.__new__(_Pool)  # protocol check only
+        parent, child = Pipe()
+        try:
+            child.send(("ok", 4, _Reply(3, size=3)))
+            reply, failure = pool._read_reply(parent, 0, "pass", 2, seq=4)
             assert (reply, failure) == (None, "corrupt")
         finally:
             parent.close()
@@ -562,7 +559,7 @@ class TestSharedSegmentLifecycle:
     """Shared segments are unlinked exactly once, whatever the exit path.
 
     The autouse ``no_leaked_segments`` fixture already polices every
-    test in the module; these scenarios additionally pin the abnormal
+    test in the package; these scenarios additionally pin the abnormal
     exits the data plane must clean up after — a structured worker error
     aborting the mine, a full pool collapse into in-process counting,
     and a double shutdown.
@@ -573,7 +570,7 @@ class TestSharedSegmentLifecycle:
         miner = NativeCountDistribution(TINY_SUPPORT, 3, data_plane="shared")
         result = miner.mine(db)
         assert result.frequent == serial.frequent
-        assert not _live_repro_segments()
+        assert not live_repro_segments()
 
     def test_worker_error_abort_leaves_no_segments(self, tiny_serial):
         # WorkerError propagates out of mine() mid-pass — the exception
@@ -584,7 +581,7 @@ class TestSharedSegmentLifecycle:
         )
         with pytest.raises(WorkerError):
             miner.mine(db)
-        assert not _live_repro_segments()
+        assert not live_repro_segments()
 
     def test_pool_collapse_leaves_no_segments(self, tiny_serial):
         # Full collapse: every remaining pass runs in-process against
@@ -601,7 +598,7 @@ class TestSharedSegmentLifecycle:
         result = miner.mine(db)
         assert result.frequent == serial.frequent
         assert miner.fault_log[0].action == "inprocess"
-        assert not _live_repro_segments()
+        assert not live_repro_segments()
 
     def test_chaos_at_every_pass_leaves_no_segments(self, tiny_serial):
         db, serial = tiny_serial
@@ -616,7 +613,7 @@ class TestSharedSegmentLifecycle:
                 )
                 result = miner.mine(db)
                 assert result.frequent == serial.frequent
-                assert not _live_repro_segments(), (
+                assert not live_repro_segments(), (
                     f"{fault}@1:k{k} leaked a segment"
                 )
 
@@ -631,7 +628,7 @@ class TestSharedSegmentLifecycle:
         pool.shutdown()
         assert pool.segment_names() == []
         pool.shutdown()  # second shutdown is a no-op, not a double unlink
-        assert not _live_repro_segments()
+        assert not live_repro_segments()
 
 
 class TestKnobValidation:

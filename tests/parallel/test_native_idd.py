@@ -6,8 +6,6 @@ one-row corner, the IDD bin-packing edge cases, the ring-shift recovery
 ladder, and the grid's :class:`PassOverhead` instrumentation.
 """
 
-import glob
-
 import numpy as np
 import pytest
 
@@ -43,19 +41,6 @@ SUPPORT = 0.02
 TINY_SUPPORT = 0.3
 
 pytestmark = pytest.mark.timeout(300)
-
-
-def _live_repro_segments():
-    return glob.glob("/dev/shm/repro-*")
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    """Every test must leave /dev/shm clean — leaks fail the suite."""
-    before = set(_live_repro_segments())
-    yield
-    leaked = set(_live_repro_segments()) - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
 
 
 @pytest.fixture(scope="module")
@@ -230,8 +215,8 @@ class TestBinPackingEdges:
         pool = _Pool(get_context(), 4, tiny_partition_db.to_packed())
         try:
             idd_rows = NativeIntelligentDistribution(TINY_SUPPORT, 4)._rows
-            units, bits, load = pool._plan(_Frame(1, 2, f1), idd_rows)
-            assert len(bits) == 4 and load == 3  # item 1 joins 2, 3, 4
+            units, bits, weight = pool._plan(_Frame(1, 2, f1), idd_rows)
+            assert len(bits) == 4 and weight == 6  # |C(2)| = 3 + 2 + 1
             bins = [
                 generate_candidates(f1, owned=ItemBitmap.from_bits(b))
                 for b in bits
@@ -450,17 +435,16 @@ class TestRecoveryLadder:
                 recv_timeout=10.0, max_retries=0,
             )
             try:
-                units, bits, load = pool._plan(frame, rows_rule)
+                units, _bits, _weight = pool._plan(frame, rows_rule)
                 for wid in (0, 1):
                     pool._slots[wid].process.terminate()
                     pool._slots[wid].process.join(timeout=10)
                 pool._refusals_left = 10 ** 9
                 unit = units[1]
-                counts = pool._segments.ensure_counts(load)
                 derived = {}
                 reply = pool._recover(
                     1, "died", 2,
-                    (frame, counts, unit.bits, unit.ring, None),
+                    (frame, unit.bits, unit.ring, None),
                     exclude=frozenset(),
                     inprocess=lambda: pool._count_inprocess(
                         frame, unit, generate_candidates, derived
@@ -687,6 +671,76 @@ class TestWarmPool:
                 frequent_from_payload(record["itemsets"], record["counts"])
             )
         assert restored == second.frequent
+
+
+_FORMULATIONS = {
+    "cd": lambda workers, **kw: NativeCountDistribution(SUPPORT, workers, **kw),
+    "idd": lambda workers, **kw: NativeIntelligentDistribution(
+        SUPPORT, workers, **kw
+    ),
+    "hd": lambda workers, **kw: NativeHybridDistribution(
+        SUPPORT, workers, switch_threshold=8, **kw
+    ),
+}
+
+
+class TestStoreSegments:
+    """Counts ride the pass replies: the mmap plane creates no
+    shared-memory segment and the shared plane exactly one, its store."""
+
+    @pytest.mark.parametrize("formulation", sorted(_FORMULATIONS))
+    @pytest.mark.parametrize(
+        "workers, faults, log",
+        [
+            (3, None, []),
+            (3, "kill@1:k2,refuse-spawn:10", [(2, 1, "died", "adopted")]),
+            (1, "kill@0:k2,refuse-spawn:10", [(2, 0, "died", "inprocess")]),
+        ],
+        ids=["clean", "adopted", "inprocess"],
+    )
+    def test_mmap_plane_mines_without_shared_memory(
+        self, small_quest_db, quest_serial, monkeypatch, tmp_path,
+        formulation, workers, faults, log,
+    ):
+        from repro.parallel import native
+
+        def refuse(*args, **kwargs):
+            raise OSError("shared memory is unavailable")
+
+        monkeypatch.setattr(native.shared_memory, "SharedMemory", refuse)
+        miner = _FORMULATIONS[formulation](
+            workers, data_plane="mmap", store_dir=str(tmp_path),
+            faults=faults, max_retries=0, backoff_base=0.01,
+        )
+        result = miner.mine(small_quest_db)
+        assert result.frequent == quest_serial.frequent
+        assert [
+            (r.k, r.worker, r.failure, r.action) for r in miner.fault_log
+        ] == log
+        assert list(tmp_path.iterdir()) == []  # the store file is gone
+
+    @pytest.mark.parametrize("formulation", sorted(_FORMULATIONS))
+    @pytest.mark.parametrize("plane", DATA_PLANES)
+    def test_segment_names_through_a_mine(
+        self, small_quest_db, quest_serial, monkeypatch, formulation, plane,
+    ):
+        seen = []
+        count_pass = _Pool.count_pass
+
+        def spy(pool, *args, **kwargs):
+            seen.append(pool.segment_names())
+            try:
+                return count_pass(pool, *args, **kwargs)
+            finally:
+                seen.append(pool.segment_names())
+
+        monkeypatch.setattr(_Pool, "count_pass", spy)
+        miner = _FORMULATIONS[formulation](3, data_plane=plane)
+        assert miner.mine(small_quest_db).frequent == quest_serial.frequent
+        assert len(seen) >= 6  # three or more pool passes
+        expected = {"shared": 1, "mmap": 0}[plane]
+        assert [len(names) for names in seen] == [expected] * len(seen)
+        assert all(names == seen[0] for names in seen)  # the one store
 
 
 class TestPassOverheads:
